@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -55,6 +56,26 @@ class _Parser(argparse.ArgumentParser):
     # verification-failure code; route through exit code 1 instead.
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _parse_entry(text: str) -> complex:
@@ -193,15 +214,13 @@ def _to_markoff(q) -> MarkoffQuad:
 def _cmd_spectrum(args):
     q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
     fn = two_sided_spectrum if args.two_sided else one_sided_spectrum
-    entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol,
-                 threads=args.threads)
+    entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
     return [_entry_record(args, e) for e in entries], 0
 
 
 def _cmd_systole(args):
     q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
-    length, witness = systole(q, max_cells=args.max_cells, tol=args.tol,
-                              threads=args.threads)
+    length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
     rec = _entry_record(args, witness)
     rec["cmd"] = "systole"
     return [rec], 0
@@ -214,13 +233,12 @@ def _cmd_mcshane(args):
     budget = args.budget if args.budget is not None else args.max_cells
     rec = _base(args, "mcshane")
     if args.cutoff is not None:
-        rep = mcshane_partial(q, args.cutoff, max_cells=budget, tol=args.tol,
-                              threads=args.threads)
+        rep = mcshane_partial(q, args.cutoff, max_cells=budget, tol=args.tol)
         code = 3 if rep.verdict is Verdict.BUDGET_EXCEEDED else 0
         passed = None
     else:
         passed, rep = mcshane_verify(q, args.target_tol, max_cells=budget,
-                                     tol=args.tol, threads=args.threads)
+                                     tol=args.tol)
         code = 0 if passed else 3
     rec.update({
         "partial_sum": rep.partial_sum,
@@ -236,7 +254,7 @@ def _cmd_mcshane(args):
 
 def _cmd_bq_check(args):
     q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
-    rep = check_bq(q, args.k, max_cells=args.max_cells, threads=args.threads)
+    rep = check_bq(q, args.k, max_cells=args.max_cells)
     rec = _base(args, "bq-check")
     rec.update({
         "cutoff": rep.cutoff,
@@ -270,8 +288,7 @@ def _cmd_enumerate_integral(args):
 def _cmd_growth(args):
     q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
-                          max_cells=args.max_cells, tol=args.tol,
-                          threads=args.threads)
+                          max_cells=args.max_cells, tol=args.tol)
     rec = _base(args, "growth")
     rec.update({
         "exponent": fit.exponent,
@@ -347,16 +364,14 @@ def _add_common(p, defaults: bool):
     # subcommand and the later position wins
     env_cells = os.environ.get(ENV_MAX_CELLS)
     kw = lambda v: {"default": v} if defaults else {"default": argparse.SUPPRESS}
-    p.add_argument("--tol", type=float, **kw(DEFAULT_TOL))
+    p.add_argument("--tol", type=_finite_float, **kw(DEFAULT_TOL))
     p.add_argument("--format", choices=("jsonl", "csv"), **kw("jsonl"))
     p.add_argument("--out", help="write records to FILE instead of stdout",
                    **kw(None))
-    p.add_argument("--max-cells", type=int,
+    # a string default (the env value) goes through the type check too
+    p.add_argument("--max-cells", type=_positive_int,
                    help=f"cell budget for enumerations (env {ENV_MAX_CELLS})",
-                   **kw(int(env_cells) if env_cells else 200_000))
-    p.add_argument("--threads", type=int,
-                   help="subtree-parallel enumeration; output is identical for any N",
-                   **kw(1))
+                   **kw(env_cells or 200_000))
     p.add_argument("--exact", action="store_true",
                    help="force the integer fast-path, rejecting non-integers",
                    **({} if defaults else {"default": argparse.SUPPRESS}))
@@ -382,7 +397,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="simple length spectrum below a cutoff")
     _add_quad(sp)
-    sp.add_argument("-L", "--length", type=float, required=True)
+    sp.add_argument("-L", "--length", type=_finite_float, required=True)
     sp.add_argument("--two-sided", action="store_true")
     sp.set_defaults(run=_cmd_spectrum)
 
@@ -392,14 +407,14 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("mcshane", help="identity partial sum or verification")
     _add_quad(sp)
-    sp.add_argument("--cutoff", type=float, default=None)
-    sp.add_argument("--target-tol", type=float, default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--cutoff", type=_finite_float, default=None)
+    sp.add_argument("--target-tol", type=_finite_float, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
     sp.set_defaults(run=_cmd_mcshane)
 
     sp = sub.add_parser("bq-check", help="summability check up to a product cutoff")
     _add_quad(sp)
-    sp.add_argument("-k", type=float, required=True)
+    sp.add_argument("-k", type=_finite_float, required=True)
     sp.set_defaults(run=_cmd_bq_check)
 
     sp = sub.add_parser("fundamental", help="all reduced positive integer quads")
@@ -412,8 +427,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("growth", help="counting-function exponent fit")
     _add_quad(sp)
-    sp.add_argument("--lmin", type=float, required=True)
-    sp.add_argument("--lmax", type=float, required=True)
+    sp.add_argument("--lmin", type=_finite_float, required=True)
+    sp.add_argument("--lmax", type=_finite_float, required=True)
     sp.add_argument("--shells", type=int, required=True)
     sp.set_defaults(run=_cmd_growth)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import enum
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
@@ -166,13 +165,7 @@ class Exploration:
     budget_hit: bool
 
 
-# cell keys before renumbering: root cells ("r", slot); created cells are
-# keyed by the word of the node that created them
-_ROOT_KEYS = tuple(("r", i) for i in range(4))
-
-
-def _grow(v_abs: float, retained: tuple[float, float, float],
-          cell_bound, face_bound) -> bool:
+def _grow(v_abs: float, retained: list[float], cell_bound, face_bound) -> bool:
     # never prune a strictly descending direction; otherwise extend only
     # while the new value can still matter for the requested bounds
     if v_abs < max(retained):
@@ -184,146 +177,81 @@ def _grow(v_abs: float, retained: tuple[float, float, float],
     return False
 
 
-def _walk_subtree(start_word, start_keys, start_vals,
-                  cell_bound, face_bound, max_cells,
-                  cells, faces):
-    """BFS one subtree, appending discoveries.  cells: dict key ->
-    (value, word); faces: dict frozenset{key,key} -> product."""
-    queue = deque([(start_word, start_keys, start_vals)])
-    visited = 0
-    while queue:
-        word, keys, vals = queue.popleft()
-        visited += 1
-        if face_bound is not None:
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    p = vals[i] * vals[j]
-                    if abs(p) <= face_bound:
-                        faces.setdefault(frozenset((keys[i], keys[j])), p)
-        back = word[-1] if word else None
-        for i in range(1, 5):
-            if i == back:
-                continue
-            v = flip_value(vals, i)
-            retained = tuple(abs(vals[j]) for j in range(4) if j != i - 1)
-            if not _grow(abs(v), retained, cell_bound, face_bound):
-                continue
-            nword = word + (i,)
-            if len(cells) >= max_cells:
-                raise BudgetExceededError(
-                    f"cell budget {max_cells} exhausted; suspected non-summable input"
-                )
-            cells[nword] = (v, nword)
-            nkeys = list(keys)
-            nkeys[i - 1] = nword
-            nvals = list(vals)
-            nvals[i - 1] = v
-            queue.append((nword, tuple(nkeys), tuple(nvals)))
-    return visited
-
-
 def explore(
     q: MarkoffQuad,
     cell_bound: float | None = None,
     face_bound: float | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
     on_budget: str = "raise",
 ) -> Exploration:
     """Pruned breadth-first exploration from q.
 
     Records every created cell and every face with |product| within
-    face_bound seen at a visited vertex.  Ids are assigned in canonical
-    breadth-first discovery order (root slots first), which makes the
-    output independent of threads.  on_budget is "raise" or "truncate".
+    face_bound seen at a visited vertex.  A cell's id is its discovery
+    index: root slots are 0..3, then each visited vertex creates its
+    cells in slot order, so ids are canonical and faces come sorted by
+    id pair.  on_budget is "raise" or "truncate"; a truncated walk keeps
+    everything found before the budget ran out.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
         raise DomainError("need at least one of cell_bound, face_bound")
     root_vals = q.values()
-    cells: dict = {}
-    for i in range(4):
-        cells[_ROOT_KEYS[i]] = (root_vals[i], ())
-    faces: dict = {}
-    budget_hit = False
+    # per cell id: value, creating vertex and the slot flipped there.  A
+    # vertex is named by the cell created on arrival; the root is named
+    # by cell 0, whose word is empty like every root cell's.
+    values = list(root_vals)
+    parents = [0] * 4
+    slots = [0] * 4
+    faces: dict[tuple[int, int], complex] = {}
+    # queue entries: (vertex name, arrival slot, cell ids, values)
+    queue = deque([(0, 0, (0, 1, 2, 3), root_vals)])
     visited = 0
+    budget_hit = False
     try:
-        if threads <= 1:
-            visited = _walk_subtree((), _ROOT_KEYS, root_vals,
-                                    cell_bound, face_bound, max_cells,
-                                    cells, faces)
-        else:
-            # root vertex handled here; each first move spawns a worker on a
-            # disjoint subtree.  Merge is a set union keyed by words.
+        while queue:
+            name, back, ids, vals = queue.popleft()
+            visited += 1
             if face_bound is not None:
                 for i in range(4):
                     for j in range(i + 1, 4):
-                        p = root_vals[i] * root_vals[j]
+                        p = vals[i] * vals[j]
                         if abs(p) <= face_bound:
-                            faces.setdefault(frozenset((_ROOT_KEYS[i], _ROOT_KEYS[j])), p)
-            visited = 1
-            jobs = []
+                            a, b = ids[i], ids[j]
+                            faces.setdefault((a, b) if a < b else (b, a), p)
+            mags = [abs(v) for v in vals]
             for i in range(1, 5):
-                v = flip_value(root_vals, i)
-                retained = tuple(abs(root_vals[j]) for j in range(4) if j != i - 1)
-                if not _grow(abs(v), retained, cell_bound, face_bound):
+                if i == back:
                     continue
-                nkeys = list(_ROOT_KEYS)
-                nkeys[i - 1] = (i,)
-                nvals = list(root_vals)
+                v = flip_value(vals, i)
+                if not _grow(abs(v), mags[:i - 1] + mags[i:], cell_bound, face_bound):
+                    continue
+                if len(values) >= max_cells:
+                    raise BudgetExceededError(
+                        f"cell budget {max_cells} exhausted; suspected non-summable input"
+                    )
+                new = len(values)
+                values.append(v)
+                parents.append(name)
+                slots.append(i)
+                nids = list(ids)
+                nids[i - 1] = new
+                nvals = list(vals)
                 nvals[i - 1] = v
-                jobs.append(((i,), tuple(nkeys), tuple(nvals)))
-            sub_cells = [dict() for _ in jobs]
-            sub_faces = [dict() for _ in jobs]
-            for k, job in enumerate(jobs):
-                sub_cells[k][job[0]] = (job[2][job[0][0] - 1], job[0])
-            worker_errors = []
-            with ThreadPoolExecutor(max_workers=min(4, max(1, threads))) as pool:
-                futs = [
-                    pool.submit(_walk_subtree, job[0], job[1], job[2],
-                                cell_bound, face_bound, max_cells,
-                                sub_cells[k], sub_faces[k])
-                    for k, job in enumerate(jobs)
-                ]
-                for f in futs:
-                    try:
-                        visited += f.result()
-                    except BudgetExceededError as exc:
-                        worker_errors.append(exc)
-            for sc in sub_cells:
-                cells.update(sc)
-            for sf in sub_faces:
-                for key, p in sf.items():
-                    faces.setdefault(key, p)
-            if worker_errors:
-                raise worker_errors[0]
-            if len(cells) > max_cells:
-                raise BudgetExceededError(
-                    f"cell budget {max_cells} exhausted across subtrees"
-                )
+                queue.append((new, i, tuple(nids), tuple(nvals)))
     except BudgetExceededError:
         if on_budget == "raise":
             raise
         budget_hit = True
 
-    # canonical ids: sort by (depth, word); sequential BFS discovery order
-    # coincides with this ordering, root slots come first as ids 0..3
-    def order(key):
-        if key[0] == "r":
-            return (0, (), key[1])
-        return (len(key), key, -1)
-
-    keys_sorted = sorted(cells.keys(), key=order)
-    ids = {key: n for n, key in enumerate(keys_sorted)}
-    out_cells = tuple(Cell(id=ids[k], value=cells[k][0], word=cells[k][1])
-                      for k in keys_sorted)
-    out_faces = []
-    for key, p in faces.items():
-        i, j = sorted(ids[k] for k in key)
-        out_faces.append(Face(cells=(i, j), product=p))
-    out_faces.sort(key=lambda f: f.cells)
-    return Exploration(cells=out_cells, faces=tuple(out_faces),
+    words: list[tuple[int, ...]] = [()] * 4
+    for k in range(4, len(values)):
+        words.append(words[parents[k]] + (slots[k],))
+    out_cells = tuple(Cell(id=k, value=v, word=w)
+                      for k, (v, w) in enumerate(zip(values, words)))
+    out_faces = tuple(Face(cells=key, product=faces[key]) for key in sorted(faces))
+    return Exploration(cells=out_cells, faces=out_faces,
                        nodes_visited=visited, budget_hit=budget_hit)
 
 
@@ -332,10 +260,9 @@ def enumerate_cells(
     bound: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> list[Cell]:
     """Every distinct cell with |value| <= bound, in discovery order."""
-    ex = explore(q, cell_bound=bound, max_cells=max_cells, tol=tol, threads=threads)
+    ex = explore(q, cell_bound=bound, max_cells=max_cells, tol=tol)
     return [c for c in ex.cells if abs(c.value) <= bound]
 
 
@@ -344,12 +271,10 @@ def enumerate_faces(
     product_bound: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> list[Face]:
     """Every face with |product| <= product_bound, deduplicated by id
     pair (identity, not value), sorted by id pair."""
-    ex = explore(q, face_bound=product_bound, max_cells=max_cells, tol=tol,
-                 threads=threads)
+    ex = explore(q, face_bound=product_bound, max_cells=max_cells, tol=tol)
     return list(ex.faces)
 
 

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, explore
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip_value
+from .quadalgebra import DEFAULT_TOL, MarkoffQuad, _segment_distance, flip_value
 
 BRANCH_TOL = 1e-9
-
-
-def _segment_distance(z: complex, lo: float, hi: float) -> float:
-    t = min(max(z.real, lo), hi)
-    return abs(z - t)
 
 
 def h(x, tol: float = BRANCH_TOL) -> complex:
@@ -92,15 +87,13 @@ def check_bq(
     k: float = 4.0,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = BRANCH_TOL,
-    threads: int = 1,
 ) -> BqReport:
     """Enumerate faces with |product| <= max(k, 4) and report any whose
     product lies on the segment [0, 4].  Finiteness cannot be certified
     from finite data, only refuted; budget exhaustion sets budget_hit
     instead of raising."""
     bound = max(k, 4.0)
-    ex = explore(q, face_bound=bound, max_cells=max_cells,
-                 on_budget="truncate", threads=threads)
+    ex = explore(q, face_bound=bound, max_cells=max_cells, on_budget="truncate")
     faces4 = tuple(f for f in ex.faces if abs(f.product) <= 4.0)
     violations = tuple(
         f for f in faces4 if _segment_distance(f.product, 0.0, 4.0) <= tol
@@ -125,14 +118,18 @@ class McShaneReport:
     verdict: Verdict
 
 
-def _partial(q, product_cutoff, max_cells, tol, target_tol, threads=1):
-    bq = check_bq(q, 4.0, max_cells=max_cells, threads=threads)
+def _require_summable(q, max_cells):
+    # the [0, 4] faces do not depend on the cutoff: check them once per sum
+    bq = check_bq(q, 4.0, max_cells=max_cells)
     if bq.violations:
         raise BqViolationError(
             f"face product {bq.violations[0].product} lies in [0,4]; sum undefined"
         )
+
+
+def _partial(q, product_cutoff, max_cells, tol, target_tol):
     ex = explore(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol,
-                 on_budget="truncate", threads=threads)
+                 on_budget="truncate")
     faces = [f for f in ex.faces if abs(f.product) <= product_cutoff]
     total = 0j
     shell_max = 0.0
@@ -160,7 +157,6 @@ def mcshane_partial(
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
     target_tol: float | None = None,
-    threads: int = 1,
 ) -> McShaneReport:
     """Sum h over all distinct faces with |product| <= product_cutoff.
 
@@ -170,8 +166,8 @@ def mcshane_partial(
     when a target_tol is supplied and both |sum - 1/2| <= target_tol and
     last_shell_max <= target_tol/10 hold.
     """
-    report, _ = _partial(q, product_cutoff, max_cells, tol, target_tol,
-                         threads=threads)
+    _require_summable(q, max_cells)
+    report, _ = _partial(q, product_cutoff, max_cells, tol, target_tol)
     return report
 
 
@@ -185,7 +181,6 @@ def mcshane_verify(
     budget_schedule=DEFAULT_SCHEDULE,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> tuple[bool, McShaneReport]:
     """Raise the cutoff along the schedule until the partial sum is
     within target_tol of 1/2 (with a quiet last shell) or the budget is
@@ -194,10 +189,10 @@ def mcshane_verify(
     h to 1e-10."""
     if target_tol <= 0:
         raise DomainError("target_tol must be positive")
+    _require_summable(q, max_cells)
     report = None
     for cutoff in budget_schedule:
-        report, faces = _partial(q, float(cutoff), max_cells, tol, target_tol,
-                                 threads=threads)
+        report, faces = _partial(q, float(cutoff), max_cells, tol, target_tol)
         for f in faces:
             ell = 2 * cmath.acosh((f.product - 2) / 2)
             geom = 1 / (1 + cmath.exp(ell / 2))

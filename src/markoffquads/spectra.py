@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .curvecomplex import DEFAULT_MAX_CELLS, enumerate_cells, enumerate_faces, reduce_to_sink
@@ -44,7 +45,6 @@ def one_sided_spectrum(
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> list[SpectrumEntry]:
     """All one-sided classes with |length| < L, sorted by |length| then
     discovery word.  The quad is reduced first; since |2 sinh(z/2)| <=
@@ -54,8 +54,7 @@ def one_sided_spectrum(
     sink, _ = reduce_to_sink(q, tol=tol)
     bound = 2.0 * math.sinh(L / 2)
     entries = []
-    for cell in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol,
-                                threads=threads):
+    for cell in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol):
         ell = one_sided_length(cell.value)  # zero trace raises: parabolic class
         if abs(ell) < L:
             entries.append(SpectrumEntry(
@@ -71,7 +70,6 @@ def two_sided_spectrum(
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> list[SpectrumEntry]:
     """All two-sided classes with |length| < L, deduplicated by cell id
     pair.  |e| = |2 cosh(l/2)| <= 2 cosh(|l|/2) bounds the face product
@@ -81,8 +79,7 @@ def two_sided_spectrum(
     sink, _ = reduce_to_sink(q, tol=tol)
     product_bound = 2.0 * math.cosh(L / 2) + 2.0
     entries = []
-    for face in enumerate_faces(sink, product_bound, max_cells=max_cells,
-                                tol=tol, threads=threads):
+    for face in enumerate_faces(sink, product_bound, max_cells=max_cells, tol=tol):
         e = face.product - 2
         ell = two_sided_length(e, tol=tol)
         if abs(ell) < L:
@@ -99,11 +96,9 @@ def count_s(
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> int:
     """Number of one-sided classes with |length| < L."""
-    return len(one_sided_spectrum(q, L, max_cells=max_cells, tol=tol,
-                                  threads=threads))
+    return len(one_sided_spectrum(q, L, max_cells=max_cells, tol=tol))
 
 
 # A one-sided class of trace <= 4 always exists, so only two-sided curves
@@ -117,7 +112,6 @@ def systole(
     q: MarkoffQuad,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> tuple[complex, SpectrumEntry]:
     """Shortest curve class by |length|, with its witness.
 
@@ -134,7 +128,7 @@ def systole(
 
     seen = set()
     for c in enumerate_cells(sink, _SYSTOLE_CELL_BOUND, max_cells=max_cells,
-                             tol=tol, threads=threads):
+                             tol=tol):
         seen.add(c.id)
         consider(SpectrumEntry(kind=CurveKind.ONE_SIDED, trace=c.value,
                                length=one_sided_length(c.value),
@@ -146,7 +140,7 @@ def systole(
                                    length=one_sided_length(v), cell_ref=i,
                                    word=()))
     for face in enumerate_faces(sink, _SYSTOLE_FACE_BOUND,
-                                max_cells=max_cells, tol=tol, threads=threads):
+                                max_cells=max_cells, tol=tol):
         e = face.product - 2
         consider(SpectrumEntry(kind=CurveKind.TWO_SIDED, trace=e,
                                length=two_sided_length(e, tol=tol),
@@ -191,23 +185,24 @@ def growth_exponent(
     shells: int,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> GrowthFit:
     """Fit the counting function on geometrically spaced cutoffs.
 
     The asymptotic exponent is approached slowly; desk-scale windows
-    give a coarse estimate only.
+    give a coarse estimate only.  One walk to the largest cutoff serves
+    every shell: pruning is monotone in the cutoff, so a smaller
+    cutoff's classes are exactly those of the large walk below it.
     """
     if shells < 4:
         raise DomainError("need at least 4 shells")
     if not (0 < lmin < lmax):
         raise DomainError("need 0 < lmin < lmax")
     ratio = lmax / lmin
-    samples = []
-    for k in range(shells):
-        L = lmin * ratio ** (k / (shells - 1))
-        samples.append((L, count_s(q, L, max_cells=max_cells, tol=tol,
-                                   threads=threads)))
+    cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
+    # the last cutoff may round above lmax, so walk to the largest sample
+    lengths = [abs(e.length) for e in
+               one_sided_spectrum(q, max(cutoffs), max_cells=max_cells, tol=tol)]
+    samples = [(L, bisect_left(lengths, L)) for L in cutoffs]
     m, c, res = fit_power_law(samples)
     return GrowthFit(samples=tuple(samples), exponent=m,
                      intercept_log_eta=c, fit_residual=res)

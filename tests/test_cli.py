@@ -75,6 +75,21 @@ def test_usage_error_exit_1(capsys):
     assert run_cli(capsys, "verify", "a,b,c,d")[0] == 1
 
 
+@pytest.mark.parametrize("argv, env", [
+    (("spectrum", "4,4,4,4", "-L", "nan"), None),
+    (("mcshane", "4,4,4,4", "--cutoff", "nan"), None),
+    (("bq-check", "4,4,4,4", "-k", "nan"), None),
+    (("--max-cells", "-5", "spectrum", "4,4,4,4", "-L", "20"), None),
+    (("spectrum", "4,4,4,4", "-L", "20"), "abc"),
+])
+def test_bad_numeric_input_exit_1(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MQL_MAX_CELLS", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("mql: error:") and err.count("\n") == 1
+
+
 def test_spectrum_records(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "3")
     assert code == 0
@@ -210,8 +225,6 @@ def test_deterministic_output(capsys):
     a = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "10")
     b = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "10")
     assert a == b
-    c = run_cli(capsys, "--threads", "4", "spectrum", "4,4,4,4", "-L", "10")
-    assert a[1] == c[1]
 
 
 def test_csv_format(capsys):

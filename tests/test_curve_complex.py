@@ -211,20 +211,6 @@ def test_tree_property_distinct_nodes():
     assert len(set(vals)) == len(vals)
 
 
-def test_explore_threads_match_sequential():
-    for q, bounds in [
-        (Q4, dict(cell_bound=1e6, face_bound=1e6)),
-        (MarkoffQuad(1, 5, 24, 30), dict(face_bound=1e5)),
-    ]:
-        seq = explore(q, **bounds)
-        par = explore(q, threads=4, **bounds)
-        assert [(c.id, c.word) for c in seq.cells] == [(c.id, c.word) for c in par.cells]
-        assert [(c.id, c.value) for c in seq.cells] == [(c.id, c.value) for c in par.cells]
-        assert [(f.cells, f.product) for f in seq.faces] == [
-            (f.cells, f.product) for f in par.faces
-        ]
-
-
 def test_fibonacci_values_examples():
     fa = fibonacci_values((0, 1, 2), depth=1)
     vals = sorted(fa.values.values())
@@ -324,15 +310,22 @@ def test_sink_uniqueness_over_translates():
                 assert x == pytest.approx(y, rel=1e-6)
 
 
-def test_explore_threads_budget_and_empty_subtrees():
-    # budget errors propagate from workers
-    with pytest.raises(BudgetExceededError):
-        enumerate_cells(Q4, 1e12, max_cells=20, threads=4)
-    # fully pruned subtrees: only the roots remain, same as sequential
-    seq = explore(Q4, cell_bound=3.0)
-    par = explore(Q4, cell_bound=3.0, threads=4)
-    assert [(c.id, c.value) for c in seq.cells] == [(c.id, c.value) for c in par.cells]
-    assert len(par.cells) == 4
+def test_explore_fully_pruned_keeps_only_root_cells():
+    ex = explore(Q4, cell_bound=3.0)
+    assert [(c.id, c.value, c.word) for c in ex.cells] == [(i, 4, ()) for i in range(4)]
+    assert ex.nodes_visited == 1
+
+
+def test_explore_truncate_respects_budget():
+    full = explore(Q4, cell_bound=1e12)
+    ex = explore(Q4, cell_bound=1e12, max_cells=20, on_budget="truncate")
+    assert ex.budget_hit and not full.budget_hit
+    assert len(ex.cells) <= 20
+    assert ex.nodes_visited > 0
+    # the truncated walk is a prefix of the full one, ids and words included
+    assert [(c.id, c.value, c.word) for c in ex.cells] == [
+        (c.id, c.value, c.word) for c in full.cells[:len(ex.cells)]
+    ]
 
 
 def test_pruned_matches_unpruned_on_complex_quads():

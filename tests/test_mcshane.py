@@ -197,7 +197,7 @@ def test_bq_enumeration_reaches_product_ten_face():
     assert any(abs(f.product - 10) <= 1e-12 for f in faces)
 
 
-def test_check_bq_truncates_on_budget_with_threads():
-    rep = check_bq(MarkoffQuad(0, 0, 0, 0), 4, max_cells=60, threads=4)
+def test_check_bq_truncates_on_budget():
+    rep = check_bq(MarkoffQuad(0, 0, 0, 0), 4, max_cells=60)
     assert rep.budget_hit
     assert not rep.ok
