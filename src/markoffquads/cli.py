@@ -2,9 +2,11 @@
 
 One JSON record per result line (JSON Lines) by default, CSV optional.
 Every record carries the subcommand, the input quad text and the tool
-version.  Exit codes: 0 success, 1 usage or parse error, 2 verification
-failure, 3 budget exhausted, 4 precondition violation (branch cut,
-summability violation, domain errors).
+version; JSON output is strict (no NaN or Infinity).  Exit codes:
+0 success, 1 usage or parse error, 2 verification failure, 3 budget
+exhausted (`klein -n` counts against --max-cells too), 4 precondition
+violation (branch cut, summability violation, domain errors, numbers
+out of float range, a result strict JSON cannot hold).
 """
 
 from __future__ import annotations
@@ -92,26 +94,33 @@ def parse_quad(text: str, exact: bool = False):
     if len(parts) != 4:
         raise _UsageError(f"quad needs 4 comma-separated entries, got {len(parts)}")
     if all(_INT_RE.match(p) for p in parts):
-        return IntegerQuad.from_values(int(p) for p in parts)
+        try:
+            vals = [int(p) for p in parts]
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise _UsageError("integer entry has too many digits") from None
+        return IntegerQuad.from_values(vals)
     if exact:
         raise _UsageError("--exact requires all-integer entries")
     return MarkoffQuad.from_values(_parse_entry(p) for p in parts)
 
 
-def _json_val(v):
-    if isinstance(v, bool) or isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
+def _markoff_arg(text: str, args) -> MarkoffQuad:
+    """A quad argument for the float routines, checked against --tol."""
+    q = parse_quad(text, args.exact)
+    if isinstance(q, IntegerQuad):
+        q = MarkoffQuad.from_values(q.values())
+    return q.require_valid(args.tol)
+
+
+def _complex_json(v):
+    # tuples and the str-enum Verdict encode natively; only complex needs help
     if isinstance(v, complex):
         return v.real if v.imag == 0.0 else [v.real, v.imag]
-    if isinstance(v, (list, tuple)):
-        return [_json_val(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _json_val(x) for k, x in v.items()}
-    if isinstance(v, Verdict):
-        return v.value
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                         default=_complex_json)
 
 
 def _display(v) -> str:
@@ -134,27 +143,24 @@ def _display(v) -> str:
 
 
 def _emit(records, fmt: str, out) -> None:
-    if fmt == "jsonl":
-        for rec in records:
-            out.write(json.dumps(_json_val(rec), sort_keys=True,
-                                 separators=(",", ":")))
-            out.write("\n")
-    else:
-        if not records:
-            return
-        keys = sorted({k for rec in records for k in rec})
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(keys)
-        for rec in records:
-            w.writerow([_display(rec.get(k, "")) for k in keys])
+    try:
+        if fmt == "jsonl":
+            for rec in records:
+                out.write(_JSON.encode(rec))
+                out.write("\n")
+        elif records:
+            keys = sorted({k for rec in records for k in rec})
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow(keys)
+            for rec in records:
+                w.writerow([_display(rec.get(k, "")) for k in keys])
+    except ValueError as e:
+        # a non-finite float or an int past the str digit limit; lines written stay whole
+        raise DomainError(f"result cannot be written: {e}") from None
 
 
 def _base(args, cmd: str) -> dict:
     return {"cmd": cmd, "quad": getattr(args, "quad", None), "version": __version__}
-
-
-def _quad_values(q) -> list:
-    return list(q.values())
 
 
 def _entry_record(args, e) -> dict:
@@ -164,8 +170,8 @@ def _entry_record(args, e) -> dict:
         "trace": e.trace,
         "length": e.length,
         "abs_length": abs(e.length),
-        "cell": list(e.cell_ref) if isinstance(e.cell_ref, tuple) else e.cell_ref,
-        "word": list(e.word) if e.word is not None else None,
+        "cell": e.cell_ref,
+        "word": e.word,
     })
     return rec
 
@@ -189,7 +195,7 @@ def _cmd_flip(args):
     else:
         result = flip(q.require_valid(args.tol), args.index)
     rec = _base(args, "flip")
-    rec["result"] = _quad_values(result)
+    rec["result"] = list(result.values())
     return [rec], 0
 
 
@@ -198,46 +204,37 @@ def _cmd_reduce(args):
     rec = _base(args, "reduce")
     if isinstance(q, IntegerQuad):
         root, word = classify(q)
-        rec.update({"root": _quad_values(root), "word": word, "path": "integer"})
+        rec.update({"root": list(root.values()), "word": word, "path": "integer"})
     else:
         sink, word = reduce_to_sink(q.require_valid(args.tol), tol=args.tol)
-        rec.update({"root": _quad_values(sink), "word": word, "path": "complex"})
+        rec.update({"root": list(sink.values()), "word": word, "path": "complex"})
     return [rec], 0
 
 
-def _to_markoff(q) -> MarkoffQuad:
-    if isinstance(q, IntegerQuad):
-        return MarkoffQuad.from_values(q.values())
-    return q
-
-
 def _cmd_spectrum(args):
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
+    q = _markoff_arg(args.quad, args)
     fn = two_sided_spectrum if args.two_sided else one_sided_spectrum
     entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
     return [_entry_record(args, e) for e in entries], 0
 
 
 def _cmd_systole(args):
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
+    q = _markoff_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
-    rec = _entry_record(args, witness)
-    rec["cmd"] = "systole"
-    return [rec], 0
+    return [_entry_record(args, witness)], 0
 
 
 def _cmd_mcshane(args):
     if (args.cutoff is None) == (args.target_tol is None):
         raise _UsageError("give exactly one of --cutoff or --target-tol")
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
-    budget = args.budget if args.budget is not None else args.max_cells
+    q = _markoff_arg(args.quad, args)
     rec = _base(args, "mcshane")
     if args.cutoff is not None:
-        rep = mcshane_partial(q, args.cutoff, max_cells=budget, tol=args.tol)
+        rep = mcshane_partial(q, args.cutoff, max_cells=args.max_cells, tol=args.tol)
         code = 3 if rep.verdict is Verdict.BUDGET_EXCEEDED else 0
         passed = None
     else:
-        passed, rep = mcshane_verify(q, args.target_tol, max_cells=budget,
+        passed, rep = mcshane_verify(q, args.target_tol, max_cells=args.max_cells,
                                      tol=args.tol)
         code = 0 if passed else 3
     rec.update({
@@ -253,7 +250,7 @@ def _cmd_mcshane(args):
 
 
 def _cmd_bq_check(args):
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
+    q = _markoff_arg(args.quad, args)
     rep = check_bq(q, args.k, max_cells=args.max_cells)
     rec = _base(args, "bq-check")
     rec.update({
@@ -268,25 +265,17 @@ def _cmd_bq_check(args):
 
 
 def _cmd_fundamental(args):
-    recs = []
-    for q in enumerate_fundamental():
-        rec = _base(args, "fundamental")
-        rec["result"] = _quad_values(q)
-        recs.append(rec)
-    return recs, 0
+    return [dict(_base(args, "fundamental"), result=list(q.values()))
+            for q in enumerate_fundamental()], 0
 
 
 def _cmd_enumerate_integral(args):
-    recs = []
-    for q in enumerate_integral_below(args.bound):
-        rec = _base(args, "enumerate-integral")
-        rec["result"] = _quad_values(q)
-        recs.append(rec)
-    return recs, 0
+    return [dict(_base(args, "enumerate-integral"), result=list(q.values()))
+            for q in enumerate_integral_below(args.bound)], 0
 
 
 def _cmd_growth(args):
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
+    q = _markoff_arg(args.quad, args)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
                           max_cells=args.max_cells, tol=args.tol)
     rec = _base(args, "growth")
@@ -294,16 +283,16 @@ def _cmd_growth(args):
         "exponent": fit.exponent,
         "intercept_log_eta": fit.intercept_log_eta,
         "fit_residual": fit.fit_residual,
-        "samples": [[L, s] for L, s in fit.samples],
+        "samples": fit.samples,
     })
     return [rec], 0
 
 
 def _cmd_coords(args):
     rec = _base(args, "coords")
+    rec["quad"] = args.values
     if args.to is not None:
-        q = _to_markoff(parse_quad(args.values, args.exact)).require_valid(args.tol)
-        rec["quad"] = args.values
+        q = _markoff_arg(args.values, args)
         if args.to == "lambda":
             lc = quad_to_lambda(q, tol=args.tol)
             rec["lambda"] = list(lc.values())
@@ -315,7 +304,7 @@ def _cmd_coords(args):
             rec["in_domain"] = chk.inside
             rec["walls"] = list(chk.walls)
     else:
-        parts = [float(p) for p in args.values.split(",")]
+        parts = [_finite_float(p) for p in args.values.split(",")]
         if args.source == "lambda":
             if len(parts) != 6:
                 raise _UsageError("lambda coordinates need 6 entries")
@@ -324,17 +313,16 @@ def _cmd_coords(args):
             if len(parts) != 4:
                 raise _UsageError("horocyclic coordinates need 4 entries")
             q = horocyclic_to_quad(HorocyclicCoords(*parts), tol=args.tol)
-        rec["quad"] = args.values
-        rec["result"] = _quad_values(q)
+        rec["result"] = list(q.values())
     return [rec], 0
 
 
 def _cmd_mcg(args):
-    q = _to_markoff(parse_quad(args.quad, args.exact)).require_valid(args.tol)
+    q = _markoff_arg(args.quad, args)
     word = [w for w in re.split(r"[,\s]+", args.word.strip()) if w]
     result = mcg_apply(word, q)
     rec = _base(args, "mcg")
-    rec.update({"word": word, "result": _quad_values(result)})
+    rec.update({"word": word, "result": list(result.values())})
     return [rec], 0
 
 
@@ -343,11 +331,13 @@ def _cmd_klein(args):
     if len(seeds) != 2:
         raise _UsageError("--seed needs two comma-separated values")
     a0, a1 = (_parse_entry(s) for s in seeds)
+    if args.count > args.max_cells:
+        raise BudgetExceededError(f"klein -n {args.count} exceeds --max-cells {args.max_cells}")
     seq = klein_sequence(_parse_entry(args.A), a0, a1, args.count, tol=args.tol)
     rec = _base(args, "klein")
     rec.update({
-        "A": complex(seq.A),
-        "terms": [complex(t) for t in seq.terms],
+        "A": seq.A,
+        "terms": seq.terms,
         "lambda_plus": seq.lambda_plus,
         "lambda_minus": seq.lambda_minus,
     })
@@ -409,7 +399,6 @@ def _build_parser() -> _Parser:
     _add_quad(sp)
     sp.add_argument("--cutoff", type=_finite_float, default=None)
     sp.add_argument("--target-tol", type=_finite_float, default=None)
-    sp.add_argument("--budget", type=_positive_int, default=None)
     sp.set_defaults(run=_cmd_mcshane)
 
     sp = sub.add_parser("bq-check", help="summability check up to a product cutoff")
@@ -473,7 +462,7 @@ def main(argv=None) -> int:
         records, code = args.run(args)
         _emit(records, args.format, out)
         return code
-    except _UsageError as e:
+    except (_UsageError, argparse.ArgumentTypeError) as e:
         print(f"mql: error: {e}", file=sys.stderr)
         return 1
     except BudgetExceededError as e:

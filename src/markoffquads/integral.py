@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InvalidQuadError
+from .quadalgebra import flip_value
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,8 @@ class IntegerQuad:
 
 def int_flip(q: IntegerQuad, i: int) -> IntegerQuad:
     """Exact flip at 1-based index i."""
-    if i not in (1, 2, 3, 4):
-        raise DomainError(f"entry index must be 1..4, got {i}")
     vals = list(q.values())
-    others = [v for j, v in enumerate(vals) if j != i - 1]
-    vals[i - 1] = others[0] * others[1] * others[2] - 2 * sum(others) - vals[i - 1]
+    vals[i - 1] = flip_value(vals, i)
     return IntegerQuad.from_values(vals)
 
 
@@ -73,8 +71,7 @@ def int_reduce(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
     word: list[int] = []
     while True:
         m = max(range(4), key=lambda j: (vals[j], -j))
-        others = [v for j, v in enumerate(vals) if j != m]
-        new = others[0] * others[1] * others[2] - 2 * sum(others) - vals[m]
+        new = flip_value(vals, m + 1)
         if new >= vals[m]:
             return IntegerQuad.from_values(sorted(vals)), word
         vals[m] = new
@@ -146,10 +143,8 @@ def enumerate_integral_below(B: int) -> list[IntegerQuad]:
     while queue:
         vals = queue.popleft()
         for i in range(4):
-            others = [v for j, v in enumerate(vals) if j != i]
-            new = others[0] * others[1] * others[2] - 2 * sum(others) - vals[i]
             nxt = list(vals)
-            nxt[i] = new
+            nxt[i] = flip_value(vals, i + 1)
             canon = tuple(sorted(nxt))
             if max(canon) <= B and canon not in seen:
                 seen.add(canon)

@@ -30,7 +30,10 @@ DEFAULT_TOL = 1e-9
 
 
 def _as_complex(x) -> complex:
-    z = complex(x)
+    try:
+        z = complex(x)
+    except OverflowError:  # an int past the float range
+        raise DomainError("value out of float range") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite value {x!r}")
     return z
@@ -71,8 +74,12 @@ class MarkoffQuad:
 
     def residual(self) -> float:
         a, b, c, d = self.values()
+        s = a + b + c + d
         prod = a * b * c * d
-        return abs((a + b + c + d) ** 2 - prod) / max(1.0, abs(prod))
+        r = abs(s * s - prod) / max(1.0, abs(prod))
+        if not math.isfinite(r):
+            raise DomainError(f"quad relation overflows float range for {self.values()}")
+        return r
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
         return self.residual() <= tol
@@ -259,7 +266,7 @@ def build_representation(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> tuple[Matr
     if abs(c) <= ztol:
         g1, g2, g3 = _zero_rep(a, b)  # generators (gamma, alpha, beta)
         return g2, g3, g1
-    dflip = a * b * c - 2 * (a + b + c) - d
+    dflip = flip_value((a, b, c, d), 4)
     if abs(a + b + c + dflip) <= ztol:
         # d's flip is 0 and a+b+c = 0: realize (a, c, b, 0) instead and
         # swap the last two generators, which exchanges the completion roots

@@ -40,6 +40,13 @@ class SpectrumEntry:
     word: tuple[int, ...] | None
 
 
+def _trace_bound(fn, L: float) -> float:
+    try:
+        return 2.0 * fn(L / 2)
+    except OverflowError:
+        raise DomainError(f"cutoff L={L!r} is out of range: its trace bound overflows") from None
+
+
 def one_sided_spectrum(
     q: MarkoffQuad,
     L: float,
@@ -52,7 +59,7 @@ def one_sided_spectrum(
     if L <= 0:
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
-    bound = 2.0 * math.sinh(L / 2)
+    bound = _trace_bound(math.sinh, L)
     entries = []
     for cell in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol):
         ell = one_sided_length(cell.value)  # zero trace raises: parabolic class
@@ -77,7 +84,7 @@ def two_sided_spectrum(
     if L <= 0:
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
-    product_bound = 2.0 * math.cosh(L / 2) + 2.0
+    product_bound = _trace_bound(math.cosh, L) + 2.0
     entries = []
     for face in enumerate_faces(sink, product_bound, max_cells=max_cells, tol=tol):
         e = face.product - 2

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markoffquads.cli import main, parse_quad
-from markoffquads import IntegerQuad, MarkoffQuad
+from markoffquads import IntegerQuad, MarkoffQuad, int_flip
 
 
 def run_cli(capsys, *argv):
@@ -258,3 +262,148 @@ def test_common_flags_after_subcommand(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "20",
                          "--max-cells", "10")
     assert code == 3
+
+
+# a quasi-Fuchsian quad: (3+0.1i, 4-0.2i, 5) completed with the larger root
+QF = "3.0+0.1i,4.0-0.2i,5.0,31.53524324467945-0.8464138978268095i"
+
+
+def _lines(*lines):
+    return "".join(line.replace("QF", QF) + "\n" for line in lines)
+
+
+# exact stdout; any byte that changes here changes the output format
+GOLDEN = [
+    (("spectrum", QF, "-L", "7"), _lines(
+        '{"abs_length":2.390809814999959,"cell":0,"cmd":"spectrum","kind":"one-sided",'
+        '"length":[2.390166416402492,0.05546236022572022],"quad":"QF","trace":[3.0,0.1],'
+        '"version":"0.1.0","word":[]}',
+        '{"abs_length":2.890441821488977,"cell":1,"cmd":"spectrum","kind":"one-sided",'
+        '"length":[2.889058910111227,-0.08940099171397808],"quad":"QF","trace":[4.0,-0.2],'
+        '"version":"0.1.0","word":[]}',
+        '{"abs_length":3.126594157947363,"cell":3,"cmd":"spectrum","kind":"one-sided",'
+        '"length":[3.126538677473281,0.018625970423219205],"quad":"QF",'
+        '"trace":[4.564756755320545,0.04641389782680905],"version":"0.1.0","word":[]}',
+        '{"abs_length":3.2944622927421916,"cell":2,"cmd":"spectrum","kind":"one-sided",'
+        '"length":3.2944622927421916,"quad":"QF","trace":5.0,"version":"0.1.0","word":[]}',
+        '{"abs_length":6.575830973321135,"cell":4,"cmd":"spectrum","kind":"one-sided",'
+        '"length":[6.575804998989693,-0.018482558041039134],"quad":"QF",'
+        '"trace":[26.748145467877215,-0.24788409483948265],"version":"0.1.0","word":[3]}',
+        '{"abs_length":6.9051431433615456,"cell":5,"cmd":"spectrum","kind":"one-sided",'
+        '"length":[6.9049354190722765,-0.053560141468529214],"quad":"QF",'
+        '"trace":[31.53524324467945,-0.8464138978268095],"version":"0.1.0","word":[4]}',
+    )),
+    (("spectrum", QF, "-L", "5", "--two-sided"), _lines(
+        '{"abs_length":4.589545704018867,"cell":[0,1],"cmd":"spectrum","kind":"two-sided",'
+        '"length":[4.589364935658768,-0.04073397382818328],"quad":"QF",'
+        '"trace":[10.02,-0.20000000000000007],"version":"0.1.0","word":null}',
+        '{"abs_length":4.9064046664765195,"cell":[0,3],"cmd":"spectrum","kind":"two-sided",'
+        '"length":[4.9053160173042185,0.1033514470205867],"quad":"QF",'
+        '"trace":[11.689628876178954,0.5957173690124816],"version":"0.1.0","word":null}',
+    )),
+    (("mcshane", "4,4,4,4", "--target-tol", "1e-3"), _lines(
+        '{"cmd":"mcshane","last_shell_max":0.0,"partial_sum":0.4998282135773119,'
+        '"passed":true,"product_cutoff":100000.0,"quad":"4,4,4,4","term_count":78,'
+        '"verdict":"converged","version":"0.1.0"}',
+    )),
+    (("bq-check", "2,5,5,8", "-k", "10"), _lines(
+        '{"budget_hit":false,"cells_below2":1,"cmd":"bq-check","cutoff":10.0,"faces4":[],'
+        '"ok":true,"quad":"2,5,5,8","version":"0.1.0","violations":[]}',
+    )),
+    (("growth", "4,4,4,4", "--lmin", "10", "--lmax", "34", "--shells", "7"), _lines(
+        '{"cmd":"growth","exponent":2.4332815881346215,"fit_residual":0.16821631845781476,'
+        '"intercept_log_eta":-3.6907540136081765,"quad":"4,4,4,4","samples":[[10.0,8],'
+        '[12.26252256350615,8],[15.036945962049748,20],[18.439088914585774,32],'
+        '[22.61097438656042,56],[27.726758359805682,68],[34.0,140]],"version":"0.1.0"}',
+    )),
+    (("--format", "csv", "spectrum", QF, "-L", "2.5"), _lines(
+        "abs_length,cell,cmd,kind,length,quad,trace,version,word",
+        '2.39080981499996,0,spectrum,one-sided,2.39016641640249+0.0554623602257202i,'
+        '"QF",3+0.1i,0.1.0,',
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN)
+def test_golden_stdout(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+def _grown_integer_quad(digits):
+    # alternate flips of entries 3 and 4 of (4,4,4,4) grow them geometrically
+    q, i = IntegerQuad(4, 4, 4, 4), 3
+    while len(str(max(q.values()))) < digits:
+        q, i = int_flip(q, i), 7 - i
+    return ",".join(str(v) for v in q.values())
+
+
+BIG_INT = "7" * 5000  # past the interpreter's 4300-digit int-from-str limit
+INT400 = _grown_integer_quad(400)  # exact quad, past the float range
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("spectrum", "4,4,4,4", "-L", "1500"), 4),
+    (("spectrum", "4,4,4,4", "-L", "1500", "--two-sided"), 4),
+    (("growth", "4,4,4,4", "--lmin", "10", "--lmax", "1e300", "--shells", "7"), 4),
+    (("spectrum", f"4,4,4,{BIG_INT}", "-L", "8"), 1),
+    (("verify", "1e200,1e200,1e200,1e200"), 4),
+    (("spectrum", INT400, "-L", "8"), 4),
+    (("coords", "1,2,x,4", "--from", "horocyclic"), 1),
+    (("klein", "-A", "1e200", "--seed", "1e200,1e200", "-n", "5"), 4),
+    (("klein", "-A", "3", "--seed", "1,2", "-n", "5000", "--max-cells", "1000"), 3),
+])
+def test_out_of_range_input_one_line_error(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("mql: ") and err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+_NUM = st.sampled_from(["nan", "inf", "1e308", "1500", "-5", "x", BIG_INT, "1e200",
+                        "0", "3", "10", "1e-3"])
+_VALID_QUAD = st.sampled_from(["4,4,4,4", "2,5,5,8", "0,0,0,0", QF, INT400,
+                               "1e200,1e200,1e200,1e200"])
+# valid quads twice over, so that most draws get past parsing
+_QUAD = st.one_of(_VALID_QUAD, _VALID_QUAD,
+                  st.lists(_NUM, min_size=4, max_size=4).map(",".join))
+
+
+def _argv(*parts):
+    # "" marks an optional flag left out
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map(lambda t: [x for x in t if x])
+
+
+_ARGV = st.one_of(
+    _argv("spectrum", _QUAD, "-L", _NUM, st.sampled_from(["", "--two-sided"])),
+    _argv("systole", _QUAD),
+    _argv("verify", _QUAD),
+    _argv("flip", _QUAD, "-i", st.sampled_from(["1", "4"])),
+    _argv("reduce", _QUAD),
+    _argv("mcshane", _QUAD, st.sampled_from(["--cutoff", "--target-tol"]), _NUM),
+    _argv("bq-check", _QUAD, "-k", _NUM),
+    _argv("growth", _QUAD, "--lmin", _NUM, "--lmax", _NUM, "--shells", _NUM),
+    _argv("klein", "-A", _NUM, "--seed", st.tuples(_NUM, _NUM).map(",".join), "-n", _NUM),
+    _argv("coords", _QUAD, "--to", st.sampled_from(["lambda", "horocyclic"])),
+    _argv("coords", st.lists(_NUM, min_size=4, max_size=6).map(",".join),
+          "--from", st.sampled_from(["lambda", "horocyclic"])),
+    _argv("mcg", _QUAD, "-w", "phi2,f1"),
+    _argv("enumerate-integral", "-B", _NUM),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_any_argv_exits_cleanly_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--max-cells", "2000", *argv])
+    assert code in range(5)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_reject_constant)

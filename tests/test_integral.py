@@ -44,6 +44,8 @@ def test_int_flip_examples():
     assert (3481 + 5 + 24 + 30) ** 2 == 3481 * 5 * 24 * 30
     # involution, exactly
     assert int_flip(q, 1).values() == (1, 5, 24, 30)
+    with pytest.raises(DomainError, match="entry index must be 1..4, got 5"):
+        int_flip(q, 5)
 
 
 @given(st.sampled_from(FUNDAMENTAL),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from markoffquads import (
     BranchCutError,
     DegenerateClassError,
+    DomainError,
     InvalidQuadError,
     MarkoffQuad,
     Matrix2,
@@ -40,6 +41,13 @@ def test_quad_rejects_non_finite():
         MarkoffQuad(float("nan"), 1, 1, 1)
     with pytest.raises(Exception):
         MarkoffQuad(float("inf"), 1, 1, 1)
+    with pytest.raises(DomainError):
+        MarkoffQuad(4, 4, 10 ** 400, 10 ** 400)  # int past the float range
+    # finite entries whose relation overflows: never a passing residual
+    big = MarkoffQuad(1e200, 1e200, 1e200, 1e200)
+    for check in (big.residual, big.require_valid, lambda: verify_quad(big)):
+        with pytest.raises(DomainError):
+            check()
 
 
 def test_flip_examples():
