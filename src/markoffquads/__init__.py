@@ -22,6 +22,7 @@ from .quadalgebra import (
     complete_quad,
     flip,
     flip_value,
+    flips,
     fricke_residual,
     hurwitz_to_quad,
     klein_sequence,

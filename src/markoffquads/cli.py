@@ -4,9 +4,11 @@ One JSON record per result line (JSON Lines) by default, CSV optional.
 Every record carries the subcommand, the input quad text and the tool
 version; JSON output is strict (no NaN or Infinity).  Exit codes:
 0 success, 1 usage or parse error, 2 verification failure, 3 budget
-exhausted (`klein -n` counts against --max-cells too), 4 precondition
-violation (branch cut, summability violation, domain errors, numbers
-out of float range, a result strict JSON cannot hold).
+exhausted (`klein -n` and the quads `enumerate-integral` finds count
+against --max-cells too), 4 precondition violation (branch cut,
+summability violation, domain errors, numbers out of float range, a
+result strict JSON or CSV cannot hold).  A closed stdout pipe ends the
+run with exit 0.
 """
 
 from __future__ import annotations
@@ -123,18 +125,25 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                          default=_complex_json)
 
 
+def _float_text(x: float) -> str:
+    # the CSV twin of the JSON encoder's allow_nan=False
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x!r}")
+    return format(x, ".15g")
+
+
 def _display(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return format(v, ".15g")
+        return _float_text(v)
     if isinstance(v, complex):
         if v.imag == 0.0:
-            return format(v.real, ".15g")
+            return _float_text(v.real)
         sign = "+" if v.imag >= 0 else "-"
-        return f"{format(v.real, '.15g')}{sign}{format(abs(v.imag), '.15g')}i"
+        return f"{_float_text(v.real)}{sign}{_float_text(abs(v.imag))}i"
     if isinstance(v, (list, tuple)):
         return ";".join(_display(x) for x in v)
     if isinstance(v, Verdict):
@@ -271,7 +280,7 @@ def _cmd_fundamental(args):
 
 def _cmd_enumerate_integral(args):
     return [dict(_base(args, "enumerate-integral"), result=list(q.values()))
-            for q in enumerate_integral_below(args.bound)], 0
+            for q in enumerate_integral_below(args.bound, max_cells=args.max_cells)], 0
 
 
 def _cmd_growth(args):
@@ -457,11 +466,22 @@ def main(argv=None) -> int:
     close = False
     try:
         if args.out:
-            out = open(args.out, "w")
+            try:
+                out = open(args.out, "w")
+            except OSError as e:
+                raise _UsageError(f"cannot write --out {args.out!r}: {e.strerror}") from None
             close = True
         records, code = args.run(args)
         _emit(records, args.format, out)
+        out.flush()
         return code
+    except BrokenPipeError:
+        # the reader stopped early (`mql ... | head`); point stdout at
+        # devnull so the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (_UsageError, argparse.ArgumentTypeError) as e:
         print(f"mql: error: {e}", file=sys.stderr)
         return 1

@@ -16,9 +16,10 @@ import cmath
 import enum
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip_value
+from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip_value, flips
 
 DEFAULT_MAX_CELLS = 200_000
 DEFAULT_MAX_STEPS = 10_000
@@ -97,9 +98,8 @@ def classify_vertex(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> VertexClass:
     q.require_valid(tol)
     vals = q.values()
     orient = []
-    for i in range(1, 5):
-        new = abs(flip_value(vals, i))
-        old = abs(vals[i - 1])
+    for new, old in zip(flips(*vals), vals):
+        new, old = abs(new), abs(old)
         orient.append(+1 if new < old else (-1 if new > old else 0))
     out = sum(1 for o in orient if o == +1)
     if out == 4:
@@ -124,23 +124,22 @@ def reduce_to_sink(
     vals = list(q.values())
     path: list[int] = []
     for _ in range(max_steps):
+        new = flips(*vals)
         best = None
-        for i in range(1, 5):
-            new = flip_value(vals, i)
-            if abs(new) < abs(vals[i - 1]):
-                if best is None or abs(vals[i - 1]) > abs(vals[best - 1]):
+        for i in range(4):
+            if abs(new[i]) < abs(vals[i]):
+                if best is None or abs(vals[i]) > abs(vals[best]):
                     best = i
         if best is None:
             return MarkoffQuad.from_values(vals), path
-        vals[best - 1] = flip_value(vals, best)
-        path.append(best)
+        vals[best] = new[best]
+        path.append(best + 1)
     raise BudgetExceededError(
         f"no sink within {max_steps} flips; input may cycle among ties or be non-summable"
     )
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A discovered 3-cell: id in discovery order, value, and the flip
     word of the vertex that created it (root cells carry the empty word)."""
 
@@ -149,8 +148,7 @@ class Cell:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """An unordered pair of cells meeting at some visited vertex."""
 
     cells: tuple[int, int]
@@ -163,18 +161,6 @@ class Exploration:
     faces: tuple[Face, ...]
     nodes_visited: int
     budget_hit: bool
-
-
-def _grow(v_abs: float, retained: list[float], cell_bound, face_bound) -> bool:
-    # never prune a strictly descending direction; otherwise extend only
-    # while the new value can still matter for the requested bounds
-    if v_abs < max(retained):
-        return True
-    if cell_bound is not None and v_abs <= cell_bound:
-        return True
-    if face_bound is not None and v_abs * min(retained) <= face_bound:
-        return True
-    return False
 
 
 def explore(
@@ -191,8 +177,18 @@ def explore(
     face_bound seen at a visited vertex.  A cell's id is its discovery
     index: root slots are 0..3, then each visited vertex creates its
     cells in slot order, so ids are canonical and faces come sorted by
-    id pair.  on_budget is "raise" or "truncate"; a truncated walk keeps
-    everything found before the budget ran out.
+    id pair.  A flip is followed when its magnitude is below the largest
+    of the three magnitudes it leaves in place (a descending direction),
+    is within cell_bound, or times the smallest of those three is within
+    face_bound.  on_budget is "raise" or "truncate"; a truncated walk
+    keeps everything found before the budget ran out.
+
+    Each vertex gets its flips from one `flips` call.  That kernel must
+    keep the operation order of `flip_value` (product of the other three
+    in slot order, minus twice their sum, minus the old entry): float
+    arithmetic is not associative, so any other order changes the low
+    bits of cell values, and with them lengths, sums and, at a bound,
+    which cells are kept.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
@@ -205,27 +201,44 @@ def explore(
     parents = [0] * 4
     slots = [0] * 4
     faces: dict[tuple[int, int], complex] = {}
-    # queue entries: (vertex name, arrival slot, cell ids, values)
-    queue = deque([(0, 0, (0, 1, 2, 3), root_vals)])
+    if face_bound is not None:
+        for i in range(4):
+            for j in range(i + 1, 4):
+                p = root_vals[i] * root_vals[j]
+                if abs(p) <= face_bound:
+                    faces[(i, j)] = p
+    # queue entries: (vertex name, arrival slot 0..3 or -1, cell ids, values)
+    queue = deque([(0, -1, (0, 1, 2, 3), root_vals)])
     visited = 0
     budget_hit = False
     try:
         while queue:
             name, back, ids, vals = queue.popleft()
             visited += 1
-            if face_bound is not None:
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        p = vals[i] * vals[j]
+            if face_bound is not None and back >= 0:
+                # only the faces of the cell created on arrival are new
+                # here: the other three pairs met at the parent
+                v = vals[back]
+                for j in range(4):
+                    if j != back:
+                        p = vals[j] * v if j < back else v * vals[j]
                         if abs(p) <= face_bound:
-                            a, b = ids[i], ids[j]
-                            faces.setdefault((a, b) if a < b else (b, a), p)
-            mags = [abs(v) for v in vals]
-            for i in range(1, 5):
+                            faces[(ids[j], name)] = p
+            a, b, c, d = vals
+            ia, ib, ic, id_ = ids
+            ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
+            fa, fb, fc, fd = flips(a, b, c, d)
+            # per slot: the flip and the three magnitudes it leaves in place
+            for i, v, x, y, z in ((0, fa, mb, mc, md), (1, fb, ma, mc, md),
+                                  (2, fc, ma, mb, md), (3, fd, ma, mb, mc)):
                 if i == back:
                     continue
-                v = flip_value(vals, i)
-                if not _grow(abs(v), mags[:i - 1] + mags[i:], cell_bound, face_bound):
+                # never prune a strictly descending direction; otherwise
+                # extend only while the new value can still matter
+                m = abs(v)
+                if not (m < x or m < y or m < z
+                        or (cell_bound is not None and m <= cell_bound)
+                        or (face_bound is not None and m * min(x, y, z) <= face_bound)):
                     continue
                 if len(values) >= max_cells:
                     raise BudgetExceededError(
@@ -234,12 +247,15 @@ def explore(
                 new = len(values)
                 values.append(v)
                 parents.append(name)
-                slots.append(i)
-                nids = list(ids)
-                nids[i - 1] = new
-                nvals = list(vals)
-                nvals[i - 1] = v
-                queue.append((new, i, tuple(nids), tuple(nvals)))
+                slots.append(i + 1)
+                if i == 0:
+                    queue.append((new, 0, (new, ib, ic, id_), (v, b, c, d)))
+                elif i == 1:
+                    queue.append((new, 1, (ia, new, ic, id_), (a, v, c, d)))
+                elif i == 2:
+                    queue.append((new, 2, (ia, ib, new, id_), (a, b, v, d)))
+                else:
+                    queue.append((new, 3, (ia, ib, ic, new), (a, b, c, v)))
     except BudgetExceededError:
         if on_budget == "raise":
             raise
@@ -248,9 +264,8 @@ def explore(
     words: list[tuple[int, ...]] = [()] * 4
     for k in range(4, len(values)):
         words.append(words[parents[k]] + (slots[k],))
-    out_cells = tuple(Cell(id=k, value=v, word=w)
-                      for k, (v, w) in enumerate(zip(values, words)))
-    out_faces = tuple(Face(cells=key, product=faces[key]) for key in sorted(faces))
+    out_cells = tuple(map(Cell, range(len(values)), values, words))
+    out_faces = tuple(Face(key, faces[key]) for key in sorted(faces))
     return Exploration(cells=out_cells, faces=out_faces,
                        nodes_visited=visited, budget_hit=budget_hit)
 

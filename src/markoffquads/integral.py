@@ -11,8 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvalidQuadError
-from .quadalgebra import flip_value
+from .curvecomplex import DEFAULT_MAX_CELLS
+from .errors import BudgetExceededError, DomainError, InvalidQuadError
+from .quadalgebra import flip_value, flips
 
 
 @dataclass(frozen=True)
@@ -128,25 +129,33 @@ def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
     return reduced, word
 
 
-def enumerate_integral_below(B: int) -> list[IntegerQuad]:
+def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list[IntegerQuad]:
     """Every positive integer quad with max entry <= B, as sorted
-    tuples, by breadth-first flip closure from the fundamental roots."""
+    tuples, by breadth-first flip closure from the fundamental roots.
+    More than max_cells distinct quads raise BudgetExceededError."""
     if B < 4:
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
     seen: set[tuple[int, int, int, int]] = set()
     queue = deque()
+
+    def add(canon):
+        if len(seen) >= max_cells:
+            raise BudgetExceededError(
+                f"cell budget {max_cells} exhausted before every integer quad below B was found"
+            )
+        seen.add(canon)
+        queue.append(canon)
+
     for root in _fundamental():
         v = root.sorted_values()
         if max(v) <= B and v not in seen:
-            seen.add(v)
-            queue.append(v)
+            add(v)
     while queue:
         vals = queue.popleft()
-        for i in range(4):
-            nxt = list(vals)
-            nxt[i] = flip_value(vals, i + 1)
-            canon = tuple(sorted(nxt))
-            if max(canon) <= B and canon not in seen:
-                seen.add(canon)
-                queue.append(canon)
+        for i, v in enumerate(flips(*vals)):
+            # the other entries are already within B
+            if v <= B:
+                canon = tuple(sorted(vals[:i] + (v,) + vals[i + 1:]))
+                if canon not in seen:
+                    add(canon)
     return [IntegerQuad.from_values(v) for v in sorted(seen)]

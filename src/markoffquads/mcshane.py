@@ -131,10 +131,10 @@ def _partial(q, product_cutoff, max_cells, tol, target_tol):
     ex = explore(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol,
                  on_budget="truncate")
     faces = [f for f in ex.faces if abs(f.product) <= product_cutoff]
+    terms = [h(f.product) for f in faces]
     total = 0j
     shell_max = 0.0
-    for f in faces:  # already sorted by id pair: reproducible summation order
-        term = h(f.product)
+    for f, term in zip(faces, terms):  # sorted by id pair: reproducible summation order
         total += term
         if abs(f.product) > product_cutoff / 2:
             shell_max = max(shell_max, abs(term))
@@ -148,7 +148,7 @@ def _partial(q, product_cutoff, max_cells, tol, target_tol):
     report = McShaneReport(partial_sum=total, term_count=len(faces),
                            product_cutoff=product_cutoff,
                            last_shell_max=shell_max, verdict=verdict)
-    return report, faces
+    return report, faces, terms
 
 
 def mcshane_partial(
@@ -167,7 +167,7 @@ def mcshane_partial(
     last_shell_max <= target_tol/10 hold.
     """
     _require_summable(q, max_cells)
-    report, _ = _partial(q, product_cutoff, max_cells, tol, target_tol)
+    report, _, _ = _partial(q, product_cutoff, max_cells, tol, target_tol)
     return report
 
 
@@ -192,14 +192,14 @@ def mcshane_verify(
     _require_summable(q, max_cells)
     report = None
     for cutoff in budget_schedule:
-        report, faces = _partial(q, float(cutoff), max_cells, tol, target_tol)
-        for f in faces:
+        report, faces, terms = _partial(q, float(cutoff), max_cells, tol, target_tol)
+        for f, term in zip(faces, terms):
             ell = 2 * cmath.acosh((f.product - 2) / 2)
             geom = 1 / (1 + cmath.exp(ell / 2))
-            if abs(h(f.product) - geom) > _CROSS_CHECK_TOL:
+            if abs(term - geom) > _CROSS_CHECK_TOL:
                 raise InvalidQuadError(
                     f"h and geometric forms disagree at face {f.cells}: "
-                    f"{abs(h(f.product) - geom):.3e}"
+                    f"{abs(term - geom):.3e}"
                 )
         if report.verdict is Verdict.CONVERGED:
             return True, report

@@ -107,12 +107,22 @@ def verify_quad(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> float:
     return q.residual()
 
 
+def flips(a, b, c, d):
+    """All four flips of the quad (a, b, c, d): entry k of the result
+    replaces entry k.  Each is the product of the other three minus
+    twice their sum minus the old entry, the others taken in slot order;
+    that fixed operation order makes float results reproducible to the
+    bit.  Exact for int/Fraction input."""
+    return (b * c * d - 2 * (b + c + d) - a,
+            a * c * d - 2 * (a + c + d) - b,
+            a * b * d - 2 * (a + b + d) - c,
+            a * b * c - 2 * (a + b + c) - d)
+
+
 def flip_value(values, i: int):
-    """New value replacing entry i: product of the other three minus
-    twice their sum minus the old entry.  Exact for int/Fraction input."""
+    """New value replacing entry i (1-based) of the four values."""
     _check_index(i)
-    others = [v for j, v in enumerate(values) if j != i - 1]
-    return others[0] * others[1] * others[2] - 2 * (others[0] + others[1] + others[2]) - values[i - 1]
+    return flips(*values)[i - 1]
 
 
 def flip(q: MarkoffQuad, i: int) -> MarkoffQuad:
@@ -370,12 +380,12 @@ def klein_sequence(A, a0, a1, n: int, tol: float = DEFAULT_TOL) -> KleinSequence
     exactly this linear recurrence)."""
     if n < 2:
         raise DomainError("need n >= 2 terms")
-    res = a0 * a0 + a1 * a1 - a0 * a1 * A + 1
+    res = abs(complex(a0 * a0 + a1 * a1 - a0 * a1 * A + 1))
     scale = 1.0 + abs(complex(a0 * a0)) + abs(complex(a1 * a1)) + abs(complex(a0 * a1 * A))
-    if abs(complex(res)) > tol * scale:
-        raise InvalidQuadError(
-            f"seed pair violates the relation: residual {abs(complex(res)):.3e}"
-        )
+    if not math.isfinite(res):
+        raise DomainError(f"seed relation residual is not finite for A={A!r}, seeds {a0!r}, {a1!r}")
+    if not (res <= tol * scale):
+        raise InvalidQuadError(f"seed pair violates the relation: residual {res:.3e}")
     terms = [a0, a1]
     for _ in range(n - 2):
         terms.append(A * terms[-1] - terms[-2])

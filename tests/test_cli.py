@@ -1,7 +1,10 @@
+import cmath
 import contextlib
+import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -339,6 +342,7 @@ def _grown_integer_quad(digits):
     return ",".join(str(v) for v in q.values())
 
 
+MISSING_OUT = os.path.join(os.path.dirname(__file__), "no-such-dir", "out.jsonl")
 BIG_INT = "7" * 5000  # past the interpreter's 4300-digit int-from-str limit
 INT400 = _grown_integer_quad(400)  # exact quad, past the float range
 
@@ -353,11 +357,35 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     (("coords", "1,2,x,4", "--from", "horocyclic"), 1),
     (("klein", "-A", "1e200", "--seed", "1e200,1e200", "-n", "5"), 4),
     (("klein", "-A", "3", "--seed", "1,2", "-n", "5000", "--max-cells", "1000"), 3),
+    (("--max-cells", "10", "enumerate-integral", "-B", str(10 ** 200)), 3),
+    (("verify", "4,4,4,4", "--out", MISSING_OUT), 1),
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""
     assert err.startswith("mql: ") and err.count("\n") == 1
+
+
+def test_csv_refuses_non_finite_numbers(capsys):
+    # the seed pair passes the relation; later terms overflow to inf and nan
+    for fmt in ("jsonl", "csv"):
+        code, out, err = run_cli(capsys, "--format", fmt, "klein", "-A", "1e100",
+                                 "--seed", "0,1i", "-n", "6")
+        assert code == 4 and err.startswith("mql: ") and err.count("\n") == 1
+        assert "inf" not in out and "nan" not in out
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # `mql spectrum ... | head -1`: the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "markoffquads.cli", "spectrum", "4,4,4,4", "-L", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["cmd"] == "spectrum"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
 
 
 def _reject_constant(name):
@@ -397,13 +425,32 @@ _ARGV = st.one_of(
 )
 
 
-@given(_ARGV)
+def _assert_finite_csv(text):
+    for row in csv.reader(io.StringIO(text)):
+        for field in row:
+            for part in field.split(";"):
+                try:
+                    z = complex(part.replace("i", "j"))
+                except ValueError:
+                    continue  # not a number
+                assert cmath.isfinite(z), f"non-finite CSV field {field!r}"
+
+
+_GLOBAL = st.sampled_from([(), ("--format", "csv"), ("--out", MISSING_OUT)])
+
+
+@given(_GLOBAL, _ARGV)
 @settings(max_examples=400, derandomize=True, deadline=None)
-def test_any_argv_exits_cleanly_with_strict_json(argv):
+def test_any_argv_exits_cleanly_with_strict_json(flags, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--max-cells", "2000", *argv])
+        code = main(["--max-cells", "2000", *flags, *argv])
     assert code in range(5)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-    for line in out.getvalue().splitlines():
-        json.loads(line, parse_constant=_reject_constant)
+    if "--out" in flags:  # the output file cannot be opened: a usage error
+        assert code == 1 and out.getvalue() == ""
+    if "csv" in flags:
+        _assert_finite_csv(out.getvalue())
+    else:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -10,11 +11,13 @@ from markoffquads import (
     VertexKind,
     apply_flip,
     classify_vertex,
+    complete_quad,
     enumerate_cells,
     enumerate_faces,
     explore,
     fibonacci_level_counts,
     fibonacci_values,
+    flip_value,
     reduce_to_sink,
     root_node,
     spiral_sequence,
@@ -363,3 +366,70 @@ def test_fibonacci_two_routes_agree():
         if w <= 17:
             hist[w] = hist.get(w, 0) + 1
     assert hist == fibonacci_level_counts(17)
+
+
+def _reference_explore(vals, cell_bound, face_bound, max_cells):
+    """explore() restated flip by flip: one flip_value call per edge, the
+    growth rule from its docstring, every pair checked at every visited
+    vertex and the first product kept, and a budget that stops the walk."""
+    cells = [(k, v, ()) for k, v in enumerate(vals)]
+    faces = {}
+    queue = deque([((0, 1, 2, 3), tuple(vals), None, ())])
+    visited, budget_hit = 0, False
+    while queue and not budget_hit:
+        ids, here, back, word = queue.popleft()
+        visited += 1
+        if face_bound is not None:
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    p = here[i] * here[j]
+                    if abs(p) <= face_bound:
+                        faces.setdefault(tuple(sorted((ids[i], ids[j]))), p)
+        for i in range(1, 5):
+            if i == back:
+                continue
+            v = flip_value(here, i)
+            kept = [abs(x) for k, x in enumerate(here) if k != i - 1]
+            if not (abs(v) < max(kept)
+                    or (cell_bound is not None and abs(v) <= cell_bound)
+                    or (face_bound is not None and abs(v) * min(kept) <= face_bound)):
+                continue
+            if len(cells) >= max_cells:
+                budget_hit = True
+                break
+            new = len(cells)
+            cells.append((new, v, word + (i,)))
+            nids, nvals = list(ids), list(here)
+            nids[i - 1], nvals[i - 1] = new, v
+            queue.append((tuple(nids), tuple(nvals), i, word + (i,)))
+    return ([(k, repr(v), w) for k, v, w in cells],
+            [(pair, repr(p)) for pair, p in sorted(faces.items())],
+            visited, budget_hit)
+
+
+_REAL = (3.0, 4.0, 5.0, complete_quad(3.0, 4.0, 5.0)[1])
+_QUASI_FUCHSIAN = (3 + 0.1j, 4 - 0.2j, 5.0, complete_quad(3 + 0.1j, 4 - 0.2j, 5.0)[1])
+
+
+@pytest.mark.parametrize("vals, cell_bound, face_bound, max_cells", [
+    *[(q, cb, fb, 200_000)
+      for q in ((4, 4, 4, 4), _REAL, _QUASI_FUCHSIAN)
+      for cb, fb in ((1e5, None), (None, 1e7), (1e4, 1e6))],
+    ((4, 4, 4, 4), 1e12, None, 50),
+    ((0, 0, 0, 0), 1.0, 1.0, 500),
+    # two flips out from the sink, bounds below every entry: only the
+    # descending rule moves the walk
+    ((484, 4, 4, 36), 3.0, None, 200_000),
+    ((484, 4, 4, 36), None, 10.0, 200_000),
+])
+def test_explore_matches_reference_bfs(vals, cell_bound, face_bound, max_cells):
+    # bit-exact: same ids, values (by repr), words, faces, node count and
+    # budget flag as the flip-by-flip walk, truncated walks included
+    ex = explore(MarkoffQuad.from_values(vals), cell_bound=cell_bound,
+                 face_bound=face_bound, max_cells=max_cells, on_budget="truncate")
+    cells, faces, visited, budget_hit = _reference_explore(
+        MarkoffQuad.from_values(vals).values(), cell_bound, face_bound, max_cells)
+    assert [(c.id, repr(c.value), c.word) for c in ex.cells] == cells
+    assert [(f.cells, repr(f.product)) for f in ex.faces] == faces
+    assert (ex.nodes_visited, ex.budget_hit) == (visited, budget_hit)
+    assert len(cells) > 4

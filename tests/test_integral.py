@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markoffquads import (
+    BudgetExceededError,
     DomainError,
     IntegerQuad,
     InvalidQuadError,
@@ -145,6 +146,16 @@ def test_enumerate_integral_below_examples():
     assert (4, 4, 4, 36) in vals
     with pytest.raises(DomainError):
         enumerate_integral_below(3)
+
+
+def test_enumerate_integral_below_budget():
+    n = len(enumerate_integral_below(10 ** 6))
+    assert len(enumerate_integral_below(10 ** 6, max_cells=n)) == n
+    with pytest.raises(BudgetExceededError):
+        enumerate_integral_below(10 ** 6, max_cells=n - 1)
+    # a bound this large would otherwise run out of memory, not finish
+    with pytest.raises(BudgetExceededError):
+        enumerate_integral_below(10 ** 200, max_cells=10)
 
 
 def test_enumerate_integral_matches_brute_scan():

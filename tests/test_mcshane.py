@@ -189,6 +189,16 @@ def test_two_forms_agree_per_term():
         assert abs(h(ab) - 1 / (1 + cmath.exp(ell / 2))) <= 1e-12
 
 
+def test_mcshane_verify_cross_checks_the_summed_terms(monkeypatch):
+    # the geometric cross-check compares the very terms that were summed
+    import markoffquads.mcshane as mcshane
+
+    exact_h = mcshane.h
+    monkeypatch.setattr(mcshane, "h", lambda x: exact_h(x) * (1 + 1e-6))
+    with pytest.raises(InvalidQuadError, match="h and geometric forms disagree"):
+        mcshane_verify(Q4, 1e-3)
+
+
 def test_bq_enumeration_reaches_product_ten_face():
     # at k = 10 the (2,5) pair of (2,5,5,8) is inside the enumerated set
     from markoffquads import enumerate_faces

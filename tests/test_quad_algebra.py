@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from markoffquads import (
     build_representation,
     complete_quad,
     flip,
+    flip_value,
+    flips,
     fricke_residual,
     hurwitz_to_quad,
     klein_sequence,
@@ -26,7 +29,7 @@ from markoffquads import (
     two_sided_trace,
     verify_quad,
 )
-from helpers import completion_roots, quad_residual, random_complex_quad
+from helpers import brute_flip, completion_roots, quad_residual, random_complex_quad
 
 
 def test_verify_quad_examples():
@@ -82,6 +85,26 @@ def test_flip_involution_exact_integers(a, b, c, d, i):
     o = [v for j, v in enumerate(once) if j != i - 1]
     twice[i - 1] = o[0] * o[1] * o[2] - 2 * sum(o) - once[i - 1]
     assert tuple(twice) == vals
+
+
+def test_flips_match_per_entry_formula_bit_for_bit():
+    rng = random.Random(12)
+    quads = [random_complex_quad(rng) for _ in range(500)]
+    # arbitrary tuples too, with wide exponents: rounding shows in the low bits
+    quads += [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.randint(-8, 30)
+                    for _ in range(4)) for _ in range(500)]
+    for vals in quads:
+        got = flips(*vals)
+        for i in range(1, 5):
+            want = brute_flip(vals, i)
+            assert repr(got[i - 1]) == repr(want)
+            assert repr(flip_value(vals, i)) == repr(want)
+    for vals in [(4, 4, 4, 4), (1, 5, 24, 30), (3, 3, 6, 10 ** 40),
+                 (Fraction(1, 3), Fraction(-2, 7), 5, Fraction(9, 4))]:
+        got = flips(*vals)
+        assert got == tuple(brute_flip(vals, i) for i in range(1, 5))
+        assert [type(v) for v in got] == [type(brute_flip(vals, i)) for i in range(1, 5)]
+    assert flips(4, 4, 4, 4) == (36, 36, 36, 36)
 
 
 def test_complete_quad_examples():
@@ -277,6 +300,14 @@ def test_klein_sequence_bad_seed():
     # 1 + 1 - 2 = 0 != -1
     with pytest.raises(InvalidQuadError):
         klein_sequence(2, 1, 1, 5)
+
+
+def test_klein_sequence_rejects_non_finite_relation():
+    # the seed relation overflows to a NaN residual, which compares False
+    # against any tolerance; it must not pass as valid
+    for A, a0, a1 in [(1e200, 1e200, 1e200), (3, float("nan"), 2), (1e308, 3, 10)]:
+        with pytest.raises(DomainError):
+            klein_sequence(A, a0, a1, 3)
 
 
 def test_klein_sequence_ratio_converges():
