@@ -35,13 +35,11 @@ from .quadalgebra import (
 )
 from .curvecomplex import (
     Cell,
-    ComplexNode,
     Face,
     FibonacciAssignment,
     SpiralSequence,
     VertexClass,
     VertexKind,
-    apply_flip,
     classify_vertex,
     enumerate_cells,
     enumerate_faces,
@@ -49,7 +47,6 @@ from .curvecomplex import (
     fibonacci_level_counts,
     fibonacci_values,
     reduce_to_sink,
-    root_node,
     spiral_sequence,
 )
 from .spectra import (

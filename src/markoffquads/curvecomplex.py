@@ -19,56 +19,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip_value, flips
+from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flips
 
 DEFAULT_MAX_CELLS = 200_000
 DEFAULT_MAX_STEPS = 10_000
-
-
-@dataclass(frozen=True)
-class ComplexNode:
-    """A vertex: four persistent cell ids, their values, and how the
-    vertex was reached (parent_move is the flipped slot, 1..4)."""
-
-    cells: tuple[int, int, int, int]
-    values: tuple[complex, complex, complex, complex]
-    parent_move: int | None
-    depth: int
-    word: tuple[int, ...]
-
-    def quad(self) -> MarkoffQuad:
-        return MarkoffQuad.from_values(self.values)
-
-
-def root_node(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> ComplexNode:
-    q.require_valid(tol)
-    return ComplexNode(
-        cells=(0, 1, 2, 3),
-        values=q.values(),
-        parent_move=None,
-        depth=0,
-        word=(),
-    )
-
-
-def apply_flip(node: ComplexNode, i: int, next_id: int) -> ComplexNode:
-    """Child node across the edge at slot i; the replaced cell gets the
-    fresh id next_id."""
-    if i not in (1, 2, 3, 4):
-        raise DomainError(f"flip index must be 1..4, got {i}")
-    if next_id in node.cells:
-        raise DomainError(f"cell id {next_id} already present at this vertex")
-    cells = list(node.cells)
-    values = list(node.values)
-    values[i - 1] = flip_value(node.values, i)
-    cells[i - 1] = next_id
-    return ComplexNode(
-        cells=tuple(cells),
-        values=tuple(values),
-        parent_move=i,
-        depth=node.depth + 1,
-        word=node.word + (i,),
-    )
 
 
 class VertexKind(enum.Enum):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .curvecomplex import DEFAULT_MAX_CELLS
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
@@ -93,13 +94,27 @@ SEARCH_BOUNDS = {
 
 @lru_cache(maxsize=1)
 def _fundamental() -> tuple[IntegerQuad, ...]:
-    found = set()
+    # For fixed (a, b, d), with s = a+b+d and p = abd, the relation is
+    # c^2 - (p - 2s)c + s^2 = 0 with discriminant p(p - 4s), so every
+    # integer c of the box is a root (p - 2s -+ r)/2.  The roots multiply
+    # to s^2, so the larger one is at least s > d and only the smaller
+    # can lie in the box; r^2 = p^2 - 4ps forces r = p (mod 2), so its
+    # numerator is even and the division exact.
+    found = []
     for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items():
         for b in range(max(a, blo), bhi + 1):
             for d in range(b, dmax + 1):
-                for c in range(max(b, d - a - b), d + 1):
-                    if (a + b + c + d) ** 2 == a * b * c * d:
-                        found.add((a, b, c, d))
+                s = a + b + d
+                p = a * b * d
+                disc = p * (p - 4 * s)
+                if disc < 0:
+                    continue
+                r = isqrt(disc)
+                if r * r != disc:
+                    continue
+                c = (p - 2 * s - r) // 2
+                if max(b, d - a - b) <= c <= d:
+                    found.append((a, b, c, d))
     return tuple(IntegerQuad.from_values(v) for v in sorted(found))
 
 
@@ -107,7 +122,12 @@ def enumerate_fundamental() -> list[IntegerQuad]:
     """All reduced positive integer quads, by exhaustive search over the
     reduction bounds.
 
-    The search returns nine quads.  Besides the classical eight it finds
+    The search walks every a <= b <= d of the SEARCH_BOUNDS box and
+    solves the relation, a quadratic in c, exactly: an integer square
+    root of its discriminant gives its smaller root, the only candidate,
+    kept when it lies in the box's range max(b, d - a - b) <= c <= d.
+
+    It returns nine quads.  Besides the classical eight it finds
     (2, 4, 6, 12): a valid solution (24^2 = 576 = 2*4*6*12) that is
     flip-rigid (the largest entry's flip is a self-flip, every other
     flip increases), hence reduced, and whose flip orbit is disjoint
@@ -130,9 +150,10 @@ def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
 
 
 def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list[IntegerQuad]:
-    """Every positive integer quad with max entry <= B, as sorted
-    tuples, by breadth-first flip closure from the fundamental roots.
-    More than max_cells distinct quads raise BudgetExceededError."""
+    """Every positive integer quad with max entry <= B, each as an
+    IntegerQuad with ascending entries, the list in sorted order; found
+    by breadth-first flip closure from the fundamental roots.  More than
+    max_cells distinct quads raise BudgetExceededError."""
     if B < 4:
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
     seen: set[tuple[int, int, int, int]] = set()

@@ -380,8 +380,11 @@ def klein_sequence(A, a0, a1, n: int, tol: float = DEFAULT_TOL) -> KleinSequence
     exactly this linear recurrence)."""
     if n < 2:
         raise DomainError("need n >= 2 terms")
-    res = abs(complex(a0 * a0 + a1 * a1 - a0 * a1 * A + 1))
-    scale = 1.0 + abs(complex(a0 * a0)) + abs(complex(a1 * a1)) + abs(complex(a0 * a1 * A))
+    try:
+        res = abs(complex(a0 * a0 + a1 * a1 - a0 * a1 * A + 1))
+        scale = 1.0 + abs(complex(a0 * a0)) + abs(complex(a1 * a1)) + abs(complex(a0 * a1 * A))
+    except OverflowError:  # an int past the float range
+        raise DomainError("seed relation out of float range") from None
     if not math.isfinite(res):
         raise DomainError(f"seed relation residual is not finite for A={A!r}, seeds {a0!r}, {a1!r}")
     if not (res <= tol * scale):

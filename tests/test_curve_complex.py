@@ -6,10 +6,8 @@ import pytest
 
 from markoffquads import (
     BudgetExceededError,
-    InvalidQuadError,
     MarkoffQuad,
     VertexKind,
-    apply_flip,
     classify_vertex,
     complete_quad,
     enumerate_cells,
@@ -18,8 +16,8 @@ from markoffquads import (
     fibonacci_level_counts,
     fibonacci_values,
     flip_value,
+    flips,
     reduce_to_sink,
-    root_node,
     spiral_sequence,
 )
 from helpers import (
@@ -30,37 +28,6 @@ from helpers import (
 )
 
 Q4 = MarkoffQuad(4, 4, 4, 4)
-
-
-def test_root_node_examples():
-    n = root_node(Q4)
-    assert n.cells == (0, 1, 2, 3)
-    assert n.values == (4, 4, 4, 4)
-    assert n.depth == 0 and n.parent_move is None
-    with pytest.raises(InvalidQuadError):
-        root_node(MarkoffQuad(1, 1, 1, 1))
-    assert root_node(MarkoffQuad(1, 5, 24, 30)).values == (1, 5, 24, 30)
-
-
-def test_apply_flip_examples():
-    n = root_node(Q4)
-    child = apply_flip(n, 4, 4)
-    assert child.cells == (0, 1, 2, 4)
-    assert child.values == (4, 4, 4, 36)
-    assert child.parent_move == 4 and child.depth == 1
-    # immediate backtrack restores the parent values
-    back = apply_flip(child, 4, 5)
-    assert back.values == n.values
-    # depth-2 word: flip 4 then flip 1
-    gc = apply_flip(child, 1, 5)
-    assert gc.values == (484, 4, 4, 36)
-    assert gc.cells == (5, 1, 2, 4)
-
-
-def test_apply_flip_rejects_reused_id():
-    n = root_node(Q4)
-    with pytest.raises(Exception):
-        apply_flip(n, 4, 2)
 
 
 def test_classify_vertex_examples():
@@ -193,24 +160,28 @@ def test_tree_property_distinct_nodes():
     from markoffquads import HorocyclicCoords, horocyclic_to_quad
 
     generic = horocyclic_to_quad(HorocyclicCoords(0.1, 0.2, 0.3, 0.4))
-    start = root_node(generic)
+    # a vertex is (cell ids, values, flipped slot); a flip gives the
+    # replaced slot a fresh id
+    start = ((0, 1, 2, 3), generic.values(), None)
     nodes = [start]
     frontier = [start]
     next_id = 4
     for _ in range(4):
         nxt = []
-        for node in frontier:
-            for i in range(1, 5):
-                if node.parent_move == i:
+        for cells, values, move in frontier:
+            new = flips(*values)
+            for k in range(4):
+                if move == k:
                     continue
-                child = apply_flip(node, i, next_id)
+                nxt.append((cells[:k] + (next_id,) + cells[k + 1:],
+                            values[:k] + (new[k],) + values[k + 1:], k))
                 next_id += 1
-                nxt.append(child)
         nodes.extend(nxt)
         frontier = nxt
-    ids = [n.cells for n in nodes]
+    assert len(nodes) == 1 + 4 + 12 + 36 + 108
+    ids = [n[0] for n in nodes]
     assert len(set(ids)) == len(ids)
-    vals = [n.values for n in nodes]
+    vals = [n[1] for n in nodes]
     assert len(set(vals)) == len(vals)
 
 

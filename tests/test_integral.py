@@ -16,6 +16,7 @@ from markoffquads import (
     int_flip,
     int_reduce,
 )
+from markoffquads import integral
 from markoffquads.integral import SEARCH_BOUNDS
 from helpers import brute_integral_scan
 
@@ -105,6 +106,32 @@ def test_fundamental_ninth_orbit_is_disjoint():
     assert int_flip(q, 1).values()[0] > 2
     reduced, _ = int_reduce(int_flip(int_flip(q, 1), 3))
     assert reduced.values() == (2, 4, 6, 12)
+
+
+def _box_scan(bounds):
+    # the search as a plain four-loop scan of the box, c included
+    found = set()
+    for a, (blo, bhi, dmax) in bounds.items():
+        for b in range(max(a, blo), bhi + 1):
+            for d in range(b, dmax + 1):
+                for c in range(max(b, d - a - b), d + 1):
+                    if (a + b + c + d) ** 2 == a * b * c * d:
+                        found.add((a, b, c, d))
+    return sorted(found)
+
+
+def test_fundamental_search_matches_box_scan(monkeypatch):
+    assert [q.values() for q in enumerate_fundamental()] == _box_scan(SEARCH_BOUNDS)
+    widened = {a: (blo, bhi + 10, 3 * dmax)
+               for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items()}
+    integral._fundamental.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(integral, "SEARCH_BOUNDS", widened)
+            got = [q.values() for q in enumerate_fundamental()]
+    finally:
+        integral._fundamental.cache_clear()
+    assert got == _box_scan(widened)
 
 
 def test_search_bounds_rederivation():

@@ -87,6 +87,14 @@ def test_flip_involution_exact_integers(a, b, c, d, i):
     assert tuple(twice) == vals
 
 
+def test_flips_examples():
+    assert flips(4, 4, 4, 4)[3] == 36
+    # flipping the same slot back restores the parent
+    assert flips(4, 4, 4, 36)[3] == 4
+    # depth-2 word: flip 4, then flip 1
+    assert flips(4, 4, 4, 36)[0] == 484
+
+
 def test_flips_match_per_entry_formula_bit_for_bit():
     rng = random.Random(12)
     quads = [random_complex_quad(rng) for _ in range(500)]
@@ -307,6 +315,14 @@ def test_klein_sequence_rejects_non_finite_relation():
     # against any tolerance; it must not pass as valid
     for A, a0, a1 in [(1e200, 1e200, 1e200), (3, float("nan"), 2), (1e308, 3, 10)]:
         with pytest.raises(DomainError):
+            klein_sequence(A, a0, a1, 3)
+
+
+def test_klein_sequence_rejects_int_seeds_past_float_range():
+    # exact int seeds whose relation terms cannot be held as floats are
+    # a domain error, like any other int past the float range
+    for A, a0, a1 in [(3, 10**200, 10**200), (10**400, 1, 1)]:
+        with pytest.raises(DomainError, match="out of float range"):
             klein_sequence(A, a0, a1, 3)
 
 
