@@ -45,7 +45,7 @@ from .errors import (
 from .integral import IntegerQuad, classify, enumerate_fundamental, enumerate_integral_below, int_flip
 from .mcshane import check_bq, mcshane_partial, mcshane_verify, Verdict
 from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip, klein_sequence, verify_quad
-from .spectra import growth_exponent, one_sided_spectrum, systole, two_sided_spectrum
+from .spectra import CurveKind, growth_exponent, one_sided_spectrum, systole, two_sided_spectrum
 
 ENV_MAX_CELLS = "MQL_MAX_CELLS"
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -154,9 +154,9 @@ def _display(v) -> str:
 def _emit(records, fmt: str, out) -> None:
     try:
         if fmt == "jsonl":
+            encode, write = _JSON.encode, out.write
             for rec in records:
-                out.write(_JSON.encode(rec))
-                out.write("\n")
+                write(encode(rec) + "\n")
         elif records:
             keys = sorted({k for rec in records for k in rec})
             w = csv.writer(out, lineterminator="\n")
@@ -172,17 +172,14 @@ def _base(args, cmd: str) -> dict:
     return {"cmd": cmd, "quad": getattr(args, "quad", None), "version": __version__}
 
 
-def _entry_record(args, e) -> dict:
-    rec = _base(args, args.cmd)
-    rec.update({
-        "kind": e.kind.value,
-        "trace": e.trace,
-        "length": e.length,
-        "abs_length": abs(e.length),
-        "cell": e.cell_ref,
-        "word": e.word,
-    })
-    return rec
+def _entry_records(args, kind: CurveKind, entries) -> list[dict]:
+    """One record per spectrum entry of one kind; the shared
+    cmd/quad/version head and the kind string are resolved once."""
+    cmd, quad, version, kind = args.cmd, args.quad, __version__, kind.value
+    return [{"cmd": cmd, "quad": quad, "version": version, "kind": kind,
+             "trace": trace, "length": ell, "abs_length": abs(ell),
+             "cell": cell_ref, "word": word}
+            for _, trace, ell, cell_ref, word in entries]
 
 
 def _cmd_verify(args):
@@ -222,15 +219,18 @@ def _cmd_reduce(args):
 
 def _cmd_spectrum(args):
     q = _markoff_arg(args.quad, args)
-    fn = two_sided_spectrum if args.two_sided else one_sided_spectrum
+    if args.two_sided:
+        fn, kind = two_sided_spectrum, CurveKind.TWO_SIDED
+    else:
+        fn, kind = one_sided_spectrum, CurveKind.ONE_SIDED
     entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
-    return [_entry_record(args, e) for e in entries], 0
+    return _entry_records(args, kind, entries), 0
 
 
 def _cmd_systole(args):
     q = _markoff_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
-    return [_entry_record(args, witness)], 0
+    return _entry_records(args, witness.kind, [witness]), 0
 
 
 def _cmd_mcshane(args):

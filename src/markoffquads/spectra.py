@@ -11,6 +11,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, enumerate_cells, enumerate_faces, reduce_to_sink
 from .errors import DomainError
@@ -27,8 +28,7 @@ class CurveKind(str, enum.Enum):
     TWO_SIDED = "two-sided"
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """One simple closed curve class, with its trace, complex length
     (principal branch, Re >= 0), owning cell id (or id pair) and the
     discovery word in the reduced tree."""
@@ -47,29 +47,56 @@ def _trace_bound(fn, L: float) -> float:
         raise DomainError(f"cutoff L={L!r} is out of range: its trace bound overflows") from None
 
 
+# The private passes below compute each length once and return, in
+# discovery order, tuples that lead with the spectrum's sort key.  Cell
+# ids and id pairs are unique, so sorting the tuples never compares the
+# complex values behind the key.
+
+def _one_sided_rows(q, L, max_cells, tol) -> list[tuple]:
+    """(|l|, word, id, trace, l) for every one-sided class with |l| < L."""
+    if L <= 0:
+        return []
+    sink, _ = reduce_to_sink(q, tol=tol)
+    bound = _trace_bound(math.sinh, L)
+    rows = []
+    for cid, value, word in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol):
+        ell = one_sided_length(value)  # zero trace raises: parabolic class
+        a = abs(ell)
+        if a < L:
+            rows.append((a, word, cid, value, ell))
+    return rows
+
+
+def _two_sided_rows(q, L, max_cells, tol) -> list[tuple]:
+    """(|l|, id pair, trace, l) for every two-sided class with |l| < L."""
+    if L <= 0:
+        return []
+    sink, _ = reduce_to_sink(q, tol=tol)
+    product_bound = _trace_bound(math.cosh, L) + 2.0
+    rows = []
+    for pair, product in enumerate_faces(sink, product_bound, max_cells=max_cells, tol=tol):
+        e = product - 2
+        ell = two_sided_length(e, tol=tol)
+        a = abs(ell)
+        if a < L:
+            rows.append((a, pair, e, ell))
+    return rows
+
+
 def one_sided_spectrum(
     q: MarkoffQuad,
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
 ) -> list[SpectrumEntry]:
-    """All one-sided classes with |length| < L, sorted by |length| then
-    discovery word.  The quad is reduced first; since |2 sinh(z/2)| <=
-    2 sinh(|z|/2), enumerating traces up to 2 sinh(L/2) is complete."""
-    if L <= 0:
-        return []
-    sink, _ = reduce_to_sink(q, tol=tol)
-    bound = _trace_bound(math.sinh, L)
-    entries = []
-    for cell in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol):
-        ell = one_sided_length(cell.value)  # zero trace raises: parabolic class
-        if abs(ell) < L:
-            entries.append(SpectrumEntry(
-                kind=CurveKind.ONE_SIDED, trace=cell.value, length=ell,
-                cell_ref=cell.id, word=cell.word,
-            ))
-    entries.sort(key=lambda e: (abs(e.length), e.word, e.cell_ref))
-    return entries
+    """All one-sided classes with |length| < L, sorted by |length|, then
+    discovery word, then cell id.  The quad is reduced first; since
+    |2 sinh(z/2)| <= 2 sinh(|z|/2), enumerating traces up to 2 sinh(L/2)
+    is complete."""
+    rows = _one_sided_rows(q, L, max_cells, tol)
+    rows.sort()
+    kind = CurveKind.ONE_SIDED
+    return [SpectrumEntry(kind, trace, ell, cid, word) for _, word, cid, trace, ell in rows]
 
 
 def two_sided_spectrum(
@@ -79,23 +106,12 @@ def two_sided_spectrum(
     tol: float = DEFAULT_TOL,
 ) -> list[SpectrumEntry]:
     """All two-sided classes with |length| < L, deduplicated by cell id
-    pair.  |e| = |2 cosh(l/2)| <= 2 cosh(|l|/2) bounds the face product
-    by 2 cosh(L/2) + 2."""
-    if L <= 0:
-        return []
-    sink, _ = reduce_to_sink(q, tol=tol)
-    product_bound = _trace_bound(math.cosh, L) + 2.0
-    entries = []
-    for face in enumerate_faces(sink, product_bound, max_cells=max_cells, tol=tol):
-        e = face.product - 2
-        ell = two_sided_length(e, tol=tol)
-        if abs(ell) < L:
-            entries.append(SpectrumEntry(
-                kind=CurveKind.TWO_SIDED, trace=e, length=ell,
-                cell_ref=face.cells, word=None,
-            ))
-    entries.sort(key=lambda ent: (abs(ent.length), ent.cell_ref))
-    return entries
+    pair and sorted by |length|, then id pair.  |e| = |2 cosh(l/2)| <=
+    2 cosh(|l|/2) bounds the face product by 2 cosh(L/2) + 2."""
+    rows = _two_sided_rows(q, L, max_cells, tol)
+    rows.sort()
+    kind = CurveKind.TWO_SIDED
+    return [SpectrumEntry(kind, trace, ell, pair, None) for _, pair, trace, ell in rows]
 
 
 def count_s(
@@ -105,7 +121,7 @@ def count_s(
     tol: float = DEFAULT_TOL,
 ) -> int:
     """Number of one-sided classes with |length| < L."""
-    return len(one_sided_spectrum(q, L, max_cells=max_cells, tol=tol))
+    return len(_one_sided_rows(q, L, max_cells, tol))
 
 
 # A one-sided class of trace <= 4 always exists, so only two-sided curves
@@ -207,8 +223,7 @@ def growth_exponent(
     ratio = lmax / lmin
     cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
     # the last cutoff may round above lmax, so walk to the largest sample
-    lengths = [abs(e.length) for e in
-               one_sided_spectrum(q, max(cutoffs), max_cells=max_cells, tol=tol)]
+    lengths = sorted(row[0] for row in _one_sided_rows(q, max(cutoffs), max_cells, tol))
     samples = [(L, bisect_left(lengths, L)) for L in cutoffs]
     m, c, res = fit_power_law(samples)
     return GrowthFit(samples=tuple(samples), exponent=m,

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markoffquads.cli import main, parse_quad
-from markoffquads import IntegerQuad, MarkoffQuad, int_flip
+from markoffquads.cli import _emit, main, parse_quad
+from markoffquads import DomainError, IntegerQuad, MarkoffQuad, int_flip
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +335,44 @@ def test_golden_stdout(capsys, argv, expected):
     assert out == expected
 
 
+# longer outputs, pinned by line count and sha256 of stdout.  The
+# lengths of 4,4,4,4 tie in groups of up to 24, so these fix the
+# word-then-cell-id (one-sided) and id-pair (two-sided) tie-breaks.  In
+# 12,4,6,2 the first entry's flip gives 12 again, so equal lengths also
+# sit at different depths, where word order is not discovery order.
+QF_L = "7.606-0.133i,5.142+0.295i,5.22+0.129i,166.2875265629109+12.695661742082716i"
+GOLDEN_DIGESTS = [
+    (("spectrum", "4,4,4,4", "-L", "30"), 80,
+     "9900a9a02327f19894a62b2ad3ed57900adcbe1ab6fbc2a1f16c2a5321ab33bf"),
+    (("spectrum", "4,4,4,4", "-L", "20", "--two-sided"), 54,
+     "cd2a3d749461daa2508b48530a72f2e93163ae57fce2a881bbcdf72ebaaaa81c"),
+    (("--format", "csv", "spectrum", "4,4,4,4", "-L", "20"), 33,
+     "43ecb2a94f70f172e62ff35d81e65caf1d7b3f1417a3b9cfb6ef4d17d679e756"),
+    (("spectrum", "12,4,6,2", "-L", "14"), 15,
+     "28e1173b0e518ea1c4d4ce6f8769d3bb8c1d133e390c6ef7ef69ebf79cce9b65"),
+    (("spectrum", QF_L, "-L", "100"), 1601,
+     "180ce86a55a21b6e34600abbb12374d3e797692ade768e60bf09a332f192a311"),
+]
+
+
+@pytest.mark.parametrize("argv, nlines, digest", GOLDEN_DIGESTS)
+def test_golden_stdout_digest(capsys, argv, nlines, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.count("\n") == nlines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_spectrum_records_tie_on_abs_length(capsys):
+    # guards that the digests above really cover ties
+    _, out, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "30")
+    recs = lines(out)
+    tie = max(sum(r["abs_length"] == x["abs_length"] for r in recs) for x in recs)
+    assert tie == 24
+    keys = [(r["abs_length"], r["word"], r["cell"]) for r in recs]
+    assert keys == sorted(keys)
+
+
 def _grown_integer_quad(digits):
     # alternate flips of entries 3 and 4 of (4,4,4,4) grow them geometrically
     q, i = IntegerQuad(4, 4, 4, 4), 3
@@ -373,6 +412,14 @@ def test_csv_refuses_non_finite_numbers(capsys):
                                  "--seed", "0,1i", "-n", "6")
         assert code == 4 and err.startswith("mql: ") and err.count("\n") == 1
         assert "inf" not in out and "nan" not in out
+
+
+def test_emit_keeps_written_lines_whole():
+    # a record that strict JSON cannot hold stops the run after the lines before it
+    out = io.StringIO()
+    with pytest.raises(DomainError):
+        _emit([{"x": 1.5}, {"x": math.inf}, {"x": 2.5}], "jsonl", out)
+    assert out.getvalue() == '{"x":1.5}\n'
 
 
 def test_closed_stdout_pipe_exits_quietly():

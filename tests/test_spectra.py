@@ -7,14 +7,19 @@ from markoffquads import (
     CurveKind,
     DomainError,
     MarkoffQuad,
+    SpectrumEntry,
     count_s,
+    explore,
     fit_power_law,
     growth_exponent,
     klein_sequence,
     mcg_apply,
+    one_sided_length,
     one_sided_spectrum,
+    reduce_to_sink,
     sample_fuchsian_quad,
     systole,
+    two_sided_length,
     two_sided_spectrum,
 )
 from helpers import unpruned_count_below_length
@@ -46,6 +51,53 @@ def test_one_sided_spectrum_sorted_and_consistent():
         import cmath
 
         assert abs(2 * cmath.sinh(e.length / 2) - e.trace) <= 1e-9
+
+
+# (3+0.1i, 4-0.2i, 5) completed with the larger root: no two lengths tie
+QF = MarkoffQuad(3 + 0.1j, 4 - 0.2j, 5, 31.53524324467945 - 0.8464138978268095j)
+# the flip of the first entry gives 12 again, so lengths recur one level
+# deeper, where word order differs from discovery order
+RIGID = MarkoffQuad(12, 4, 6, 2)
+
+
+def _walk(q, **bounds):
+    sink, _ = reduce_to_sink(q)
+    return explore(sink, **bounds)
+
+
+@pytest.mark.parametrize("q, L", [(Q4, 14.0), (QF, 12.0), (RIGID, 14.0)])
+def test_one_sided_spectrum_order_matches_explore(q, L):
+    bound = 2 * math.sinh(L / 2)
+    want = []
+    for c in _walk(q, cell_bound=bound).cells:
+        if abs(c.value) <= bound:
+            ell = one_sided_length(c.value)
+            if abs(ell) < L:
+                want.append(SpectrumEntry(CurveKind.ONE_SIDED, c.value, ell, c.id, c.word))
+    want.sort(key=lambda e: (abs(e.length), e.word, e.cell_ref))
+    assert one_sided_spectrum(q, L) == want
+    assert count_s(q, L) == len(want)
+
+
+@pytest.mark.parametrize("q, L", [(Q4, 9.0), (QF, 9.0), (RIGID, 9.0)])
+def test_two_sided_spectrum_order_matches_explore(q, L):
+    want = []
+    for f in _walk(q, face_bound=2 * math.cosh(L / 2) + 2).faces:
+        e = f.product - 2
+        ell = two_sided_length(e)
+        if abs(ell) < L:
+            want.append(SpectrumEntry(CurveKind.TWO_SIDED, e, ell, f.cells, None))
+    want.sort(key=lambda e: (abs(e.length), e.cell_ref))
+    assert two_sided_spectrum(q, L) == want
+
+
+def test_spectrum_entry_is_an_immutable_named_tuple():
+    assert SpectrumEntry._fields == ("kind", "trace", "length", "cell_ref", "word")
+    e = SpectrumEntry(kind=CurveKind.ONE_SIDED, trace=4, length=2.0, cell_ref=3, word=())
+    assert e == (CurveKind.ONE_SIDED, 4, 2.0, 3, ())
+    assert e.cell_ref == 3 and e.word == ()
+    with pytest.raises(AttributeError):
+        e.length = 1.0
 
 
 def test_two_sided_spectrum_examples():
