@@ -4,11 +4,11 @@ One JSON record per result line (JSON Lines) by default, CSV optional.
 Every record carries the subcommand, the input quad text and the tool
 version; JSON output is strict (no NaN or Infinity).  Exit codes:
 0 success, 1 usage or parse error, 2 verification failure, 3 budget
-exhausted (`klein -n` and the quads `enumerate-integral` finds count
-against --max-cells too), 4 precondition violation (branch cut,
-summability violation, domain errors, numbers out of float range, a
-result strict JSON or CSV cannot hold).  A closed stdout pipe ends the
-run with exit 0.
+exhausted (`klein -n`, `growth --shells` and the quads
+`enumerate-integral` finds count against --max-cells too),
+4 precondition violation (branch cut, summability violation, domain
+errors, numbers out of float range, a result strict JSON or CSV cannot
+hold).  A closed stdout pipe ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _cmd_mcshane(args):
 
 def _cmd_bq_check(args):
     q = _markoff_arg(args.quad, args)
-    rep = check_bq(q, args.k, max_cells=args.max_cells)
+    rep = check_bq(q, args.k, max_cells=args.max_cells, quad_tol=args.tol)
     rec = _base(args, "bq-check")
     rec.update({
         "cutoff": rep.cutoff,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip
+from .quadalgebra import DEFAULT_TOL, MarkoffQuad, _value_type, flip
 
 _WALL_MARGIN = 1e-6
 
@@ -29,8 +29,8 @@ def _positive_real_values(q: MarkoffQuad, tol: float) -> tuple[float, float, flo
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LambdaCoords:
+@_value_type
+class LambdaCoords(NamedTuple):
     """Exponentials of half truncated arc lengths for the six arcs of an
     ideal triangulation."""
 
@@ -42,7 +42,7 @@ class LambdaCoords:
     m3: float
 
     def values(self) -> tuple[float, ...]:
-        return (self.l1, self.l2, self.l3, self.m1, self.m2, self.m3)
+        return tuple(self)
 
     def simplex_residual(self) -> float:
         """Max relative deviation among the three coupling equations
@@ -71,8 +71,8 @@ def lambda_to_quad(lc: LambdaCoords, tol: float = DEFAULT_TOL) -> MarkoffQuad:
     ).require_valid(tol)
 
 
-@dataclass(frozen=True)
-class HorocyclicCoords:
+@_value_type
+class HorocyclicCoords(NamedTuple):
     """Open-simplex coordinates: each entry divided by the entry sum."""
 
     ha: float
@@ -81,7 +81,7 @@ class HorocyclicCoords:
     hd: float
 
     def values(self) -> tuple[float, float, float, float]:
-        return (self.ha, self.hb, self.hc, self.hd)
+        return tuple(self)
 
 
 def quad_to_horocyclic(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> HorocyclicCoords:
@@ -104,8 +104,7 @@ def horocyclic_to_quad(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> Markoff
     )
 
 
-@dataclass(frozen=True)
-class DomainCheck:
+class DomainCheck(NamedTuple):
     inside: bool
     walls: tuple[bool, bool, bool, bool]
 
@@ -160,8 +159,7 @@ def sample_fuchsian_quad(rng: random.Random) -> MarkoffQuad:
     return horocyclic_to_quad(sample_horocyclic(rng))
 
 
-@dataclass(frozen=True)
-class McgRelationsReport:
+class McgRelationsReport(NamedTuple):
     samples: int
     deviations: dict[str, float]
 

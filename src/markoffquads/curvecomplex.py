@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
@@ -32,8 +31,7 @@ class VertexKind(enum.Enum):
     SADDLE3 = "saddle3"
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """Orientation of the four incident edges: +1 outgoing (the flip
     strictly decreases magnitude), -1 incoming, 0 tie."""
 
@@ -109,8 +107,7 @@ class Face(NamedTuple):
     product: complex
 
 
-@dataclass(frozen=True)
-class Exploration:
+class Exploration(NamedTuple):
     cells: tuple[Cell, ...]
     faces: tuple[Face, ...]
     nodes_visited: int
@@ -247,8 +244,7 @@ def enumerate_faces(
     return list(ex.faces)
 
 
-@dataclass(frozen=True)
-class FibonacciAssignment:
+class FibonacciAssignment(NamedTuple):
     """Integer weights on cells generated from value 1 on a basis edge by
     the sum rule: a new cell's weight is the sum of the three weights at
     its creation vertex."""
@@ -315,8 +311,7 @@ def fibonacci_level_counts(max_value: int) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class SpiralSequence:
+class SpiralSequence(NamedTuple):
     """Third values along the boundary of the face fixed by the pair
     (a, b); interior indices satisfy
 

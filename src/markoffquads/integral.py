@@ -8,34 +8,41 @@ replaced entry and its substitute multiply to (sum of the other three)^2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import flip_value, flips
+from .quadalgebra import _value_type, flip_value, flips
 
 
-@dataclass(frozen=True)
-class IntegerQuad:
-    """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact."""
-
+class _IntegerQuadFields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError(f"entry {name}={v!r} is not an int")
-            if v < 0:
-                raise DomainError(f"entry {name}={v} is negative")
-        a, b, c, d = self.values()
-        if (a + b + c + d) ** 2 != a * b * c * d:
+
+@_value_type
+class IntegerQuad(_IntegerQuadFields):
+    """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        vals = (a, b, c, d)
+        # one test passes four plain nonnegative ints; the loop names the first bad entry
+        if not (type(a) is type(b) is type(c) is type(d) is int and min(vals) >= 0):
+            for name, v in zip("abcd", vals):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise DomainError(f"entry {name}={v!r} is not an int")
+                if v < 0:
+                    raise DomainError(f"entry {name}={v} is negative")
+        s = a + b + c + d
+        if s * s != a * b * c * d:
             raise InvalidQuadError(f"({a},{b},{c},{d}) fails (a+b+c+d)^2 = abcd")
+        return tuple.__new__(cls, vals)
 
     @classmethod
     def from_values(cls, values) -> "IntegerQuad":
@@ -44,11 +51,13 @@ class IntegerQuad:
             raise DomainError(f"expected 4 entries, got {len(vals)}")
         return cls(*vals)
 
+    _make = from_values  # so that _replace validates too
+
     def values(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def sorted_values(self) -> tuple[int, int, int, int]:
-        return tuple(sorted(self.values()))
+        return tuple(sorted(self))
 
 
 def int_flip(q: IntegerQuad, i: int) -> IntegerQuad:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, explore
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
@@ -67,8 +67,7 @@ def psi(q: MarkoffQuad, i: int, tol: float = DEFAULT_TOL) -> complex:
     return first
 
 
-@dataclass(frozen=True)
-class BqReport:
+class BqReport(NamedTuple):
     """Outcome of the summability check at cutoff k."""
 
     cutoff: float
@@ -87,13 +86,16 @@ def check_bq(
     k: float = 4.0,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = BRANCH_TOL,
+    quad_tol: float = DEFAULT_TOL,
 ) -> BqReport:
     """Enumerate faces with |product| <= max(k, 4) and report any whose
-    product lies on the segment [0, 4].  Finiteness cannot be certified
+    product lies within tol of the segment [0, 4]; quad_tol is the
+    tolerance of the quad relation check.  Finiteness cannot be certified
     from finite data, only refuted; budget exhaustion sets budget_hit
     instead of raising."""
     bound = max(k, 4.0)
-    ex = explore(q, face_bound=bound, max_cells=max_cells, on_budget="truncate")
+    ex = explore(q, face_bound=bound, max_cells=max_cells, tol=quad_tol,
+                 on_budget="truncate")
     faces4 = tuple(f for f in ex.faces if abs(f.product) <= 4.0)
     violations = tuple(
         f for f in faces4 if _segment_distance(f.product, 0.0, 4.0) <= tol
@@ -109,8 +111,7 @@ class Verdict(str, enum.Enum):
     PARTIAL = "partial"
 
 
-@dataclass(frozen=True)
-class McShaneReport:
+class McShaneReport(NamedTuple):
     partial_sum: complex
     term_count: int
     product_cutoff: float
@@ -118,9 +119,9 @@ class McShaneReport:
     verdict: Verdict
 
 
-def _require_summable(q, max_cells):
+def _require_summable(q, max_cells, tol):
     # the [0, 4] faces do not depend on the cutoff: check them once per sum
-    bq = check_bq(q, 4.0, max_cells=max_cells)
+    bq = check_bq(q, 4.0, max_cells=max_cells, quad_tol=tol)
     if bq.violations:
         raise BqViolationError(
             f"face product {bq.violations[0].product} lies in [0,4]; sum undefined"
@@ -166,7 +167,7 @@ def mcshane_partial(
     when a target_tol is supplied and both |sum - 1/2| <= target_tol and
     last_shell_max <= target_tol/10 hold.
     """
-    _require_summable(q, max_cells)
+    _require_summable(q, max_cells, tol)
     report, _, _ = _partial(q, product_cutoff, max_cells, tol, target_tol)
     return report
 
@@ -189,7 +190,7 @@ def mcshane_verify(
     h to 1e-10."""
     if target_tol <= 0:
         raise DomainError("target_tol must be positive")
-    _require_summable(q, max_cells)
+    _require_summable(q, max_cells, tol)
     report = None
     for cutoff in budget_schedule:
         report, faces, terms = _partial(q, float(cutoff), max_cells, tol, target_tol)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BranchCutError,
@@ -39,19 +39,42 @@ def _as_complex(x) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class MarkoffQuad:
-    """Ordered 4-tuple of complex traces.  Entries are kept verbatim;
-    validity against the quad relation is checked by residual()."""
+def _value_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    # a plain tuple or another record type would otherwise compare by value
+    return False if isinstance(other, tuple) else NotImplemented
 
+
+def _value_ne(self, other):
+    eq = _value_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def _value_type(cls):
+    """Class decorator for NamedTuple value types: an instance equals
+    only an instance of the same class with equal fields (never a plain
+    tuple or another record type), and hashes as its field tuple."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _value_eq, _value_ne, tuple.__hash__
+    return cls
+
+
+class _MarkoffQuadFields(NamedTuple):
     a: complex
     b: complex
     c: complex
     d: complex
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
+
+@_value_type
+class MarkoffQuad(_MarkoffQuadFields):
+    """Ordered 4-tuple of complex traces.  Entries are kept verbatim;
+    validity against the quad relation is checked by residual()."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        return tuple.__new__(cls, (_as_complex(a), _as_complex(b), _as_complex(c), _as_complex(d)))
 
     @classmethod
     def from_values(cls, values) -> "MarkoffQuad":
@@ -60,12 +83,14 @@ class MarkoffQuad:
             raise DomainError(f"expected 4 entries, got {len(vals)}")
         return cls(*vals)
 
+    _make = from_values  # so that _replace validates too
+
     def values(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def entry(self, i: int) -> complex:
         """Entry at 1-based index i."""
-        return self.values()[_check_index(i) - 1]
+        return self[_check_index(i) - 1]
 
     def replace(self, i: int, value) -> "MarkoffQuad":
         vals = list(self.values())
@@ -200,8 +225,8 @@ def _segment_distance(z: complex, lo: float, hi: float) -> float:
     return abs(z - t)
 
 
-@dataclass(frozen=True)
-class Matrix2:
+@_value_type
+class Matrix2(NamedTuple):
     """2x2 complex matrix with exact entrywise arithmetic."""
 
     m11: complex
@@ -350,8 +375,7 @@ def quad_to_hurwitz(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> tuple[complex, 
     return tuple(roots)
 
 
-@dataclass(frozen=True)
-class KleinSequence:
+class KleinSequence(NamedTuple):
     """Trace data for the one-sided curves of a punctured Klein bottle.
 
     A = 2 cosh(l/2) of the unique two-sided curve; terms are sinh of the

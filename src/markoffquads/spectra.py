@@ -10,11 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, enumerate_cells, enumerate_faces, reduce_to_sink
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .quadalgebra import (
     DEFAULT_TOL,
     MarkoffQuad,
@@ -173,8 +172,7 @@ def systole(
     return best.length, best
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Least-squares fit of log s(L) = m log L + log eta."""
 
     samples: tuple[tuple[float, int], ...]
@@ -215,11 +213,14 @@ def growth_exponent(
     give a coarse estimate only.  One walk to the largest cutoff serves
     every shell: pruning is monotone in the cutoff, so a smaller
     cutoff's classes are exactly those of the large walk below it.
+    The shells count against max_cells, like the cells of the walk.
     """
     if shells < 4:
         raise DomainError("need at least 4 shells")
     if not (0 < lmin < lmax):
         raise DomainError("need 0 < lmin < lmax")
+    if shells > max_cells:
+        raise BudgetExceededError(f"{shells} shells exceed the cell budget {max_cells}")
     ratio = lmax / lmin
     cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
     # the last cutoff may round above lmax, so walk to the largest sample

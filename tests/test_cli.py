@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,28 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["length"] == pytest.approx(2.887270950357621)
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # together the two add about 10 ms to the start-up of every fresh `mql` call
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import markoffquads.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_relation_tol_reaches_mcshane_and_bq_check(capsys):
+    # the summability pre-pass checks the quad relation at --tol too
+    for argv in (("mcshane", "4,4,4,4.0001", "--cutoff", "100"),
+                 ("mcshane", "4,4,4,4.0001", "--target-tol", "1e-2"),
+                 ("bq-check", "4,4,4,4.0001", "-k", "10")):
+        assert run_cli(capsys, *argv)[0] == 2
+        code, out, err = run_cli(capsys, "--tol", "1e-3", *argv)
+        assert code == 0 and err == "" and lines(out)[0]["cmd"] == argv[0]
+
+
 def test_common_flags_after_subcommand(capsys):
     a = run_cli(capsys, "--max-cells", "5000", "spectrum", "4,4,4,4", "-L", "3")
     b = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "3", "--max-cells", "5000")
@@ -398,6 +421,11 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     (("klein", "-A", "3", "--seed", "1,2", "-n", "5000", "--max-cells", "1000"), 3),
     (("--max-cells", "10", "enumerate-integral", "-B", str(10 ** 200)), 3),
     (("verify", "4,4,4,4", "--out", MISSING_OUT), 1),
+    (("--max-cells", "10", "growth", "4,4,4,4", "--lmin", "10", "--lmax", "34",
+      "--shells", "11"), 3),
+    # the walk fits the budget; the shells alone exceed it
+    (("--max-cells", "1000", "growth", "4,4,4,4", "--lmin", "2", "--lmax", "8",
+      "--shells", "1001"), 3),
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

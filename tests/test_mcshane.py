@@ -99,6 +99,19 @@ def test_mcshane_partial_examples():
     assert rep.partial_sum == 0
 
 
+def test_relation_tol_reaches_the_summability_pre_pass():
+    # residual 1.25e-5: rejected at the default relation tol, accepted at 1e-3
+    q = MarkoffQuad(4, 4, 4, 4.0001)
+    for call in (lambda **kw: check_bq(q, 10, **kw),
+                 lambda **kw: mcshane_partial(q, 100, **kw),
+                 lambda **kw: mcshane_verify(q, 1e-2, **kw)):
+        with pytest.raises(InvalidQuadError):
+            call()
+    assert check_bq(q, 10, quad_tol=1e-3).ok
+    assert mcshane_partial(q, 100, tol=1e-3).term_count == 6
+    assert mcshane_verify(q, 1e-2, tol=1e-3)[0]
+
+
 def test_mcshane_partial_rejects_bq_violation():
     with pytest.raises(BqViolationError):
         mcshane_partial(MarkoffQuad(0, 0, 0, 0), 100)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from markoffquads import (
+    BudgetExceededError,
     CurveKind,
     DomainError,
     MarkoffQuad,
@@ -208,6 +209,9 @@ def test_growth_exponent_validation():
         growth_exponent(Q4, 10.0, 34.0, 3)
     with pytest.raises(DomainError):
         growth_exponent(Q4, 34.0, 10.0, 5)
+    # the shells count against the cell budget before any cutoff is built
+    with pytest.raises(BudgetExceededError):
+        growth_exponent(Q4, 2.0, 8.0, 1001, max_cells=1000)
 
 
 def test_klein_counting_is_linear():
