@@ -14,7 +14,6 @@ hold).  A closed stdout pipe ends the run with exit 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -55,11 +54,26 @@ class _UsageError(Exception):
     pass
 
 
+class _NeedFullParser(Exception):
+    """A one-command parser met a top-level usage error or the top-level
+    help, whose text names every subcommand: parse again with all of them."""
+
+
 class _Parser(argparse.ArgumentParser):
+    # set on a top-level parser built with one subcommand only
+    _one_command = False
+
     # argparse exits 2 on usage errors by default, which collides with the
     # verification-failure code; route through exit code 1 instead.
     def error(self, message):
+        if self._one_command:
+            raise _NeedFullParser
         raise _UsageError(message)
+
+    def format_help(self):
+        if self._one_command:
+            raise _NeedFullParser
+        return super().format_help()
 
 
 def _finite_float(text: str) -> float:
@@ -133,6 +147,8 @@ def _float_text(x: float) -> str:
 
 
 def _display(v) -> str:
+    if v is None:  # JSON's null
+        return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, int):
@@ -158,6 +174,7 @@ def _emit(records, fmt: str, out) -> None:
             for rec in records:
                 write(encode(rec) + "\n")
         elif records:
+            import csv  # only --format csv needs it; keeps it out of start-up
             keys = sorted({k for rec in records for k in rec})
             w = csv.writer(out, lineterminator="\n")
             w.writerow(keys)
@@ -376,89 +393,109 @@ def _add_common(p, defaults: bool):
                    **({} if defaults else {"default": argparse.SUPPRESS}))
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="mql", description=__doc__)
-    _add_common(p, defaults=True)
-    sub = p.add_subparsers(dest="cmd", required=True)
+def _flip_args(p):
+    _add_quad(p)
+    p.add_argument("-i", "--index", type=int, required=True, choices=(1, 2, 3, 4))
 
-    sp = sub.add_parser("verify", help="quad relation residual; exit 2 if above tol")
-    _add_quad(sp)
-    sp.set_defaults(run=_cmd_verify)
 
-    sp = sub.add_parser("flip", help="flip one entry")
-    _add_quad(sp)
-    sp.add_argument("-i", "--index", type=int, required=True, choices=(1, 2, 3, 4))
-    sp.set_defaults(run=_cmd_flip)
+def _spectrum_args(p):
+    _add_quad(p)
+    p.add_argument("-L", "--length", type=_finite_float, required=True)
+    p.add_argument("--two-sided", action="store_true")
 
-    sp = sub.add_parser("reduce", help="descend to the sink (or fundamental root)")
-    _add_quad(sp)
-    sp.set_defaults(run=_cmd_reduce)
 
-    sp = sub.add_parser("spectrum", help="simple length spectrum below a cutoff")
-    _add_quad(sp)
-    sp.add_argument("-L", "--length", type=_finite_float, required=True)
-    sp.add_argument("--two-sided", action="store_true")
-    sp.set_defaults(run=_cmd_spectrum)
+def _mcshane_args(p):
+    _add_quad(p)
+    p.add_argument("--cutoff", type=_finite_float, default=None)
+    p.add_argument("--target-tol", type=_finite_float, default=None)
 
-    sp = sub.add_parser("systole", help="shortest curve class and its witness")
-    _add_quad(sp)
-    sp.set_defaults(run=_cmd_systole)
 
-    sp = sub.add_parser("mcshane", help="identity partial sum or verification")
-    _add_quad(sp)
-    sp.add_argument("--cutoff", type=_finite_float, default=None)
-    sp.add_argument("--target-tol", type=_finite_float, default=None)
-    sp.set_defaults(run=_cmd_mcshane)
+def _bq_check_args(p):
+    _add_quad(p)
+    p.add_argument("-k", type=_finite_float, required=True)
 
-    sp = sub.add_parser("bq-check", help="summability check up to a product cutoff")
-    _add_quad(sp)
-    sp.add_argument("-k", type=_finite_float, required=True)
-    sp.set_defaults(run=_cmd_bq_check)
 
-    sp = sub.add_parser("fundamental", help="all reduced positive integer quads")
-    sp.set_defaults(run=_cmd_fundamental)
+def _no_args(p):
+    pass
 
-    sp = sub.add_parser("enumerate-integral",
-                        help="all positive integer quads with max entry <= B")
-    sp.add_argument("-B", "--bound", type=int, required=True)
-    sp.set_defaults(run=_cmd_enumerate_integral)
 
-    sp = sub.add_parser("growth", help="counting-function exponent fit")
-    _add_quad(sp)
-    sp.add_argument("--lmin", type=_finite_float, required=True)
-    sp.add_argument("--lmax", type=_finite_float, required=True)
-    sp.add_argument("--shells", type=int, required=True)
-    sp.set_defaults(run=_cmd_growth)
+def _enumerate_integral_args(p):
+    p.add_argument("-B", "--bound", type=int, required=True)
 
-    sp = sub.add_parser("coords", help="convert between quad and coordinate charts")
-    sp.add_argument("values", help="quad 'a,b,c,d' (--to) or coordinate list (--from)")
-    g = sp.add_mutually_exclusive_group(required=True)
+
+def _growth_args(p):
+    _add_quad(p)
+    p.add_argument("--lmin", type=_finite_float, required=True)
+    p.add_argument("--lmax", type=_finite_float, required=True)
+    p.add_argument("--shells", type=int, required=True)
+
+
+def _coords_args(p):
+    p.add_argument("values", help="quad 'a,b,c,d' (--to) or coordinate list (--from)")
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--to", choices=("lambda", "horocyclic"), default=None)
     g.add_argument("--from", dest="source", choices=("lambda", "horocyclic"),
                    default=None)
-    sp.set_defaults(run=_cmd_coords)
 
-    sp = sub.add_parser("mcg", help="apply a mapping class word (right-to-left)")
-    _add_quad(sp)
-    sp.add_argument("-w", "--word", required=True,
-                    help="letters f1..f4, phi1..phi3, comma or space separated")
-    sp.set_defaults(run=_cmd_mcg)
 
-    sp = sub.add_parser("klein", help="Klein bottle trace recursion")
-    sp.add_argument("-A", required=True, help="two-sided trace")
-    sp.add_argument("--seed", required=True, help="a0,a1")
-    sp.add_argument("-n", "--count", type=int, required=True)
-    sp.set_defaults(run=_cmd_klein)
+def _mcg_args(p):
+    _add_quad(p)
+    p.add_argument("-w", "--word", required=True,
+                   help="letters f1..f4, phi1..phi3, comma or space separated")
 
-    for action in sub.choices.values():
-        _add_common(action, defaults=False)
+
+def _klein_args(p):
+    p.add_argument("-A", required=True, help="two-sided trace")
+    p.add_argument("--seed", required=True, help="a0,a1")
+    p.add_argument("-n", "--count", type=int, required=True)
+
+
+# name -> (help, run, a function that adds the command's own arguments),
+# in the order `mql --help` lists them
+_COMMANDS = {
+    "verify": ("quad relation residual; exit 2 if above tol", _cmd_verify, _add_quad),
+    "flip": ("flip one entry", _cmd_flip, _flip_args),
+    "reduce": ("descend to the sink (or fundamental root)", _cmd_reduce, _add_quad),
+    "spectrum": ("simple length spectrum below a cutoff", _cmd_spectrum, _spectrum_args),
+    "systole": ("shortest curve class and its witness", _cmd_systole, _add_quad),
+    "mcshane": ("identity partial sum or verification", _cmd_mcshane, _mcshane_args),
+    "bq-check": ("summability check up to a product cutoff", _cmd_bq_check, _bq_check_args),
+    "fundamental": ("all reduced positive integer quads", _cmd_fundamental, _no_args),
+    "enumerate-integral": ("all positive integer quads with max entry <= B",
+                           _cmd_enumerate_integral, _enumerate_integral_args),
+    "growth": ("counting-function exponent fit", _cmd_growth, _growth_args),
+    "coords": ("convert between quad and coordinate charts", _cmd_coords, _coords_args),
+    "mcg": ("apply a mapping class word (right-to-left)", _cmd_mcg, _mcg_args),
+    "klein": ("Klein bottle trace recursion", _cmd_klein, _klein_args),
+}
+
+
+def _build_parser(only: str | None = None) -> _Parser:
+    """The `mql` parser with every subcommand, or with the one named
+    `only`; the latter leaves top-level errors and help to the former."""
+    p = _Parser(prog="mql", description=__doc__)
+    _add_common(p, defaults=True)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, run, add_args) in _COMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            add_args(sp)
+            sp.set_defaults(run=run)
+            _add_common(sp, defaults=False)
+    p._one_command = only is not None
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the subcommand argv names; top-level errors and help, whose
+    # text names every subcommand, come from the full parser
+    name = next((a for a in argv if a in _COMMANDS), None)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser(name).parse_args(argv)
+        except _NeedFullParser:
+            args = _build_parser().parse_args(argv)
     except _UsageError as e:
         print(f"mql: error: {e}", file=sys.stderr)
         return 1

@@ -11,7 +11,6 @@ of permutations (b,a,d,c), (c,d,a,b), (d,c,b,a).
 from __future__ import annotations
 
 import math
-import random
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -194,7 +193,9 @@ def mcg_relations_check(
     relations need no explicit inverses."""
     if sample_count < 1:
         raise DomainError("sample_count must be >= 1")
-    rng = rng or random.Random(0)
+    if rng is None:
+        import random  # only here; keeps it out of every `mql` start-up
+        rng = random.Random(0)
     quads = [sample_fuchsian_quad(rng) for _ in range(sample_count)]
     deviations: dict[str, float] = {}
     for lhs, rhs in _RELATIONS:

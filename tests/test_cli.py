@@ -6,14 +6,17 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markoffquads import cli
 from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import DomainError, IntegerQuad, MarkoffQuad, int_flip
 
@@ -261,12 +264,15 @@ def test_console_script_runs():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # together the two add about 10 ms to the start-up of every fresh `mql` call
+    # together the two add about 10 ms to the start-up of every fresh `mql`
+    # call; random (coords) and csv (--format csv) are imported where used.
+    # -S keeps site's own imports (a .pth file may load random) out of it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", "import markoffquads.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True,
+        [sys.executable, "-S", "-c", "import markoffquads.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect', 'random', 'csv'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 0 and proc.stdout == "[]\n"
@@ -347,6 +353,12 @@ GOLDEN = [
         "abs_length,cell,cmd,kind,length,quad,trace,version,word",
         '2.39080981499996,0,spectrum,one-sided,2.39016641640249+0.0554623602257202i,'
         '"QF",3+0.1i,0.1.0,',
+    )),
+    # CSV leaves JSON's null (the two-sided word) empty
+    (("--format", "csv", "spectrum", "4,4,4,4", "-L", "5.5", "--two-sided"), _lines(
+        "abs_length,cell,cmd,kind,length,quad,trace,version,word",
+        *(f'5.26783158769927,{pair},spectrum,two-sided,5.26783158769927,"4,4,4,4",14,0.1.0,'
+          for pair in ("0;1", "0;2", "0;3", "1;2", "1;3", "2;3")),
     )),
 ]
 
@@ -529,3 +541,80 @@ def test_any_argv_exits_cleanly_with_strict_json(flags, argv):
     else:
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)
+
+
+def _run_main(argv):
+    # (exit code or SystemExit code, stdout, stderr) of one in-process call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("return", main(argv))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _run_main_full_parser(argv):
+    # the same call with every parse forced onto the 13-command parser
+    build = cli._build_parser
+    with mock.patch.object(cli, "_build_parser", lambda only=None: build()):
+        return _run_main(argv)
+
+
+def _assert_parsers_agree(argv):
+    got = _run_main(argv)
+    assert got == _run_main_full_parser(argv), argv
+    return got
+
+
+@given(_GLOBAL, _ARGV)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_one_command_parser_agrees_with_full_parser(flags, argv):
+    _assert_parsers_agree(["--max-cells", "2000", *flags, *argv])
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h", "spectrum"],
+    ["--he", "flip", "4,4,4,4", "-i", "1"],
+    ["--format", "flip"],
+    ["no-such-command", "4,4,4,4"],
+    [],
+    ["--help"],
+    ["flip", "4,4,4,4", "-i", "1", "spectrum"],
+    *([name, "--help"] for name in cli._COMMANDS),
+])
+def test_one_command_parser_agrees_by_hand(argv):
+    (kind, code), out, err = _assert_parsers_agree(argv)
+    if {"-h", "--he", "--help"} & set(argv):
+        assert (kind, code, err) == ("exit", 0, "") and out.startswith("usage: mql")
+    else:
+        assert (kind, code, out) == ("return", 1, "") and err.startswith("mql: error: ")
+
+
+def test_option_value_naming_a_command(tmp_path, monkeypatch):
+    # the first command name in argv is the --out file, not the subcommand
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out", "flip", "spectrum", "4,4,4,4", "-L", "5"]
+    assert _assert_parsers_agree(argv) == (("return", 0), "", "")
+    assert json.loads((tmp_path / "flip").read_text().splitlines()[0])["cmd"] == "spectrum"
+
+
+def test_one_command_call_builds_two_parsers(capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(cli._Parser, "__init__", counting_init):
+        code, out, _ = run_cli(capsys, "reduce", "4,4,4,36")
+    assert code == 0 and lines(out)[0]["root"] == [4, 4, 4, 4]
+    assert built == ["mql", "mql reduce"]
+
+
+def test_top_level_help_lists_every_command():
+    (kind, code), out, _ = _run_main(["--help"])
+    assert (kind, code) == ("exit", 0) and len(cli._COMMANDS) == 13
+    for name, (help_text, _, _) in cli._COMMANDS.items():
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(help_text)}$", out, re.M), name
