@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 from . import __version__
@@ -86,6 +87,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    # verify_quad's rule for a tolerance: finite and above zero
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return x
+
+
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
@@ -139,6 +148,24 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                          default=_complex_json)
 
 
+def _record_encoder():
+    """`_JSON.encode` for the records of one call.  `_JSON.encode` builds
+    a C encoder per record; this builds one from `_JSON`'s own settings,
+    with fresh circular-reference markers.  An interpreter without the C
+    accelerator gets `_JSON.encode` itself."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _JSON.encode
+    j = _JSON
+    encoder = make({} if j.check_circular else None, j.default,
+                   json.encoder.encode_basestring_ascii if j.ensure_ascii
+                   else json.encoder.encode_basestring,
+                   j.indent, j.key_separator, j.item_separator, j.sort_keys,
+                   j.skipkeys, j.allow_nan)
+    join = "".join
+    return lambda rec: join(encoder(rec, 0))
+
+
 def _float_text(x: float) -> str:
     # the CSV twin of the JSON encoder's allow_nan=False
     if not math.isfinite(x):
@@ -170,7 +197,7 @@ def _display(v) -> str:
 def _emit(records, fmt: str, out) -> None:
     try:
         if fmt == "jsonl":
-            encode, write = _JSON.encode, out.write
+            encode, write = _record_encoder(), out.write
             for rec in records:
                 write(encode(rec) + "\n")
         elif records:
@@ -187,6 +214,13 @@ def _emit(records, fmt: str, out) -> None:
 
 def _base(args, cmd: str) -> dict:
     return {"cmd": cmd, "quad": getattr(args, "quad", None), "version": __version__}
+
+
+def _quad_records(args, quads) -> list[dict]:
+    """One record per IntegerQuad with the quad itself as `result`: a
+    tuple, so JSON writes an array and CSV joins it with `;`."""
+    cmd, quad, version = args.cmd, getattr(args, "quad", None), __version__
+    return [{"cmd": cmd, "quad": quad, "version": version, "result": q} for q in quads]
 
 
 def _entry_records(args, kind: CurveKind, entries) -> list[dict]:
@@ -291,13 +325,11 @@ def _cmd_bq_check(args):
 
 
 def _cmd_fundamental(args):
-    return [dict(_base(args, "fundamental"), result=list(q.values()))
-            for q in enumerate_fundamental()], 0
+    return _quad_records(args, enumerate_fundamental()), 0
 
 
 def _cmd_enumerate_integral(args):
-    return [dict(_base(args, "enumerate-integral"), result=list(q.values()))
-            for q in enumerate_integral_below(args.bound, max_cells=args.max_cells)], 0
+    return _quad_records(args, enumerate_integral_below(args.bound, max_cells=args.max_cells)), 0
 
 
 def _cmd_growth(args):
@@ -380,7 +412,7 @@ def _add_common(p, defaults: bool):
     # subcommand and the later position wins
     env_cells = os.environ.get(ENV_MAX_CELLS)
     kw = lambda v: {"default": v} if defaults else {"default": argparse.SUPPRESS}
-    p.add_argument("--tol", type=_finite_float, **kw(DEFAULT_TOL))
+    p.add_argument("--tol", type=_positive_float, **kw(DEFAULT_TOL))
     p.add_argument("--format", choices=("jsonl", "csv"), **kw("jsonl"))
     p.add_argument("--out", help="write records to FILE instead of stdout",
                    **kw(None))
@@ -504,11 +536,14 @@ def main(argv=None) -> int:
     try:
         if args.out:
             try:
-                out = open(args.out, "w")
+                # no O_TRUNC: a command that fails leaves an existing file as it was
+                out = open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w")
             except OSError as e:
                 raise _UsageError(f"cannot write --out {args.out!r}: {e.strerror}") from None
             close = True
         records, code = args.run(args)
+        if close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)  # a pipe or device has nothing to cut
         _emit(records, args.format, out)
         out.flush()
         return code

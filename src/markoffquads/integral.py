@@ -101,6 +101,17 @@ SEARCH_BOUNDS = {
 }
 
 
+def _in_search_box(a: int, b: int, c: int, d: int) -> bool:
+    """Whether the ascending entries lie in the SEARCH_BOUNDS box: a is
+    a key, max(a, b_min) <= b <= b_max, b <= d <= d_max and
+    max(b, d - a - b) <= c <= d."""
+    bounds = SEARCH_BOUNDS.get(a)
+    if bounds is None:
+        return False
+    blo, bhi, dmax = bounds
+    return max(a, blo) <= b <= bhi and b <= d <= dmax and max(b, d - a - b) <= c <= d
+
+
 @lru_cache(maxsize=1)
 def _fundamental() -> tuple[IntegerQuad, ...]:
     # For fixed (a, b, d), with s = a+b+d and p = abd, the relation is
@@ -122,7 +133,7 @@ def _fundamental() -> tuple[IntegerQuad, ...]:
                 if r * r != disc:
                     continue
                 c = (p - 2 * s - r) // 2
-                if max(b, d - a - b) <= c <= d:
+                if _in_search_box(a, b, c, d):
                     found.append((a, b, c, d))
     return tuple(IntegerQuad.from_values(v) for v in sorted(found))
 
@@ -148,10 +159,14 @@ def enumerate_fundamental() -> list[IntegerQuad]:
 def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
     """Reduce and match against the fundamental table; returns the root
     and the flip word taken.  A reduced quad outside the table means the
-    input was not a positive integer quad."""
+    input was not a positive integer quad.
+
+    The reduced quad is valid and ascending, and the search keeps every
+    such quad of the SEARCH_BOUNDS box (of the two roots in c only the
+    smaller can lie in it), so membership is the box test alone; the
+    search itself is not run."""
     reduced, word = int_reduce(q)
-    table = {r.values() for r in _fundamental()}
-    if reduced.values() not in table:
+    if not _in_search_box(*reduced):
         raise InvalidQuadError(
             f"reduced form {reduced.values()} is not a fundamental quad"
         )

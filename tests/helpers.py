@@ -123,12 +123,13 @@ def jordan_totient2(n):
     return result
 
 
-def brute_integral_scan(B):
-    """All positive integer quads a <= b <= c <= d <= B: for each triple,
-    solve the completion quadratic over the integers."""
+def brute_integral_scan(B, a_max=None, b_max=None):
+    """All positive integer quads a <= b <= c <= d <= B, optionally with
+    a <= a_max and b <= b_max: for each triple, solve the completion
+    quadratic over the integers."""
     out = set()
-    for a in range(1, B + 1):
-        for b in range(a, B + 1):
+    for a in range(1, (B if a_max is None else a_max) + 1):
+        for b in range(a, (B if b_max is None else b_max) + 1):
             for c in range(b, B + 1):
                 s = a + b + c
                 lin = 2 * s - a * b * c

@@ -252,6 +252,28 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--out", str(target), "verify", "4,4,4,4")
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["valid"] is True
+    # a shorter result replaces a longer file whole
+    target.write_text("x" * 10_000)
+    code, _, _ = run_cli(capsys, "--out", str(target), "flip", "4,4,4,4", "-i", "4")
+    assert code == 0 and json.loads(target.read_text())["result"] == [4, 4, 4, 36]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "1e200,1e200,1e200,1e200"), 4),
+    (("--max-cells", "10", "spectrum", "4,4,4,4", "-L", "30"), 3),
+    (("reduce", "1,1,1,1"), 2),
+])
+def test_out_file_kept_when_the_command_fails(tmp_path, capsys, argv, code):
+    target = tmp_path / "old.jsonl"
+    target.write_text("old\n")
+    got, out, err = run_cli(capsys, "--out", str(target), *argv)
+    assert got == code and out == "" and err.startswith("mql: ")
+    assert target.read_text() == "old\n"
+
+
+def test_out_file_may_be_a_device(capsys):
+    code, out, err = run_cli(capsys, "--out", os.devnull, "verify", "4,4,4,4")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_console_script_runs():
@@ -438,6 +460,11 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     # the walk fits the budget; the shells alone exceed it
     (("--max-cells", "1000", "growth", "4,4,4,4", "--lmin", "2", "--lmax", "8",
       "--shells", "1001"), 3),
+    # the --out path is checked before the command, which would exit 4
+    (("--out", MISSING_OUT, "verify", "1e200,1e200,1e200,1e200"), 1),
+    # a tolerance must be positive, as verify_quad requires
+    (("--tol", "-1", "systole", "4,4,4,4"), 1),
+    (("--tol", "0", "verify", "4.0,4,4,4"), 1),
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -460,6 +487,106 @@ def test_emit_keeps_written_lines_whole():
     with pytest.raises(DomainError):
         _emit([{"x": 1.5}, {"x": math.inf}, {"x": 2.5}], "jsonl", out)
     assert out.getvalue() == '{"x":1.5}\n'
+
+
+# every command, so that each record shape reaches the encoder
+ALL_COMMANDS = [
+    ("verify", "4,4,4,4"),
+    ("verify", QF),
+    ("flip", QF, "-i", "2"),
+    ("reduce", "3481,5,24,30"),
+    ("reduce", QF),
+    ("systole", QF),
+    ("mcshane", "4,4,4,4", "--cutoff", "1e4"),
+    ("bq-check", "4,4,4,4", "-k", "30"),
+    ("fundamental",),
+    ("enumerate-integral", "-B", "10000"),
+    ("coords", "2,5,5,8", "--to", "lambda"),
+    ("coords", "2,5,5,8", "--to", "horocyclic"),
+    ("coords", "0.1,0.2,0.3,0.4", "--from", "horocyclic"),
+    ("coords", "4,4,4,4,4,4", "--from", "lambda"),
+    ("mcg", QF, "-w", "phi2,f1"),
+    ("klein", "-A", "3", "--seed", "1,2", "-n", "6"),
+    ("klein", "-A", "1e100", "--seed", "0,1i", "-n", "3"),
+]
+
+
+def _records_of(argvs):
+    # the records main hands to _emit, in order
+    got = []
+    emit = cli._emit
+
+    def capture(records, fmt, out):
+        got.extend(records)
+        emit(records, fmt, out)
+
+    with mock.patch.object(cli, "_emit", capture), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            assert main(list(argv)) == 0, argv
+    return got
+
+
+def _dumps(rec):
+    # json.dumps with every setting of cli._JSON
+    j = cli._JSON
+    return json.dumps(rec, skipkeys=j.skipkeys, ensure_ascii=j.ensure_ascii,
+                      check_circular=j.check_circular, allow_nan=j.allow_nan,
+                      indent=j.indent, separators=(j.item_separator, j.key_separator),
+                      default=j.default, sort_keys=j.sort_keys)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_emit_lines_equal_json_dumps(monkeypatch, c_encoder):
+    records = _records_of([argv for argv, _ in GOLDEN] + ALL_COMMANDS)
+    assert {rec["cmd"] for rec in records} == set(cli._COMMANDS)
+    expected = [_dumps(rec) + "\n" for rec in records]
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    out = io.StringIO()
+    _emit(records, "jsonl", out)
+    assert out.getvalue().splitlines(keepends=True) == expected
+
+
+def _circular():
+    rec = {"i": 599}
+    rec["self"] = rec
+    return rec
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@pytest.mark.parametrize("bad", [{"i": 599, "x": math.inf}, _circular()],
+                         ids=["inf", "circular"])
+def test_emit_failure_at_record_600(monkeypatch, c_encoder, bad):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    good = [{"i": i, "z": complex(i, -i / 7), "q": IntegerQuad(4, 4, 4, 36)}
+            for i in range(1000)]
+    out = io.StringIO()
+    with pytest.raises(DomainError):
+        _emit(good[:599] + [bad] + good[600:], "jsonl", out)
+    assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in good[:599])
+    # the next call starts clean
+    out = io.StringIO()
+    _emit(good, "jsonl", out)
+    assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in good)
+
+
+def test_emit_builds_one_encoder_per_call(monkeypatch):
+    make = json.encoder.c_make_encoder
+    if make is None:
+        pytest.skip("this interpreter has no C JSON encoder")
+    markers = []
+
+    def counting_make(*args):
+        markers.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting_make)
+    for n in (1, 700):
+        _emit([{"i": i, "q": IntegerQuad(4, 4, 4, 4)} for i in range(n)], "jsonl", io.StringIO())
+    assert len(markers) == 2 and markers[0] == markers[1] == {}
+    assert markers[0] is not markers[1]
 
 
 def test_closed_stdout_pipe_exits_quietly():

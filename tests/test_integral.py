@@ -164,6 +164,38 @@ def test_classify_examples():
     assert root.values() == (3, 3, 6, 6) and word == []
 
 
+def test_search_box_predicate_matches_search():
+    # every valid ascending quad with a <= 7, b < 60, d < 400: the 41
+    # positive ones and (0, 0, 0, 0), which IntegerQuad admits
+    quads = sorted(brute_integral_scan(399, a_max=7, b_max=59)) + [(0, 0, 0, 0)]
+    assert len(quads) == 42
+    table = {r.values() for r in integral._fundamental()}
+    assert table <= set(quads)
+    for v in quads:
+        IntegerQuad.from_values(v)
+        assert integral._in_search_box(*v) == (v in table), v
+
+
+def test_classify_does_not_run_the_search(monkeypatch):
+    def no_search():
+        raise AssertionError("classify ran the fundamental-quad search")
+
+    monkeypatch.setattr(integral, "_fundamental", no_search)
+    for root in FUNDAMENTAL:
+        for i in (1, 2, 3, 4):
+            q = int_flip(int_flip(IntegerQuad.from_values(root), i), 5 - i)
+            assert classify(q)[0].values() == root
+
+
+def test_classify_rejects_a_root_outside_the_box(monkeypatch):
+    # without a = 4 in the box, (4, 4, 4, 4) is no longer a fundamental quad
+    bounds = {a: v for a, v in SEARCH_BOUNDS.items() if a != 4}
+    monkeypatch.setattr(integral, "SEARCH_BOUNDS", bounds)
+    assert classify(IntegerQuad(2, 5, 5, 8))[0].values() == (2, 5, 5, 8)
+    with pytest.raises(InvalidQuadError, match=r"\(4, 4, 4, 4\) is not a fundamental quad"):
+        classify(IntegerQuad(4, 4, 4, 36))
+
+
 def test_enumerate_integral_below_examples():
     only = enumerate_integral_below(4)
     assert [q.values() for q in only] == [(4, 4, 4, 4)]
