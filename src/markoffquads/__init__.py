@@ -40,6 +40,7 @@ from .curvecomplex import (
     SpiralSequence,
     VertexClass,
     VertexKind,
+    Walk,
     classify_vertex,
     enumerate_cells,
     enumerate_faces,
@@ -48,6 +49,7 @@ from .curvecomplex import (
     fibonacci_values,
     reduce_to_sink,
     spiral_sequence,
+    walk,
 )
 from .spectra import (
     CurveKind,

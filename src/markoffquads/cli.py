@@ -194,22 +194,38 @@ def _display(v) -> str:
     return str(v)
 
 
+def _buffered(out):
+    """out, or a buffered writer on its descriptor when out is the real
+    stdout and writes every record straight through (PYTHONUNBUFFERED,
+    `python -u`), where one `write` call per record would be one system
+    call.  Closing the writer flushes it and leaves the descriptor open."""
+    if out is not sys.__stdout__ or not getattr(out, "write_through", False):
+        return out
+    out.flush()
+    return open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
+                closefd=False)
+
+
 def _emit(records, fmt: str, out) -> None:
+    sink = _buffered(out)
     try:
         if fmt == "jsonl":
-            encode, write = _record_encoder(), out.write
+            encode, write = _record_encoder(), sink.write
             for rec in records:
                 write(encode(rec) + "\n")
         elif records:
             import csv  # only --format csv needs it; keeps it out of start-up
             keys = sorted({k for rec in records for k in rec})
-            w = csv.writer(out, lineterminator="\n")
+            w = csv.writer(sink, lineterminator="\n")
             w.writerow(keys)
             for rec in records:
                 w.writerow([_display(rec.get(k, "")) for k in keys])
     except ValueError as e:
         # a non-finite float or an int past the str digit limit; lines written stay whole
         raise DomainError(f"result cannot be written: {e}") from None
+    finally:
+        if sink is not out:
+            sink.close()  # one flush of whole lines, on every exit path
 
 
 def _base(args, cmd: str) -> dict:

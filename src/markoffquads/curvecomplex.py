@@ -8,6 +8,15 @@ is a face (a two-sided curve class).  Pruned breadth-first exploration
 enumerates all cells below a trace bound and all faces below a product
 bound; this is the engine behind spectra, identity sums and the
 summability check.
+
+`walk` runs that exploration and returns its arrays as a `Walk`: per
+cell id the value, the creating vertex and the slot flipped there, plus
+the faces keyed by id pair.  A cell's flip word is rebuilt from those
+arrays only when asked for (`Walk.word`, `Walk.words`).  `explore`,
+`enumerate_cells` and `enumerate_faces` are views over a walk that
+build every word, `Cell` and sorted `Face`; the library's own callers
+read the arrays instead and build words only for the records that
+print them.
 """
 
 from __future__ import annotations
@@ -114,25 +123,65 @@ class Exploration(NamedTuple):
     budget_hit: bool
 
 
-def explore(
+class Walk(NamedTuple):
+    """The arrays of one pruned walk.  values, parents and slots are
+    indexed by cell id: a cell's value, the vertex that created it and
+    the slot (1..4) flipped there.  A vertex is named by the cell created
+    on arrival; the root is named by cell 0, and root cells 0..3 carry
+    parent 0 and slot 0.  faces maps each recorded id pair (smaller id
+    first) to its product, in discovery order."""
+
+    values: list[complex]
+    parents: list[int]
+    slots: list[int]
+    faces: dict[tuple[int, int], complex]
+    nodes_visited: int
+    budget_hit: bool
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """The flip word of the vertex that created cell k (empty for
+        a root cell), read back along the parent chain."""
+        parents, slots = self.parents, self.slots
+        out = []
+        while k >= 4:
+            out.append(slots[k])
+            k = parents[k]
+        out.reverse()
+        return tuple(out)
+
+    def words(self) -> list[tuple[int, ...]]:
+        """Every cell's word, in id order: cheaper than `word` per cell
+        when most cells are wanted, since each extends its parent's."""
+        parents, slots = self.parents, self.slots
+        words: list[tuple[int, ...]] = [()] * 4
+        for k in range(4, len(parents)):
+            words.append(words[parents[k]] + (slots[k],))
+        return words
+
+    def sorted_faces(self) -> tuple[Face, ...]:
+        faces = self.faces
+        return tuple(Face(key, faces[key]) for key in sorted(faces))
+
+
+def walk(
     q: MarkoffQuad,
     cell_bound: float | None = None,
     face_bound: float | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
     on_budget: str = "raise",
-) -> Exploration:
-    """Pruned breadth-first exploration from q.
+) -> Walk:
+    """Pruned breadth-first exploration from q, as arrays.
 
     Records every created cell and every face with |product| within
     face_bound seen at a visited vertex.  A cell's id is its discovery
     index: root slots are 0..3, then each visited vertex creates its
-    cells in slot order, so ids are canonical and faces come sorted by
-    id pair.  A flip is followed when its magnitude is below the largest
-    of the three magnitudes it leaves in place (a descending direction),
-    is within cell_bound, or times the smallest of those three is within
-    face_bound.  on_budget is "raise" or "truncate"; a truncated walk
-    keeps everything found before the budget ran out.
+    cells in slot order, so ids are canonical.  A flip is followed when
+    its magnitude is below the largest of the three magnitudes it leaves
+    in place (a descending direction), is within cell_bound, or times
+    the smallest of those three is within face_bound.  on_budget is
+    "raise" or "truncate"; a truncated walk keeps everything found
+    before the budget ran out.
 
     Each vertex gets its flips from one `flips` call.  That kernel must
     keep the operation order of `flip_value` (product of the other three
@@ -145,9 +194,6 @@ def explore(
     if cell_bound is None and face_bound is None:
         raise DomainError("need at least one of cell_bound, face_bound")
     root_vals = q.values()
-    # per cell id: value, creating vertex and the slot flipped there.  A
-    # vertex is named by the cell created on arrival; the root is named
-    # by cell 0, whose word is empty like every root cell's.
     values = list(root_vals)
     parents = [0] * 4
     slots = [0] * 4
@@ -212,13 +258,24 @@ def explore(
             raise
         budget_hit = True
 
-    words: list[tuple[int, ...]] = [()] * 4
-    for k in range(4, len(values)):
-        words.append(words[parents[k]] + (slots[k],))
-    out_cells = tuple(map(Cell, range(len(values)), values, words))
-    out_faces = tuple(Face(key, faces[key]) for key in sorted(faces))
-    return Exploration(cells=out_cells, faces=out_faces,
-                       nodes_visited=visited, budget_hit=budget_hit)
+    return Walk(values, parents, slots, faces, visited, budget_hit)
+
+
+def explore(
+    q: MarkoffQuad,
+    cell_bound: float | None = None,
+    face_bound: float | None = None,
+    max_cells: int = DEFAULT_MAX_CELLS,
+    tol: float = DEFAULT_TOL,
+    on_budget: str = "raise",
+) -> Exploration:
+    """`walk` with every cell's word and `Cell`, and the faces as `Face`s
+    sorted by id pair."""
+    w = walk(q, cell_bound, face_bound, max_cells, tol, on_budget)
+    values = w.values
+    cells = tuple(map(Cell, range(len(values)), values, w.words()))
+    return Exploration(cells=cells, faces=w.sorted_faces(),
+                       nodes_visited=w.nodes_visited, budget_hit=w.budget_hit)
 
 
 def enumerate_cells(
@@ -228,8 +285,9 @@ def enumerate_cells(
     tol: float = DEFAULT_TOL,
 ) -> list[Cell]:
     """Every distinct cell with |value| <= bound, in discovery order."""
-    ex = explore(q, cell_bound=bound, max_cells=max_cells, tol=tol)
-    return [c for c in ex.cells if abs(c.value) <= bound]
+    w = walk(q, cell_bound=bound, max_cells=max_cells, tol=tol)
+    words = w.words()
+    return [Cell(k, v, words[k]) for k, v in enumerate(w.values) if abs(v) <= bound]
 
 
 def enumerate_faces(
@@ -240,8 +298,8 @@ def enumerate_faces(
 ) -> list[Face]:
     """Every face with |product| <= product_bound, deduplicated by id
     pair (identity, not value), sorted by id pair."""
-    ex = explore(q, face_bound=product_bound, max_cells=max_cells, tol=tol)
-    return list(ex.faces)
+    w = walk(q, face_bound=product_bound, max_cells=max_cells, tol=tol)
+    return list(w.sorted_faces())
 
 
 class FibonacciAssignment(NamedTuple):
@@ -291,7 +349,7 @@ def fibonacci_level_counts(max_value: int) -> dict[int, int]:
     """
     if max_value < 1:
         raise DomainError("max_value must be >= 1")
-    counts = {1: 3} if max_value >= 1 else {}
+    counts = {1: 3}
     frontier = []
     base = (1, 1, 1)
     if max_value >= 3:

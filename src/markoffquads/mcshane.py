@@ -17,7 +17,7 @@ import cmath
 import enum
 from typing import NamedTuple
 
-from .curvecomplex import DEFAULT_MAX_CELLS, Face, explore
+from .curvecomplex import DEFAULT_MAX_CELLS, Face, walk
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
 from .quadalgebra import DEFAULT_TOL, MarkoffQuad, _segment_distance, flip_value
 
@@ -94,15 +94,17 @@ def check_bq(
     from finite data, only refuted; budget exhaustion sets budget_hit
     instead of raising."""
     bound = max(k, 4.0)
-    ex = explore(q, face_bound=bound, max_cells=max_cells, tol=quad_tol,
-                 on_budget="truncate")
-    faces4 = tuple(f for f in ex.faces if abs(f.product) <= 4.0)
+    w = walk(q, face_bound=bound, max_cells=max_cells, tol=quad_tol,
+             on_budget="truncate")
+    faces = w.faces
+    faces4 = tuple(Face(key, faces[key])
+                   for key in sorted(key for key, p in faces.items() if abs(p) <= 4.0))
     violations = tuple(
         f for f in faces4 if _segment_distance(f.product, 0.0, 4.0) <= tol
     )
-    below2 = sum(1 for c in ex.cells if abs(c.value) <= 2.0)
+    below2 = sum(1 for v in w.values if abs(v) <= 2.0)
     return BqReport(cutoff=bound, faces4=faces4, violations=violations,
-                    cells_below2=below2, budget_hit=ex.budget_hit)
+                    cells_below2=below2, budget_hit=w.budget_hit)
 
 
 class Verdict(str, enum.Enum):
@@ -129,27 +131,31 @@ def _require_summable(q, max_cells, tol):
 
 
 def _partial(q, product_cutoff, max_cells, tol, target_tol):
-    ex = explore(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol,
-                 on_budget="truncate")
-    faces = [f for f in ex.faces if abs(f.product) <= product_cutoff]
-    terms = [h(f.product) for f in faces]
+    """The report, plus the id pairs, products and terms it summed, in
+    id-pair order (a reproducible summation order)."""
+    w = walk(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol,
+             on_budget="truncate")
+    faces = w.faces  # the walk records only faces within the cutoff
+    pairs = sorted(faces)
+    products = [faces[pair] for pair in pairs]
+    terms = [h(p) for p in products]
     total = 0j
     shell_max = 0.0
-    for f, term in zip(faces, terms):  # sorted by id pair: reproducible summation order
+    for p, term in zip(products, terms):
         total += term
-        if abs(f.product) > product_cutoff / 2:
+        if abs(p) > product_cutoff / 2:
             shell_max = max(shell_max, abs(term))
-    if ex.budget_hit:
+    if w.budget_hit:
         verdict = Verdict.BUDGET_EXCEEDED
     elif target_tol is not None and abs(total - 0.5) <= target_tol \
             and shell_max <= target_tol / 10:
         verdict = Verdict.CONVERGED
     else:
         verdict = Verdict.PARTIAL
-    report = McShaneReport(partial_sum=total, term_count=len(faces),
+    report = McShaneReport(partial_sum=total, term_count=len(pairs),
                            product_cutoff=product_cutoff,
                            last_shell_max=shell_max, verdict=verdict)
-    return report, faces, terms
+    return report, pairs, products, terms
 
 
 def mcshane_partial(
@@ -168,8 +174,7 @@ def mcshane_partial(
     last_shell_max <= target_tol/10 hold.
     """
     _require_summable(q, max_cells, tol)
-    report, _, _ = _partial(q, product_cutoff, max_cells, tol, target_tol)
-    return report
+    return _partial(q, product_cutoff, max_cells, tol, target_tol)[0]
 
 
 DEFAULT_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
@@ -193,13 +198,14 @@ def mcshane_verify(
     _require_summable(q, max_cells, tol)
     report = None
     for cutoff in budget_schedule:
-        report, faces, terms = _partial(q, float(cutoff), max_cells, tol, target_tol)
-        for f, term in zip(faces, terms):
-            ell = 2 * cmath.acosh((f.product - 2) / 2)
+        report, pairs, products, terms = _partial(q, float(cutoff), max_cells, tol,
+                                                  target_tol)
+        for pair, p, term in zip(pairs, products, terms):
+            ell = 2 * cmath.acosh((p - 2) / 2)
             geom = 1 / (1 + cmath.exp(ell / 2))
             if abs(term - geom) > _CROSS_CHECK_TOL:
                 raise InvalidQuadError(
-                    f"h and geometric forms disagree at face {f.cells}: "
+                    f"h and geometric forms disagree at face {pair}: "
                     f"{abs(term - geom):.3e}"
                 )
         if report.verdict is Verdict.CONVERGED:

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .curvecomplex import DEFAULT_MAX_CELLS, enumerate_cells, enumerate_faces, reduce_to_sink
+from .curvecomplex import DEFAULT_MAX_CELLS, reduce_to_sink, walk
 from .errors import BudgetExceededError, DomainError
 from .quadalgebra import (
     DEFAULT_TOL,
@@ -51,18 +51,23 @@ def _trace_bound(fn, L: float) -> float:
 # ids and id pairs are unique, so sorting the tuples never compares the
 # complex values behind the key.
 
-def _one_sided_rows(q, L, max_cells, tol) -> list[tuple]:
-    """(|l|, word, id, trace, l) for every one-sided class with |l| < L."""
+def _one_sided_rows(q, L, max_cells, tol, with_words=True) -> list[tuple]:
+    """(|l|, word, id, trace, l) for every one-sided class with |l| < L;
+    word is None unless with_words."""
     if L <= 0:
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
     bound = _trace_bound(math.sinh, L)
+    w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
+    values = w.values
+    words = w.words() if with_words else [None] * len(values)
     rows = []
-    for cid, value, word in enumerate_cells(sink, bound, max_cells=max_cells, tol=tol):
-        ell = one_sided_length(value)  # zero trace raises: parabolic class
-        a = abs(ell)
-        if a < L:
-            rows.append((a, word, cid, value, ell))
+    for cid, value in enumerate(values):
+        if abs(value) <= bound:
+            ell = one_sided_length(value)  # zero trace raises: parabolic class
+            a = abs(ell)
+            if a < L:
+                rows.append((a, words[cid], cid, value, ell))
     return rows
 
 
@@ -72,9 +77,10 @@ def _two_sided_rows(q, L, max_cells, tol) -> list[tuple]:
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
     product_bound = _trace_bound(math.cosh, L) + 2.0
+    faces = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol).faces
     rows = []
-    for pair, product in enumerate_faces(sink, product_bound, max_cells=max_cells, tol=tol):
-        e = product - 2
+    for pair in sorted(faces):  # id-pair order decides which degenerate face raises
+        e = faces[pair] - 2
         ell = two_sided_length(e, tol=tol)
         a = abs(ell)
         if a < L:
@@ -120,7 +126,7 @@ def count_s(
     tol: float = DEFAULT_TOL,
 ) -> int:
     """Number of one-sided classes with |length| < L."""
-    return len(_one_sided_rows(q, L, max_cells, tol))
+    return len(_one_sided_rows(q, L, max_cells, tol, with_words=False))
 
 
 # A one-sided class of trace <= 4 always exists, so only two-sided curves
@@ -141,35 +147,30 @@ def systole(
     |trace| <= 4, and every face with |product| <= 18.
     """
     sink, _ = reduce_to_sink(q, tol=tol)
-    best: SpectrumEntry | None = None
+    best = None  # (|length|, kind, trace, length, cell ref) of the first shortest
 
-    def consider(entry: SpectrumEntry):
+    def consider(kind, trace, length, ref):
         nonlocal best
-        if best is None or abs(entry.length) < abs(best.length):
-            best = entry
+        if best is None or abs(length) < best[0]:
+            best = (abs(length), kind, trace, length, ref)
 
-    seen = set()
-    for c in enumerate_cells(sink, _SYSTOLE_CELL_BOUND, max_cells=max_cells,
-                             tol=tol):
-        seen.add(c.id)
-        consider(SpectrumEntry(kind=CurveKind.ONE_SIDED, trace=c.value,
-                               length=one_sided_length(c.value),
-                               cell_ref=c.id, word=c.word))
-    for i in range(4):  # sink entries compete even above the cell bound
-        v = sink.values()[i]
-        if i not in seen:
-            consider(SpectrumEntry(kind=CurveKind.ONE_SIDED, trace=v,
-                                   length=one_sided_length(v), cell_ref=i,
-                                   word=()))
-    for face in enumerate_faces(sink, _SYSTOLE_FACE_BOUND,
-                                max_cells=max_cells, tol=tol):
-        e = face.product - 2
-        consider(SpectrumEntry(kind=CurveKind.TWO_SIDED, trace=e,
-                               length=two_sided_length(e, tol=tol),
-                               cell_ref=face.cells, word=None))
+    cells = walk(sink, cell_bound=_SYSTOLE_CELL_BOUND, max_cells=max_cells, tol=tol)
+    for cid, value in enumerate(cells.values):
+        if abs(value) <= _SYSTOLE_CELL_BOUND:
+            consider(CurveKind.ONE_SIDED, value, one_sided_length(value), cid)
+    for i, v in enumerate(sink.values()):  # sink entries compete even above the cell bound
+        if abs(v) > _SYSTOLE_CELL_BOUND:
+            consider(CurveKind.ONE_SIDED, v, one_sided_length(v), i)
+    faces = walk(sink, face_bound=_SYSTOLE_FACE_BOUND, max_cells=max_cells, tol=tol).faces
+    for pair in sorted(faces):
+        e = faces[pair] - 2
+        consider(CurveKind.TWO_SIDED, e, two_sided_length(e, tol=tol), pair)
     if best is None:
         raise DomainError("no candidate curves found (degenerate quad)")
-    return best.length, best
+    _, kind, trace, length, ref = best
+    # sink entries are cells 0..3, so every one-sided witness has a cell word
+    word = cells.word(ref) if kind is CurveKind.ONE_SIDED else None
+    return length, SpectrumEntry(kind, trace, length, ref, word)
 
 
 class GrowthFit(NamedTuple):
@@ -224,7 +225,8 @@ def growth_exponent(
     ratio = lmax / lmin
     cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
     # the last cutoff may round above lmax, so walk to the largest sample
-    lengths = sorted(row[0] for row in _one_sided_rows(q, max(cutoffs), max_cells, tol))
+    rows = _one_sided_rows(q, max(cutoffs), max_cells, tol, with_words=False)
+    lengths = sorted(row[0] for row in rows)
     samples = [(L, bisect_left(lengths, L)) for L in cutoffs]
     m, c, res = fit_power_law(samples)
     return GrowthFit(samples=tuple(samples), exponent=m,

@@ -602,6 +602,70 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.wait() == 0 and err == b""
 
 
+def _fresh(args, unbuffered, code=None):
+    """A fresh interpreter with PYTHONUNBUFFERED set or unset: `mql args`,
+    or the given `-c` code with args as its argv."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    head = ["-m", "markoffquads.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "4,4,4,4", "-L", "40"),
+    ("--format", "csv", "spectrum", "2,5,5,8", "-L", "30", "--two-sided"),
+    ("--max-cells", "10", "spectrum", "4,4,4,4", "-L", "30"),
+])
+def test_unbuffered_stdout_is_byte_identical(capsys, argv):
+    # with PYTHONUNBUFFERED=1 the records go through one buffered writer
+    code, out, err = run_cli(capsys, *argv)
+    for unbuffered in (True, False):
+        proc = _fresh(argv, unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode())
+
+
+_EMIT_INF = """if True:
+    import math, sys
+    from markoffquads.cli import _emit
+    try:
+        _emit([{"x": 1.5}, {"x": math.inf}, {"x": 2.5}], sys.argv[1], sys.stdout)
+    except Exception as e:
+        print(type(e).__name__, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("fmt, lines_before", [("jsonl", '{"x":1.5}\n'),
+                                              ("csv", "x\n1.5\n")])
+def test_unbuffered_stdout_keeps_written_lines_whole(fmt, lines_before):
+    for unbuffered in (True, False):
+        proc = _fresh([fmt], unbuffered, code=_EMIT_INF)
+        assert (proc.stdout, proc.stderr) == (lines_before.encode(), b"DomainError\n")
+
+
+def test_unbuffered_stdout_writes_once_at_the_end(tmp_path, monkeypatch):
+    # a write-through stdout sees nothing until _emit has every record
+    raw = open(tmp_path / "out", "wb", buffering=0)
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "__stdout__", stdout)
+    sizes = []
+
+    def records():
+        for i in range(3):
+            sizes.append(os.fstat(raw.fileno()).st_size)
+            yield {"i": i}
+
+    _emit(records(), "jsonl", stdout)
+    assert sizes == [0, 0, 0]
+    assert (tmp_path / "out").read_text() == '{"i":0}\n{"i":1}\n{"i":2}\n'
+    assert not stdout.closed
+    stdout.write("after\n")
+    assert (tmp_path / "out").read_text().endswith("after\n")
+    raw.close()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
