@@ -211,10 +211,15 @@ def _emit(records, fmt: str, out) -> None:
     try:
         if fmt == "jsonl":
             encode, write = _record_encoder(), sink.write
-            for rec in records:
-                write(encode(rec) + "\n")
+            if hasattr(records, "lines"):  # a jsonlines.RecordSet: lines from a template
+                for line in records.lines(encode):
+                    write(line)
+            else:
+                for rec in records:
+                    write(encode(rec) + "\n")
         elif records:
             import csv  # only --format csv needs it; keeps it out of start-up
+            records = list(records)  # a record set builds its dicts on every pass
             keys = sorted({k for rec in records for k in rec})
             w = csv.writer(sink, lineterminator="\n")
             w.writerow(keys)
@@ -230,23 +235,6 @@ def _emit(records, fmt: str, out) -> None:
 
 def _base(args, cmd: str) -> dict:
     return {"cmd": cmd, "quad": getattr(args, "quad", None), "version": __version__}
-
-
-def _quad_records(args, quads) -> list[dict]:
-    """One record per IntegerQuad with the quad itself as `result`: a
-    tuple, so JSON writes an array and CSV joins it with `;`."""
-    cmd, quad, version = args.cmd, getattr(args, "quad", None), __version__
-    return [{"cmd": cmd, "quad": quad, "version": version, "result": q} for q in quads]
-
-
-def _entry_records(args, kind: CurveKind, entries) -> list[dict]:
-    """One record per spectrum entry of one kind; the shared
-    cmd/quad/version head and the kind string are resolved once."""
-    cmd, quad, version, kind = args.cmd, args.quad, __version__, kind.value
-    return [{"cmd": cmd, "quad": quad, "version": version, "kind": kind,
-             "trace": trace, "length": ell, "abs_length": abs(ell),
-             "cell": cell_ref, "word": word}
-            for _, trace, ell, cell_ref, word in entries]
 
 
 def _cmd_verify(args):
@@ -285,19 +273,24 @@ def _cmd_reduce(args):
 
 
 def _cmd_spectrum(args):
+    # the commands that write many records import jsonlines first: see there why
+    from .jsonlines import entry_records
     q = _markoff_arg(args.quad, args)
     if args.two_sided:
         fn, kind = two_sided_spectrum, CurveKind.TWO_SIDED
     else:
         fn, kind = one_sided_spectrum, CurveKind.ONE_SIDED
     entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
-    return _entry_records(args, kind, entries), 0
+    head = {**_base(args, "spectrum"), "kind": kind.value}
+    return entry_records(head, entries, _JSON.encode), 0
 
 
 def _cmd_systole(args):
+    from .jsonlines import entry_records
     q = _markoff_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
-    return _entry_records(args, witness.kind, [witness]), 0
+    head = {**_base(args, "systole"), "kind": witness.kind.value}
+    return entry_records(head, [witness], _JSON.encode), 0
 
 
 def _cmd_mcshane(args):
@@ -341,11 +334,14 @@ def _cmd_bq_check(args):
 
 
 def _cmd_fundamental(args):
-    return _quad_records(args, enumerate_fundamental()), 0
+    from .jsonlines import quad_records
+    return quad_records(_base(args, "fundamental"), enumerate_fundamental(), _JSON.encode), 0
 
 
 def _cmd_enumerate_integral(args):
-    return _quad_records(args, enumerate_integral_below(args.bound, max_cells=args.max_cells)), 0
+    from .jsonlines import quad_records
+    quads = enumerate_integral_below(args.bound, max_cells=args.max_cells)
+    return quad_records(_base(args, "enumerate-integral"), quads, _JSON.encode), 0
 
 
 def _cmd_growth(args):

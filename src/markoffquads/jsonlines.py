@@ -1,0 +1,109 @@
+"""JSON Lines for the `mql` commands that write many records of one
+fixed shape: `spectrum` and `systole` (spectrum entries), `fundamental`
+and `enumerate-integral` (integer quads).
+
+Each line comes from a template made once per call.  The keys and the
+values that every record of the call shares are encoded once, and each
+row adds only its own numbers, written exactly as the strict JSON
+encoder writes them.  A row the template cannot write as it is goes to
+the encoder as its dict, so its bytes, or its error, are the encoder's.
+
+`markoffquads.cli` imports this module only for those four commands: a
+fresh `mql` call without a bytecode cache compiles every module it
+imports, and the other commands have no use for this one.  Each of the
+four imports it before its main work.  Imported after a walk, the
+module's objects would sit among the walk's freed memory and keep it
+resident in a process that goes on calling `cli.main`.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .integral import IntegerQuad
+
+
+class RecordSet:
+    """The records of one call, kept as rows.  Iterating gives each
+    row's record dict, built afresh on every pass, as CSV and any other
+    reader of the records see it; `lines` gives their JSON lines."""
+
+    __slots__ = ("rows", "record", "line")
+
+    def __init__(self, rows, record, line):
+        self.rows, self.record, self.line = rows, record, line
+
+    def __iter__(self):
+        return map(self.record, self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def lines(self, encode):
+        """Each row's JSON line from the template, or `encode` of its
+        dict where `line(row)` returns None.  An int past the str digit
+        limit raises the encoder's own ValueError: both convert it with
+        int's repr."""
+        record, line = self.record, self.line
+        for row in self.rows:
+            text = line(row)
+            yield encode(record(row)) + "\n" if text is None else text
+
+
+def _template(encode, head: dict, fields) -> str:
+    """A record's JSON line as a %-format: the items of `head` encoded
+    once, a `%s` for the value of each key in `fields`, and the keys in
+    the encoder's sorted order, which is the order the fields fill in."""
+    items = (encode(k) + ":" + ("%s" if k in fields else encode(head[k]).replace("%", "%%"))
+             for k in sorted([*head, *fields]))
+    return "{" + ",".join(items) + "}\n"
+
+
+def _ints(values) -> str:
+    # a JSON array of ints: str(int) is the repr the encoder writes
+    return "[" + ",".join(map(str, values)) + "]"
+
+
+def quad_records(head: dict, quads, encode) -> RecordSet:
+    """`head` plus `"result": q` for each IntegerQuad q: a tuple, so JSON
+    writes an array and CSV joins it with `;`.  `encode` is the strict
+    encoder, which writes the shared items once."""
+    template = _template(encode, head, ("result",))
+
+    def line(q):
+        # IntegerQuad's constructor admits plain ints only
+        return template % _ints(q) if type(q) is IntegerQuad else None
+
+    return RecordSet(quads, lambda q: {**head, "result": q}, line)
+
+
+def entry_records(head: dict, entries, encode) -> RecordSet:
+    """`head` plus the trace, length, |length|, cell id (or id pair) and
+    word of each SpectrumEntry; `encode` as for `quad_records`."""
+    template = _template(encode, head, ("abs_length", "cell", "length", "trace", "word"))
+    isfinite = math.isfinite
+
+    def record(entry):
+        _, trace, ell, cell_ref, word = entry
+        return {**head, "trace": trace, "length": ell, "abs_length": abs(ell),
+                "cell": cell_ref, "word": word}
+
+    def line(entry):
+        _, t, ell, ref, word = entry
+        if type(t) is not complex or type(ell) is not complex:
+            return None
+        a, tr, ti, lr, li = abs(ell), t.real, t.imag, ell.real, ell.imag
+        if not isfinite(a + tr + ti + lr + li):  # a part is not finite, or the sum overflows
+            return None
+        # a complex is x or [x,y], as cli._complex_json writes it; words
+        # and id pairs hold the walk's int slots and ids
+        if type(ref) is int and type(word) is tuple:
+            word = _ints(word)
+        elif type(ref) is tuple and word is None:
+            ref, word = _ints(ref), "null"
+        else:
+            return None
+        return template % (a, ref, repr(lr) if li == 0.0 else f"[{lr!r},{li!r}]",
+                           repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]", word)
+
+    return RecordSet(entries, record, line)

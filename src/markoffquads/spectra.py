@@ -165,8 +165,6 @@ def systole(
     for pair in sorted(faces):
         e = faces[pair] - 2
         consider(CurveKind.TWO_SIDED, e, two_sided_length(e, tol=tol), pair)
-    if best is None:
-        raise DomainError("no candidate curves found (degenerate quad)")
     _, kind, trace, length, ref = best
     # sink entries are cells 0..3, so every one-sided witness has a cell word
     word = cells.word(ref) if kind is CurveKind.ONE_SIDED else None

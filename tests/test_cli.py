@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markoffquads import cli
+from markoffquads import cli, jsonlines
 from markoffquads.cli import _emit, main, parse_quad
-from markoffquads import DomainError, IntegerQuad, MarkoffQuad, int_flip
+from markoffquads import (CurveKind, DomainError, IntegerQuad, MarkoffQuad, SpectrumEntry,
+                          int_flip)
 
 
 def run_cli(capsys, *argv):
@@ -287,13 +288,15 @@ def test_console_script_runs():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # together the two add about 10 ms to the start-up of every fresh `mql`
-    # call; random (coords) and csv (--format csv) are imported where used.
+    # call; random (coords), csv (--format csv) and markoffquads.jsonlines
+    # (the commands that write many records) are imported where used.
     # -S keeps site's own imports (a .pth file may load random) out of it.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import markoffquads.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect', 'random', 'csv'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect', 'random', 'csv', 'markoffquads.jsonlines'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert time.perf_counter() - start < 1.0
@@ -409,6 +412,11 @@ GOLDEN_DIGESTS = [
      "28e1173b0e518ea1c4d4ce6f8769d3bb8c1d133e390c6ef7ef69ebf79cce9b65"),
     (("spectrum", QF_L, "-L", "100"), 1601,
      "180ce86a55a21b6e34600abbb12374d3e797692ade768e60bf09a332f192a311"),
+    # complex traces, id-pair cells and null words
+    (("spectrum", QF_L, "-L", "60", "--two-sided"), 813,
+     "733f04fea2e397bd6798dff87a6d95564aed30373e73db7b8ee2d6cb35ed6c05"),
+    (("enumerate-integral", "-B", "1000000000000"), 1411,
+     "980b71b8636c63efe67495c8cc8d91431b064b37ddd2b9952dbfa1fbe75c5b4f"),
 ]
 
 
@@ -587,6 +595,114 @@ def test_emit_builds_one_encoder_per_call(monkeypatch):
         _emit([{"i": i, "q": IntegerQuad(4, 4, 4, 4)} for i in range(n)], "jsonl", io.StringIO())
     assert len(markers) == 2 and markers[0] == markers[1] == {}
     assert markers[0] is not markers[1]
+
+
+# each shape that reaches _emit as a record set: two-sided complex, one-sided
+# real with words at several depths, and integer quads
+RECORD_SET_ARGVS = [
+    ("spectrum", QF_L, "-L", "12", "--two-sided"),
+    ("spectrum", "12,4,6,2", "-L", "14"),
+    ("fundamental",),
+    ("enumerate-integral", "-B", str(10 ** 12)),
+]
+
+
+def _stdout_and_records(argv):
+    # main's stdout in JSON Lines, and what it handed to _emit
+    got = []
+    emit = cli._emit
+
+    def capture(records, fmt, out):
+        got.append(records)
+        emit(records, fmt, out)
+
+    out = io.StringIO()
+    with mock.patch.object(cli, "_emit", capture), contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "jsonl"]) == 0, argv
+    [records] = got
+    return out.getvalue(), records
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_main_stdout_equals_json_dumps(monkeypatch, c_encoder):
+    # main writes record sets from a line template, the rest with the encoder
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    cmds, templated = set(), set()
+    for argv in [argv for argv, _ in GOLDEN] + ALL_COMMANDS + RECORD_SET_ARGVS:
+        out, records = _stdout_and_records(argv)
+        recs = list(records)
+        assert out == "".join(_dumps(rec) + "\n" for rec in recs), argv
+        cmds.update(rec["cmd"] for rec in recs)
+        if isinstance(records, jsonlines.RecordSet):
+            templated.update(rec["cmd"] for rec in recs)
+    assert cmds == set(cli._COMMANDS)
+    assert templated == {"spectrum", "systole", "fundamental", "enumerate-integral"}
+
+
+def test_record_set_rows_the_template_cannot_write():
+    # values of other types, and finite parts whose sum overflows, go to the encoder
+    head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
+    ok = SpectrumEntry(CurveKind.ONE_SIDED, 4 + 0j, 2.2 + 0.5j, 0, (1, 2))
+    entries = [ok, ok._replace(trace=True), ok._replace(length=2.5),
+               ok._replace(cell_ref=True), ok._replace(word=[1, 2]),
+               ok._replace(cell_ref=(0, 1)), ok._replace(trace=complex(1e308, 1e308)), ok]
+    quads = [IntegerQuad(4, 4, 4, 4), (True, 4, 4.5, 4), IntegerQuad(4, 4, 4, 4)]
+    for records in (jsonlines.entry_records(head, entries, cli._JSON.encode),
+                    jsonlines.quad_records(head, quads, cli._JSON.encode)):
+        out = io.StringIO()
+        _emit(records, "jsonl", out)
+        assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
+    for bad in (complex(4, math.inf), complex(math.nan, 0.0)):
+        for field in ("trace", "length"):
+            records = jsonlines.entry_records(head, [ok._replace(**{field: bad})],
+                                              cli._JSON.encode)
+            with pytest.raises(DomainError, match="not JSON compliant"):
+                _emit(records, "jsonl", io.StringIO())
+
+
+def _integer_quad_past(digits):
+    # _grown_integer_quad, without the str conversion the digit limit forbids
+    q, i = IntegerQuad(4, 4, 4, 4), 3
+    while max(q) < 10 ** (digits - 1):
+        q, i = int_flip(q, i), 7 - i
+    return q
+
+
+_CANNOT_WRITE = "mql: precondition violation: result cannot be written: "
+_INF_TRACE = lambda entry: entry._replace(trace=complex(math.inf, 0.0))
+
+
+# the stderr texts were pinned from the writer that encoded every record
+@pytest.mark.parametrize("c_encoder", [True, False])
+@pytest.mark.parametrize("argv, name, bad", [
+    (("spectrum", "4,4,4,4", "-L", "120"), "one_sided_spectrum", _INF_TRACE),
+    (("enumerate-integral", "-B", str(10 ** 12)), "enumerate_integral_below",
+     lambda q: _integer_quad_past(4400)),
+], ids=["inf-trace", "long-int"])
+def test_record_set_failure_at_row_600(capsys, monkeypatch, c_encoder, argv, name, bad):
+    code, good, _ = run_cli(capsys, *argv)
+    assert code == 0 and good.count("\n") > 601
+    compute = getattr(cli, name)
+
+    def row_600_bad(*args, **kwargs):
+        rows = compute(*args, **kwargs)
+        rows[600] = bad(rows[600])
+        return rows
+
+    monkeypatch.setattr(cli, name, row_600_bad)
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == "".join(good.splitlines(keepends=True)[:600])
+    if name == "one_sided_spectrum":
+        reason = "Out of range float values are not JSON compliant" + (
+            "" if c_encoder else ": inf")
+    else:
+        reason = ("Exceeds the limit (4300 digits) for integer string conversion; "
+                  "use sys.set_int_max_str_digits() to increase the limit")
+    assert err == _CANNOT_WRITE + reason + "\n"
 
 
 def test_closed_stdout_pipe_exits_quietly():

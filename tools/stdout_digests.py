@@ -1,0 +1,60 @@
+"""Digest what `mql` prints on the benchmark's calls.
+
+Runs every call of the four benchmark workloads at seeds 1-8, once in
+JSON Lines and once in CSV, in this process through
+`markoffquads.cli.main`, and prints one sha256 of (exit code, stdout,
+stderr) per workload and format, then one over all of them.  Two
+checkouts whose outputs match print the same lines:
+
+    python3 tools/stdout_digests.py > new.txt     # in each checkout's root
+    diff old.txt new.txt
+
+The calls come from `perfbench/workloads.py`, imported and not changed.
+The program is imported from this checkout's `src/`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from markoffquads import cli  # noqa: E402
+
+SEEDS = range(1, 9)
+FORMATS = ("jsonl", "csv")
+
+
+def _run(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code}\n{len(out.getvalue())}\n{out.getvalue()}{err.getvalue()}".encode()
+
+
+def main() -> None:
+    if Path(cli.__file__).resolve().parent != ROOT / "src" / "markoffquads":
+        sys.exit(f"imported {cli.__file__}, not this checkout's copy")
+    total = hashlib.sha256()
+    for name in workloads.WORKLOADS:
+        for fmt in FORMATS:
+            h = hashlib.sha256()
+            calls = 0
+            for seed in SEEDS:
+                for call in workloads.build(name, seed):
+                    h.update(_run(["--format", fmt, *call.argv]))
+                    calls += 1
+            line = f"{name} {fmt} {calls} calls {h.hexdigest()}"
+            print(line, flush=True)
+            total.update(line.encode())
+    print(f"total {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
