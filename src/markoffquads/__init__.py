@@ -42,8 +42,6 @@ from .curvecomplex import (
     VertexKind,
     Walk,
     classify_vertex,
-    enumerate_cells,
-    enumerate_faces,
     explore,
     fibonacci_level_counts,
     fibonacci_values,

@@ -113,8 +113,9 @@ def _parse_entry(text: str) -> complex:
 
 
 def parse_quad(text: str, exact: bool = False):
-    """Parse "a,b,c,d".  All-integer input routes to exact arithmetic;
-    --exact forces that route and rejects non-integers."""
+    """Parse "a,b,c,d".  Input of non-negative integers routes to exact
+    arithmetic; --exact forces that route, which rejects non-integers
+    and negative entries."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise _UsageError(f"quad needs 4 comma-separated entries, got {len(parts)}")
@@ -123,8 +124,9 @@ def parse_quad(text: str, exact: bool = False):
             vals = [int(p) for p in parts]
         except ValueError:  # past sys.get_int_max_str_digits()
             raise _UsageError("integer entry has too many digits") from None
-        return IntegerQuad.from_values(vals)
-    if exact:
+        if exact or min(vals) >= 0:
+            return IntegerQuad.from_values(vals)
+    elif exact:
         raise _UsageError("--exact requires all-integer entries")
     return MarkoffQuad.from_values(_parse_entry(p) for p in parts)
 
@@ -451,7 +453,7 @@ def _spectrum_args(p):
 def _mcshane_args(p):
     _add_quad(p)
     p.add_argument("--cutoff", type=_finite_float, default=None)
-    p.add_argument("--target-tol", type=_finite_float, default=None)
+    p.add_argument("--target-tol", type=_positive_float, default=None)
 
 
 def _bq_check_args(p):

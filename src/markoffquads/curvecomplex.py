@@ -12,11 +12,10 @@ summability check.
 `walk` runs that exploration and returns its arrays as a `Walk`: per
 cell id the value, the creating vertex and the slot flipped there, plus
 the faces keyed by id pair.  A cell's flip word is rebuilt from those
-arrays only when asked for (`Walk.word`, `Walk.words`).  `explore`,
-`enumerate_cells` and `enumerate_faces` are views over a walk that
-build every word, `Cell` and sorted `Face`; the library's own callers
-read the arrays instead and build words only for the records that
-print them.
+arrays only when asked for (`Walk.word`, `Walk.words`).  `explore` is
+the view over a walk that builds every word, `Cell` and sorted `Face`;
+the library's own callers read the arrays instead and build words only
+for the records that print them.
 """
 
 from __future__ import annotations
@@ -276,30 +275,6 @@ def explore(
     cells = tuple(map(Cell, range(len(values)), values, w.words()))
     return Exploration(cells=cells, faces=w.sorted_faces(),
                        nodes_visited=w.nodes_visited, budget_hit=w.budget_hit)
-
-
-def enumerate_cells(
-    q: MarkoffQuad,
-    bound: float,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    tol: float = DEFAULT_TOL,
-) -> list[Cell]:
-    """Every distinct cell with |value| <= bound, in discovery order."""
-    w = walk(q, cell_bound=bound, max_cells=max_cells, tol=tol)
-    words = w.words()
-    return [Cell(k, v, words[k]) for k, v in enumerate(w.values) if abs(v) <= bound]
-
-
-def enumerate_faces(
-    q: MarkoffQuad,
-    product_bound: float,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    tol: float = DEFAULT_TOL,
-) -> list[Face]:
-    """Every face with |product| <= product_bound, deduplicated by id
-    pair (identity, not value), sorted by id pair."""
-    w = walk(q, face_bound=product_bound, max_cells=max_cells, tol=tol)
-    return list(w.sorted_faces())
 
 
 class FibonacciAssignment(NamedTuple):

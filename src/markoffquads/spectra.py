@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .curvecomplex import DEFAULT_MAX_CELLS, reduce_to_sink, walk
+from .curvecomplex import DEFAULT_MAX_CELLS, Walk, reduce_to_sink, walk
 from .errors import BudgetExceededError, DomainError
 from .quadalgebra import (
     DEFAULT_TOL,
@@ -51,14 +51,9 @@ def _trace_bound(fn, L: float) -> float:
 # ids and id pairs are unique, so sorting the tuples never compares the
 # complex values behind the key.
 
-def _one_sided_rows(q, L, max_cells, tol, with_words=True) -> list[tuple]:
-    """(|l|, word, id, trace, l) for every one-sided class with |l| < L;
-    word is None unless with_words."""
-    if L <= 0:
-        return []
-    sink, _ = reduce_to_sink(q, tol=tol)
-    bound = _trace_bound(math.sinh, L)
-    w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
+def _one_sided_rows(w: Walk, bound, L, with_words=True) -> list[tuple]:
+    """(|l|, word, id, trace, l) for every cell of w with |trace| <= bound
+    and |l| < L; word is None unless with_words."""
     values = w.values
     words = w.words() if with_words else [None] * len(values)
     rows = []
@@ -71,13 +66,8 @@ def _one_sided_rows(q, L, max_cells, tol, with_words=True) -> list[tuple]:
     return rows
 
 
-def _two_sided_rows(q, L, max_cells, tol) -> list[tuple]:
-    """(|l|, id pair, trace, l) for every two-sided class with |l| < L."""
-    if L <= 0:
-        return []
-    sink, _ = reduce_to_sink(q, tol=tol)
-    product_bound = _trace_bound(math.cosh, L) + 2.0
-    faces = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol).faces
+def _two_sided_rows(faces, L, tol) -> list[tuple]:
+    """(|l|, id pair, trace, l) for every face with |l| < L."""
     rows = []
     for pair in sorted(faces):  # id-pair order decides which degenerate face raises
         e = faces[pair] - 2
@@ -86,6 +76,17 @@ def _two_sided_rows(q, L, max_cells, tol) -> list[tuple]:
         if a < L:
             rows.append((a, pair, e, ell))
     return rows
+
+
+def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
+    """`_one_sided_rows` of a walk from q's sink to the trace bound of L:
+    every one-sided class with |l| < L."""
+    if L <= 0:
+        return []
+    sink, _ = reduce_to_sink(q, tol=tol)
+    bound = _trace_bound(math.sinh, L)
+    w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
+    return _one_sided_rows(w, bound, L, with_words)
 
 
 def one_sided_spectrum(
@@ -98,7 +99,7 @@ def one_sided_spectrum(
     discovery word, then cell id.  The quad is reduced first; since
     |2 sinh(z/2)| <= 2 sinh(|z|/2), enumerating traces up to 2 sinh(L/2)
     is complete."""
-    rows = _one_sided_rows(q, L, max_cells, tol)
+    rows = _one_sided_below(q, L, max_cells, tol)
     rows.sort()
     kind = CurveKind.ONE_SIDED
     return [SpectrumEntry(kind, trace, ell, cid, word) for _, word, cid, trace, ell in rows]
@@ -113,7 +114,12 @@ def two_sided_spectrum(
     """All two-sided classes with |length| < L, deduplicated by cell id
     pair and sorted by |length|, then id pair.  |e| = |2 cosh(l/2)| <=
     2 cosh(|l|/2) bounds the face product by 2 cosh(L/2) + 2."""
-    rows = _two_sided_rows(q, L, max_cells, tol)
+    if L <= 0:
+        return []
+    sink, _ = reduce_to_sink(q, tol=tol)
+    product_bound = _trace_bound(math.cosh, L) + 2.0
+    w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
+    rows = _two_sided_rows(w.faces, L, tol)
     rows.sort()
     kind = CurveKind.TWO_SIDED
     return [SpectrumEntry(kind, trace, ell, pair, None) for _, pair, trace, ell in rows]
@@ -126,14 +132,7 @@ def count_s(
     tol: float = DEFAULT_TOL,
 ) -> int:
     """Number of one-sided classes with |length| < L."""
-    return len(_one_sided_rows(q, L, max_cells, tol, with_words=False))
-
-
-# A one-sided class of trace <= 4 always exists, so only two-sided curves
-# with modest trace can compete for the systole; |ab| <= 18 (trace <= 16)
-# is a conservative cover.
-_SYSTOLE_CELL_BOUND = 4.0
-_SYSTOLE_FACE_BOUND = 18.0
+    return len(_one_sided_below(q, L, max_cells, tol, with_words=False))
 
 
 def systole(
@@ -143,32 +142,32 @@ def systole(
 ) -> tuple[complex, SpectrumEntry]:
     """Shortest curve class by |length|, with its witness.
 
-    Candidates: the four entries of the reduced quad, every cell with
-    |trace| <= 4, and every face with |product| <= 18.
+    The sink bounds its own search.  Let l* be the smallest |length|
+    among its four cells and six faces: a class no longer than l* has
+    |trace| <= 2 sinh(l*/2) if one-sided and |product| <= 2 cosh(l*/2) + 2
+    if two-sided, as in the spectra, so one walk to both bounds sees
+    every candidate.  The bounds never fall below the |trace| or
+    |product| of a sink class of length l*, whatever the rounding of
+    sinh and cosh.  Ties go to one-sided classes, then to the lowest cell
+    id or id pair.  A degenerate sink class raises before the walk.
     """
     sink, _ = reduce_to_sink(q, tol=tol)
-    best = None  # (|length|, kind, trace, length, cell ref) of the first shortest
-
-    def consider(kind, trace, length, ref):
-        nonlocal best
-        if best is None or abs(length) < best[0]:
-            best = (abs(length), kind, trace, length, ref)
-
-    cells = walk(sink, cell_bound=_SYSTOLE_CELL_BOUND, max_cells=max_cells, tol=tol)
-    for cid, value in enumerate(cells.values):
-        if abs(value) <= _SYSTOLE_CELL_BOUND:
-            consider(CurveKind.ONE_SIDED, value, one_sided_length(value), cid)
-    for i, v in enumerate(sink.values()):  # sink entries compete even above the cell bound
-        if abs(v) > _SYSTOLE_CELL_BOUND:
-            consider(CurveKind.ONE_SIDED, v, one_sided_length(v), i)
-    faces = walk(sink, face_bound=_SYSTOLE_FACE_BOUND, max_cells=max_cells, tol=tol).faces
-    for pair in sorted(faces):
-        e = faces[pair] - 2
-        consider(CurveKind.TWO_SIDED, e, two_sided_length(e, tol=tol), pair)
-    _, kind, trace, length, ref = best
-    # sink entries are cells 0..3, so every one-sided witness has a cell word
-    word = cells.word(ref) if kind is CurveKind.ONE_SIDED else None
-    return length, SpectrumEntry(kind, trace, length, ref, word)
+    vals = sink.values()
+    products = [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]
+    cells = [(abs(one_sided_length(v)), abs(v)) for v in vals]
+    faces = [(abs(two_sided_length(p - 2, tol=tol)), abs(p)) for p in products]
+    best = min(cells + faces)[0]
+    cell_bound = max([_trace_bound(math.sinh, best)] + [m for a, m in cells if a == best])
+    face_bound = max([_trace_bound(math.cosh, best) + 2.0] + [m for a, m in faces if a == best])
+    w = walk(sink, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells, tol=tol)
+    one = min(_one_sided_rows(w, cell_bound, math.inf, with_words=False),
+              key=lambda row: (row[0], row[2]), default=None)  # |l|, then id
+    two = min(_two_sided_rows(w.faces, math.inf, tol), default=None)
+    if one is not None and (two is None or one[0] <= two[0]):
+        _, _, cid, trace, length = one
+        return length, SpectrumEntry(CurveKind.ONE_SIDED, trace, length, cid, w.word(cid))
+    _, pair, trace, length = two
+    return length, SpectrumEntry(CurveKind.TWO_SIDED, trace, length, pair, None)
 
 
 class GrowthFit(NamedTuple):
@@ -223,7 +222,7 @@ def growth_exponent(
     ratio = lmax / lmin
     cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
     # the last cutoff may round above lmax, so walk to the largest sample
-    rows = _one_sided_rows(q, max(cutoffs), max_cells, tol, with_words=False)
+    rows = _one_sided_below(q, max(cutoffs), max_cells, tol, with_words=False)
     lengths = sorted(row[0] for row in rows)
     samples = [(L, bisect_left(lengths, L)) for L in cutoffs]
     m, c, res = fit_power_law(samples)

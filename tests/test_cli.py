@@ -38,6 +38,47 @@ def test_parse_quad_routes():
     q = parse_quad("1+2i,1-2i,3,4")
     assert isinstance(q, MarkoffQuad)
     assert q.a == 1 + 2j and q.b == 1 - 2j
+    # a negative integer entry takes the float path, unless --exact forces exactness
+    assert isinstance(parse_quad("0,1,2,-3"), MarkoffQuad)
+    assert isinstance(parse_quad("4,4,4,4", exact=True), IntegerQuad)
+    with pytest.raises(DomainError, match="negative"):
+        parse_quad("0,1,2,-3", exact=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--", "{}"),
+    ("flip", "-i", "1", "--", "{}"),
+    ("flip", "-i", "4", "--", "{}"),
+    ("reduce", "--", "{}"),
+    ("systole", "--", "{}"),
+])
+@pytest.mark.parametrize("quad, float_quad", [("-4,-4,-4,-4", "-4.0,-4,-4,-4"),
+                                              ("0,1,2,-3", "0.0,1,2,-3")])
+def test_negative_integer_entries_take_the_float_path(capsys, argv, quad, float_quad):
+    # the same record as the quad written with one float entry, bar "quad"
+    results = []
+    for text in (quad, float_quad):
+        code, out, err = run_cli(capsys, *(a.format(text) for a in argv))
+        recs = lines(out)
+        for rec in recs:
+            assert rec.pop("quad") == text
+        results.append((code, recs, err))
+    assert results[0] == results[1]
+    code, recs, err = results[0]
+    if argv[0] == "systole" and quad == "0,1,2,-3":
+        assert (code, recs) == (4, []) and "zero trace" in err
+    else:
+        assert code == 0 and len(recs) == 1 and err == ""
+    code, out, err = run_cli(capsys, argv[0], "--exact", *(a.format(quad) for a in argv[1:]))
+    assert (code, out) == (4, "") and "is negative" in err
+
+
+def test_non_summable_systole_is_a_precondition_violation(capsys):
+    # the sink's zero trace raises before any walk, not a spent budget (exit 3)
+    for quad in ("0,0,0,0", "0.0,1,2,-3"):
+        code, out, err = run_cli(capsys, "systole", quad)
+        assert (code, out) == (4, "")
+        assert err == "mql: precondition violation: zero trace: parabolic/degenerate one-sided class\n"
 
 
 def test_verify_exit_codes(capsys):
@@ -473,6 +514,8 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     # a tolerance must be positive, as verify_quad requires
     (("--tol", "-1", "systole", "4,4,4,4"), 1),
     (("--tol", "0", "verify", "4.0,4,4,4"), 1),
+    (("mcshane", "4,4,4,4", "--target-tol", "0"), 1),
+    (("mcshane", "4,4,4,4", "--target-tol", "-1e-3"), 1),
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -788,7 +831,7 @@ def _reject_constant(name):
 
 _NUM = st.sampled_from(["nan", "inf", "1e308", "1500", "-5", "x", BIG_INT, "1e200",
                         "0", "3", "10", "1e-3"])
-_VALID_QUAD = st.sampled_from(["4,4,4,4", "2,5,5,8", "0,0,0,0", QF, INT400,
+_VALID_QUAD = st.sampled_from(["4,4,4,4", "2,5,5,8", "0,0,0,0", "0,1,2,-3", QF, INT400,
                                "1e200,1e200,1e200,1e200"])
 # valid quads twice over, so that most draws get past parsing
 _QUAD = st.one_of(_VALID_QUAD, _VALID_QUAD,
@@ -823,6 +866,8 @@ def _assert_finite_csv(text):
     for row in csv.reader(io.StringIO(text)):
         for field in row:
             for part in field.split(";"):
+                if re.fullmatch(r"-?\d+", part):
+                    continue  # an exact integer is finite at any size
                 try:
                     z = complex(part.replace("i", "j"))
                 except ValueError:

@@ -10,8 +10,6 @@ from markoffquads import (
     VertexKind,
     classify_vertex,
     complete_quad,
-    enumerate_cells,
-    enumerate_faces,
     explore,
     fibonacci_level_counts,
     fibonacci_values,
@@ -19,6 +17,7 @@ from markoffquads import (
     flips,
     reduce_to_sink,
     spiral_sequence,
+    walk,
 )
 from helpers import (
     brute_flip,
@@ -89,29 +88,35 @@ def test_reduce_to_sink_budget():
         reduce_to_sink(MarkoffQuad(484, 4, 4, 36), max_steps=1)
 
 
-def test_enumerate_cells_examples():
-    cells = enumerate_cells(Q4, 36)
+def _cells_within(q, bound, **kw):
+    """(id, value) of every cell of a cell-bound walk with |value| <= bound."""
+    w = walk(q, cell_bound=bound, **kw)
+    return [(k, v) for k, v in enumerate(w.values) if abs(v) <= bound]
+
+
+def test_walk_cells_examples():
+    cells = _cells_within(Q4, 36)
     assert len(cells) == 8
-    assert sorted(abs(c.value) for c in cells) == [4, 4, 4, 4, 36, 36, 36, 36]
-    assert [c.id for c in cells] == list(range(8))
-    assert len(enumerate_cells(Q4, 4)) == 4
-    assert len(enumerate_cells(Q4, 3)) == 0
+    assert sorted(abs(v) for _, v in cells) == [4, 4, 4, 4, 36, 36, 36, 36]
+    assert [k for k, _ in cells] == list(range(8))
+    assert len(_cells_within(Q4, 4)) == 4
+    assert len(_cells_within(Q4, 3)) == 0
 
 
-def test_enumerate_cells_budget():
+def test_walk_cells_budget():
     with pytest.raises(BudgetExceededError):
-        enumerate_cells(Q4, 1e12, max_cells=20)
+        _cells_within(Q4, 1e12, max_cells=20)
 
 
-def test_enumerate_faces_examples():
-    faces = enumerate_faces(Q4, 16)
+def test_walk_faces_examples():
+    faces = walk(Q4, face_bound=16).sorted_faces()
     assert len(faces) == 6
     assert all(abs(f.product - 16) <= 1e-12 for f in faces)
     assert sorted(f.cells for f in faces) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    faces = enumerate_faces(Q4, 144)
+    faces = walk(Q4, face_bound=144).sorted_faces()
     assert len(faces) == 18
     assert sum(1 for f in faces if abs(f.product - 144) <= 1e-9) == 12
-    assert enumerate_faces(Q4, 15) == []
+    assert walk(Q4, face_bound=15).sorted_faces() == ()
 
 
 def test_pruned_matches_unpruned_walk():

@@ -214,10 +214,10 @@ def test_mcshane_verify_cross_checks_the_summed_terms(monkeypatch):
 
 def test_bq_enumeration_reaches_product_ten_face():
     # at k = 10 the (2,5) pair of (2,5,5,8) is inside the enumerated set
-    from markoffquads import enumerate_faces
+    from markoffquads import walk
 
-    faces = enumerate_faces(MarkoffQuad(2, 5, 5, 8), 10)
-    assert any(abs(f.product - 10) <= 1e-12 for f in faces)
+    faces = walk(MarkoffQuad(2, 5, 5, 8), face_bound=10).faces
+    assert any(abs(p - 10) <= 1e-12 for p in faces.values())
 
 
 def test_check_bq_truncates_on_budget():

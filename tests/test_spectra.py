@@ -2,16 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markoffquads import (
+    BranchCutError,
     BudgetExceededError,
     CurveKind,
+    DegenerateClassError,
     DomainError,
     MarkoffQuad,
     SpectrumEntry,
     count_s,
     explore,
     fit_power_law,
+    flip_value,
     growth_exponent,
     klein_sequence,
     mcg_apply,
@@ -19,11 +24,13 @@ from markoffquads import (
     one_sided_spectrum,
     reduce_to_sink,
     sample_fuchsian_quad,
+    spectra,
     systole,
     two_sided_length,
     two_sided_spectrum,
+    walk,
 )
-from helpers import unpruned_count_below_length
+from helpers import completion_roots, perturb_quad, unpruned_count_below_length
 
 Q4 = MarkoffQuad(4, 4, 4, 4)
 
@@ -138,6 +145,91 @@ def test_systole_examples():
 def test_systole_from_unreduced_start():
     length, _ = systole(MarkoffQuad(484, 4, 4, 36))
     assert length == pytest.approx(2 * math.asinh(2), abs=1e-12)
+
+
+# (quad, |length|, trace) of the witness, all sink cell 0 with the empty
+# word: the nine reduced integer quads, and one unreduced start.  For
+# (4,4,4,4) the bound 2 sinh(l*/2) rounds to 3.9999999999999996, below
+# the witness's own trace 4.
+SYSTOLE_WITNESSES = [
+    *[(q, 0.9624236501192069, 1) for q in ((1, 5, 24, 30), (1, 6, 14, 21),
+                                           (1, 8, 9, 18), (1, 9, 10, 10))],
+    *[(q, 1.762747174039086, 2) for q in ((2, 3, 10, 15), (2, 4, 6, 12), (2, 5, 5, 8))],
+    ((3, 3, 6, 6), 2.389526434574219, 3),
+    ((4, 4, 4, 4), 2.8872709503576206, 4),
+    ((484, 4, 4, 36), 2.8872709503576206, 4),
+]
+
+
+@pytest.mark.parametrize("vals, length, trace", SYSTOLE_WITNESSES)
+def test_systole_witnesses_pinned(vals, length, trace):
+    ell, w = systole(MarkoffQuad(*vals))
+    assert ell == w.length == length
+    assert (w.kind, w.cell_ref, w.word, w.trace) == (CurveKind.ONE_SIDED, 0, (), trace)
+
+
+def test_systole_walks_once(monkeypatch):
+    calls = []
+    real_walk = spectra.walk
+
+    def counting_walk(*args, **kwargs):
+        calls.append(kwargs)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "walk", counting_walk)
+    rng = random.Random(3)
+    quads = [Q4, MarkoffQuad(484, 4, 4, 36), MarkoffQuad(1, 5, 24, 30),
+             *(sample_fuchsian_quad(rng) for _ in range(5))]
+    for q in quads:
+        calls.clear()
+        systole(q)
+        assert len(calls) == 1
+        assert calls[0]["cell_bound"] is not None and calls[0]["face_bound"] is not None
+
+
+def test_systole_degenerate_sink_raises_before_walking(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(spectra, "walk", refuse)
+    for vals in ((0, 0, 0, 0), (0, 1, 2, -3)):
+        with pytest.raises(DegenerateClassError, match="zero trace"):
+            systole(MarkoffQuad(*vals))
+    # no zero cell in its sink, but a face with product in [0, 4]
+    d = min(completion_roots(2, -2, 2), key=lambda r: r.real).real
+    with pytest.raises(BranchCutError):
+        systole(MarkoffQuad(2, -2, 2, d))
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([1e-3, 1e-2, 5e-2, 0.2]))
+@example(2, 1e-2)  # two-sided witnesses, which random draws seldom give
+@example(62, 1e-3)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_systole_quasi_fuchsian_oracle(seed, scale):
+    # a second walk, to the bounds that the returned |length| implies (with
+    # room for rounding), finds no shorter class; the witness replays
+    rng = random.Random(seed)
+    base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
+    q = MarkoffQuad.from_values(perturb_quad(base.values(), rng, scale=scale))
+    ell, w = systole(q, tol=1e-6)
+    best = abs(ell)
+    sink, _ = reduce_to_sink(q, tol=1e-6)
+    cell_bound = 2 * math.sinh(best / 2) * (1 + 1e-9)
+    cells = walk(sink, cell_bound=cell_bound, tol=1e-6).values
+    assert all(abs(one_sided_length(v)) >= best for v in cells if abs(v) <= cell_bound)
+    faces = walk(sink, face_bound=(2 * math.cosh(best / 2) + 2) * (1 + 1e-9), tol=1e-6).faces
+    assert all(abs(two_sided_length(p - 2, tol=1e-6)) >= best for p in faces.values())
+    assert abs(w.length) == best
+    if w.kind is CurveKind.ONE_SIDED:
+        vals = list(sink.values())
+        for i in w.word:
+            vals[i - 1] = flip_value(vals, i)
+        assert vals[w.word[-1] - 1 if w.word else w.cell_ref] == w.trace
+        assert one_sided_length(w.trace) == ell
+    else:
+        assert w.word is None
+        assert w.trace in [p - 2 for p in faces.values()]
+        assert two_sided_length(w.trace, tol=1e-6) == ell
 
 
 def test_spectrum_mapping_class_invariance():

@@ -1,5 +1,5 @@
 """The array walk (`walk`) and the callers that read it instead of the
-word-building view (`explore`, `enumerate_cells`, `enumerate_faces`)."""
+word-building view (`explore`)."""
 
 import math
 import random
@@ -121,12 +121,11 @@ def test_hot_paths_stay_off_the_word_building_view(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a hot path called the word-building view")
 
-    for name in ("explore", "enumerate_cells", "enumerate_faces"):
-        fn = getattr(curvecomplex, name)
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("markoffquads")
-                    and getattr(mod, name, None) is fn):
-                monkeypatch.setattr(mod, name, refuse)
+    fn = curvecomplex.explore
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("markoffquads")
+                and getattr(mod, "explore", None) is fn):
+            monkeypatch.setattr(mod, "explore", refuse)
     with pytest.raises(AssertionError):
         markoffquads.explore(MarkoffQuad(4, 4, 4, 4), cell_bound=10)
 
