@@ -182,12 +182,15 @@ def walk(
     "raise" or "truncate"; a truncated walk keeps everything found
     before the budget ran out.
 
-    Each vertex gets its flips from one `flips` call.  That kernel must
-    keep the operation order of `flip_value` (product of the other three
-    in slot order, minus twice their sum, minus the old entry): float
-    arithmetic is not associative, so any other order changes the low
-    bits of cell values, and with them lengths, sums and, at a bound,
-    which cells are kept.
+    Each queued vertex is one flat tuple (its name, arrival slot, four
+    cell ids and four values), and the loop body is written out once per
+    slot: the arrival cell's faces in one branch per arrival slot, then
+    one block per flip.  Each vertex gets its flips from one `flips`
+    call.  That kernel must keep the operation order of `flip_value`
+    (product of the other three in slot order, minus twice their sum,
+    minus the old entry): float arithmetic is not associative, so any
+    other order changes the low bits of cell values, and with them
+    lengths, sums and, at a bound, which cells are kept.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
@@ -197,61 +200,121 @@ def walk(
     parents = [0] * 4
     slots = [0] * 4
     faces: dict[tuple[int, int], complex] = {}
-    if face_bound is not None:
+    record_faces = face_bound is not None
+    if record_faces:
         for i in range(4):
             for j in range(i + 1, 4):
                 p = root_vals[i] * root_vals[j]
                 if abs(p) <= face_bound:
                     faces[(i, j)] = p
-    # queue entries: (vertex name, arrival slot 0..3 or -1, cell ids, values)
-    queue = deque([(0, -1, (0, 1, 2, 3), root_vals)])
+    # no magnitude is <= -1: an absent cell bound keeps nothing
+    cbound = -1.0 if cell_bound is None else cell_bound
+    exhausted = f"cell budget {max_cells} exhausted; suspected non-summable input"
+    # one flat record per queued vertex: (vertex name, arrival slot 0..3
+    # or -1 at the root, the four cell ids, the four values)
+    queue = deque([(0, -1, 0, 1, 2, 3, *root_vals)])
+    push, pop = queue.append, queue.popleft
+    add_value, add_parent, add_slot = values.append, parents.append, slots.append
+    n = 4  # cells so far, and the id of the next
     visited = 0
     budget_hit = False
     try:
         while queue:
-            name, back, ids, vals = queue.popleft()
+            name, back, ia, ib, ic, id_, a, b, c, d = pop()
             visited += 1
-            if face_bound is not None and back >= 0:
+            if record_faces:
                 # only the faces of the cell created on arrival are new
-                # here: the other three pairs met at the parent
-                v = vals[back]
-                for j in range(4):
-                    if j != back:
-                        p = vals[j] * v if j < back else v * vals[j]
-                        if abs(p) <= face_bound:
-                            faces[(ids[j], name)] = p
-            a, b, c, d = vals
-            ia, ib, ic, id_ = ids
+                # here: the other three pairs met at the parent.  Each
+                # product takes the lower slot first.
+                if back == 0:
+                    p = a * b
+                    if abs(p) <= face_bound:
+                        faces[(ib, name)] = p
+                    p = a * c
+                    if abs(p) <= face_bound:
+                        faces[(ic, name)] = p
+                    p = a * d
+                    if abs(p) <= face_bound:
+                        faces[(id_, name)] = p
+                elif back == 1:
+                    p = a * b
+                    if abs(p) <= face_bound:
+                        faces[(ia, name)] = p
+                    p = b * c
+                    if abs(p) <= face_bound:
+                        faces[(ic, name)] = p
+                    p = b * d
+                    if abs(p) <= face_bound:
+                        faces[(id_, name)] = p
+                elif back == 2:
+                    p = a * c
+                    if abs(p) <= face_bound:
+                        faces[(ia, name)] = p
+                    p = b * c
+                    if abs(p) <= face_bound:
+                        faces[(ib, name)] = p
+                    p = c * d
+                    if abs(p) <= face_bound:
+                        faces[(id_, name)] = p
+                elif back == 3:
+                    p = a * d
+                    if abs(p) <= face_bound:
+                        faces[(ia, name)] = p
+                    p = b * d
+                    if abs(p) <= face_bound:
+                        faces[(ib, name)] = p
+                    p = c * d
+                    if abs(p) <= face_bound:
+                        faces[(ic, name)] = p
             ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
             fa, fb, fc, fd = flips(a, b, c, d)
-            # per slot: the flip and the three magnitudes it leaves in place
-            for i, v, x, y, z in ((0, fa, mb, mc, md), (1, fb, ma, mc, md),
-                                  (2, fc, ma, mb, md), (3, fd, ma, mb, mc)):
-                if i == back:
-                    continue
-                # never prune a strictly descending direction; otherwise
-                # extend only while the new value can still matter
-                m = abs(v)
-                if not (m < x or m < y or m < z
-                        or (cell_bound is not None and m <= cell_bound)
-                        or (face_bound is not None and m * min(x, y, z) <= face_bound)):
-                    continue
-                if len(values) >= max_cells:
-                    raise BudgetExceededError(
-                        f"cell budget {max_cells} exhausted; suspected non-summable input"
-                    )
-                new = len(values)
-                values.append(v)
-                parents.append(name)
-                slots.append(i + 1)
-                if i == 0:
-                    queue.append((new, 0, (new, ib, ic, id_), (v, b, c, d)))
-                elif i == 1:
-                    queue.append((new, 1, (ia, new, ic, id_), (a, v, c, d)))
-                elif i == 2:
-                    queue.append((new, 2, (ia, ib, new, id_), (a, b, v, d)))
-                else:
-                    queue.append((new, 3, (ia, ib, ic, new), (a, b, c, v)))
+            # per slot, never prune a strictly descending direction (below
+            # one of the three magnitudes the flip leaves in place);
+            # otherwise extend only while the new value can still matter
+            if back != 0:
+                m = abs(fa)
+                if (m < mb or m < mc or m < md or m <= cbound
+                        or (record_faces and m * min(mb, mc, md) <= face_bound)):
+                    if n >= max_cells:
+                        raise BudgetExceededError(exhausted)
+                    add_value(fa)
+                    add_parent(name)
+                    add_slot(1)
+                    push((n, 0, n, ib, ic, id_, fa, b, c, d))
+                    n += 1
+            if back != 1:
+                m = abs(fb)
+                if (m < ma or m < mc or m < md or m <= cbound
+                        or (record_faces and m * min(ma, mc, md) <= face_bound)):
+                    if n >= max_cells:
+                        raise BudgetExceededError(exhausted)
+                    add_value(fb)
+                    add_parent(name)
+                    add_slot(2)
+                    push((n, 1, ia, n, ic, id_, a, fb, c, d))
+                    n += 1
+            if back != 2:
+                m = abs(fc)
+                if (m < ma or m < mb or m < md or m <= cbound
+                        or (record_faces and m * min(ma, mb, md) <= face_bound)):
+                    if n >= max_cells:
+                        raise BudgetExceededError(exhausted)
+                    add_value(fc)
+                    add_parent(name)
+                    add_slot(3)
+                    push((n, 2, ia, ib, n, id_, a, b, fc, d))
+                    n += 1
+            if back != 3:
+                m = abs(fd)
+                if (m < ma or m < mb or m < mc or m <= cbound
+                        or (record_faces and m * min(ma, mb, mc) <= face_bound)):
+                    if n >= max_cells:
+                        raise BudgetExceededError(exhausted)
+                    add_value(fd)
+                    add_parent(name)
+                    add_slot(4)
+                    push((n, 3, ia, ib, ic, n, a, b, c, fd))
+                    n += 1
     except BudgetExceededError:
         if on_budget == "raise":
             raise

@@ -122,7 +122,15 @@ class McShaneReport(NamedTuple):
 
 
 def _require_summable(q, max_cells, tol):
-    # the [0, 4] faces do not depend on the cutoff: check them once per sum
+    # the [0, 4] faces do not depend on the cutoff: check them once per sum.
+    # Root faces (0, 1), (0, 2) and (0, 3) sort before every other id
+    # pair, so check_bq would report them first: test them before walking.
+    q.require_valid(tol)
+    vals = q.values()
+    for j in (1, 2, 3):
+        p = vals[0] * vals[j]
+        if abs(p) <= 4.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:
+            raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
     bq = check_bq(q, 4.0, max_cells=max_cells, quad_tol=tol)
     if bq.violations:
         raise BqViolationError(

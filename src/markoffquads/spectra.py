@@ -85,6 +85,9 @@ def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
     bound = _trace_bound(math.sinh, L)
+    for v in sink.values():
+        if v == 0:  # a parabolic class within every bound: raise before the walk
+            one_sided_length(v)
     w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
     return _one_sided_rows(w, bound, L, with_words)
 
@@ -118,6 +121,13 @@ def two_sided_spectrum(
         return []
     sink, _ = reduce_to_sink(q, tol=tol)
     product_bound = _trace_bound(math.cosh, L) + 2.0
+    # root faces (0, 1), (0, 2) and (0, 3) sort before every other id pair,
+    # so a degenerate one among them is the face the rows would raise on
+    vals = sink.values()
+    for j in (1, 2, 3):
+        p = vals[0] * vals[j]
+        if abs(p) <= product_bound:
+            two_sided_length(p - 2, tol=tol)
     w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
     rows = _two_sided_rows(w.faces, L, tol)
     rows.sort()

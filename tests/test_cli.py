@@ -262,11 +262,31 @@ def test_klein_subcommand(capsys):
 
 
 def test_non_summable_quad_hits_budget(capsys):
-    # the zero quad has an infinite family of zero cells: divergence is
-    # made observable by the budget guard
-    code, _, err = run_cli(capsys, "spectrum", "0,0,0,0", "-L", "2",
-                           "--two-sided")
+    # the elliptic face (1, 2), product 1, circles an infinite family of
+    # bounded cells: divergence is made observable by the budget guard
+    code, _, err = run_cli(capsys, "spectrum", "8,1,1,-6-8i", "-L", "10",
+                           "--two-sided", "--max-cells", "20000")
     assert code == 3
+    assert err == "mql: budget exhausted: cell budget 20000 exhausted; suspected non-summable input\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "0,1,2,-3", "-L", "3"), "zero trace: parabolic/degenerate one-sided class"),
+    (("spectrum", "0,0,0,0", "-L", "3"), "zero trace: parabolic/degenerate one-sided class"),
+    (("growth", "0,0,0,0", "--lmin", "1", "--lmax", "3", "--shells", "4"),
+     "zero trace: parabolic/degenerate one-sided class"),
+    (("spectrum", "0,0,0,0", "-L", "3", "--two-sided"),
+     "two-sided trace (-2+0j) within 1e-09 of [-2,2]"),
+    (("mcshane", "0,0,0,0", "--cutoff", "10"), "face product 0j lies in [0,4]; sum undefined"),
+    (("mcshane", "0,1,2,-3", "--target-tol", "1e-3"),
+     "face product 0j lies in [0,4]; sum undefined"),
+], ids=["spectrum-0123", "spectrum-0000", "growth", "two-sided", "mcshane-cutoff", "mcshane-verify"])
+def test_degenerate_sink_is_a_precondition_violation(capsys, argv, message):
+    # a zero sink entry, or a degenerate face of the root's first cell,
+    # raises before the walk instead of spending the budget (exit 3)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == f"mql: precondition violation: {message}\n"
 
 
 def test_domain_error_exit_4(capsys):

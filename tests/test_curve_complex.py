@@ -3,6 +3,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from markoffquads import (
     BudgetExceededError,
@@ -16,12 +18,14 @@ from markoffquads import (
     flip_value,
     flips,
     reduce_to_sink,
+    sample_fuchsian_quad,
     spiral_sequence,
     walk,
 )
 from helpers import (
     brute_flip,
     jordan_totient2,
+    perturb_quad,
     random_complex_quad,
     unpruned_walk,
 )
@@ -347,12 +351,14 @@ def test_fibonacci_two_routes_agree():
 def _reference_explore(vals, cell_bound, face_bound, max_cells):
     """explore() restated flip by flip: one flip_value call per edge, the
     growth rule from its docstring, every pair checked at every visited
-    vertex and the first product kept, and a budget that stops the walk."""
+    vertex and the first product kept, and a budget that stops the walk.
+    Faces come back in discovery order; the last item is the slot (1..4)
+    whose flip the budget refused, or None."""
     cells = [(k, v, ()) for k, v in enumerate(vals)]
     faces = {}
     queue = deque([((0, 1, 2, 3), tuple(vals), None, ())])
-    visited, budget_hit = 0, False
-    while queue and not budget_hit:
+    visited, stop = 0, None
+    while queue and stop is None:
         ids, here, back, word = queue.popleft()
         visited += 1
         if face_bound is not None:
@@ -371,7 +377,7 @@ def _reference_explore(vals, cell_bound, face_bound, max_cells):
                     or (face_bound is not None and abs(v) * min(kept) <= face_bound)):
                 continue
             if len(cells) >= max_cells:
-                budget_hit = True
+                stop = i
                 break
             new = len(cells)
             cells.append((new, v, word + (i,)))
@@ -379,8 +385,31 @@ def _reference_explore(vals, cell_bound, face_bound, max_cells):
             nids[i - 1], nvals[i - 1] = new, v
             queue.append((tuple(nids), tuple(nvals), i, word + (i,)))
     return ([(k, repr(v), w) for k, v, w in cells],
-            [(pair, repr(p)) for pair, p in sorted(faces.items())],
-            visited, budget_hit)
+            [(pair, repr(p)) for pair, p in faces.items()],
+            visited, stop is not None, stop)
+
+
+def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget="truncate"):
+    """Assert that walk and explore agree bit for bit with the reference
+    (same ids, values by repr, words, faces in discovery order, node
+    count and budget flag), truncated walks included; return the
+    reference's result."""
+    q = MarkoffQuad.from_values(vals)
+    ref = _reference_explore(q.values(), cell_bound, face_bound, max_cells)
+    cells, faces, visited, budget_hit, _ = ref
+    kw = dict(cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells,
+              on_budget=on_budget)
+    if budget_hit and on_budget == "raise":
+        with pytest.raises(BudgetExceededError, match=f"cell budget {max_cells} exhausted"):
+            walk(q, **kw)
+        return ref
+    w, ex = walk(q, **kw), explore(q, **kw)
+    assert [(c.id, repr(c.value), c.word) for c in ex.cells] == cells
+    assert [(pair, repr(p)) for pair, p in w.faces.items()] == faces
+    assert [(f.cells, repr(f.product)) for f in ex.faces] == sorted(faces)
+    assert (w.nodes_visited, w.budget_hit) == (visited, budget_hit)
+    assert (ex.nodes_visited, ex.budget_hit) == (visited, budget_hit)
+    return ref
 
 
 _REAL = (3.0, 4.0, 5.0, complete_quad(3.0, 4.0, 5.0)[1])
@@ -399,13 +428,35 @@ _QUASI_FUCHSIAN = (3 + 0.1j, 4 - 0.2j, 5.0, complete_quad(3 + 0.1j, 4 - 0.2j, 5.
     ((484, 4, 4, 36), None, 10.0, 200_000),
 ])
 def test_explore_matches_reference_bfs(vals, cell_bound, face_bound, max_cells):
-    # bit-exact: same ids, values (by repr), words, faces, node count and
-    # budget flag as the flip-by-flip walk, truncated walks included
-    ex = explore(MarkoffQuad.from_values(vals), cell_bound=cell_bound,
-                 face_bound=face_bound, max_cells=max_cells, on_budget="truncate")
-    cells, faces, visited, budget_hit = _reference_explore(
-        MarkoffQuad.from_values(vals).values(), cell_bound, face_bound, max_cells)
-    assert [(c.id, repr(c.value), c.word) for c in ex.cells] == cells
-    assert [(f.cells, repr(f.product)) for f in ex.faces] == faces
-    assert (ex.nodes_visited, ex.budget_hit) == (visited, budget_hit)
+    cells = _check_against_reference(vals, cell_bound, face_bound, max_cells)[0]
     assert len(cells) > 4
+
+
+@pytest.mark.parametrize("vals", [(0, 0, 0, 0), (4, 4, 4, 4), _QUASI_FUCHSIAN])
+@pytest.mark.parametrize("cell_bound, face_bound", [(1e8, None), (None, 1e12), (1e7, 1e10)])
+def test_walk_matches_reference_at_every_truncation(vals, cell_bound, face_bound):
+    # every walk here has more than 120 cells, so the budget runs out at
+    # each cell count from 4 to 120 and is checked for the flip of every
+    # slot
+    stops = set()
+    for max_cells in range(4, 121):
+        cells, _, _, budget_hit, stop = _check_against_reference(
+            vals, cell_bound, face_bound, max_cells)
+        assert budget_hit and len(cells) == max_cells
+        stops.add(stop)
+    assert stops == {1, 2, 3, 4}
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([1e-3, 1e-2, 5e-2]),
+       st.one_of(st.none(), st.floats(0, 30)), st.one_of(st.none(), st.floats(0, 40)),
+       st.integers(1, 2000), st.sampled_from(["raise", "truncate"]))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_face,
+                                                   max_cells, on_budget):
+    assume(log_cell is not None or log_face is not None)
+    rng = random.Random(seed)
+    base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
+    vals = perturb_quad(base.values(), rng, scale=scale)
+    _check_against_reference(vals, None if log_cell is None else 10 ** log_cell,
+                             None if log_face is None else 10 ** log_face,
+                             max_cells, on_budget)

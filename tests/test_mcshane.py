@@ -15,6 +15,7 @@ from markoffquads import (
     finite_tree_psi_sum,
     flip,
     h,
+    mcshane,
     mcshane_partial,
     mcshane_verify,
     psi,
@@ -115,6 +116,32 @@ def test_relation_tol_reaches_the_summability_pre_pass():
 def test_mcshane_partial_rejects_bq_violation():
     with pytest.raises(BqViolationError):
         mcshane_partial(MarkoffQuad(0, 0, 0, 0), 100)
+
+
+def test_root_face_violation_raises_before_walking(monkeypatch):
+    walks = []
+    real_walk = mcshane.walk
+
+    def counting_walk(*args, **kwargs):
+        walks.append(kwargs)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(mcshane, "walk", counting_walk)
+    for vals in ((0, 0, 0, 0), (0, 1, 2, -3), (0.0, 1, 2, -3)):
+        q = MarkoffQuad.from_values(vals)
+        with pytest.raises(BqViolationError, match=r"face product 0j lies in \[0,4\]"):
+            mcshane_partial(q, 10)
+        with pytest.raises(BqViolationError, match=r"face product 0j lies in \[0,4\]"):
+            mcshane_verify(q, 1e-3)
+    assert walks == []
+    # a violating face away from cell 0 still waits for the walk
+    q = MarkoffQuad.from_values((8, 1, 1, -6 - 8j))
+    with pytest.raises(BqViolationError, match=r"face product \(1\+0j\) lies in \[0,4\]"):
+        mcshane_partial(q, 10, max_cells=2000)
+    assert len(walks) == 1
+    # an invalid quad is still reported as invalid first
+    with pytest.raises(InvalidQuadError):
+        mcshane_partial(MarkoffQuad(0, 0, 0, 1), 10)
 
 
 def test_mcshane_monotone_bounded():

@@ -187,6 +187,33 @@ def test_systole_walks_once(monkeypatch):
         assert calls[0]["cell_bound"] is not None and calls[0]["face_bound"] is not None
 
 
+def test_spectra_degenerate_sink_raise_before_walking(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(spectra, "walk", refuse)
+    for vals in ((0, 0, 0, 0), (0, 1, 2, -3)):
+        q = MarkoffQuad(*vals)
+        for run in (lambda: one_sided_spectrum(q, 3), lambda: count_s(q, 3),
+                    lambda: growth_exponent(q, 1, 3, 4)):
+            with pytest.raises(DegenerateClassError, match="zero trace"):
+                run()
+        # the root's face (0, 1) has product 0, trace -2
+        with pytest.raises(BranchCutError, match=r"two-sided trace \(-2\+0j\)"):
+            two_sided_spectrum(q, 3)
+        assert one_sided_spectrum(q, 0) == two_sided_spectrum(q, 0) == []
+
+
+def test_two_sided_spectrum_checks_only_the_first_cells_faces_before_walking():
+    # the degenerate face (1, 2) is found by the walk, as before: the
+    # walk ends first and the rows raise, or the budget runs out
+    q = MarkoffQuad.from_values((8, 1, 1, -6 - 8j))
+    with pytest.raises(BranchCutError, match=r"two-sided trace \(-1\+0j\)"):
+        two_sided_spectrum(q, 2)
+    with pytest.raises(BudgetExceededError):
+        two_sided_spectrum(q, 10, max_cells=2000)
+
+
 def test_systole_degenerate_sink_raises_before_walking(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked")

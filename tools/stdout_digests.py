@@ -3,8 +3,12 @@
 Runs every call of the four benchmark workloads at seeds 1-8, once in
 JSON Lines and once in CSV, in this process through
 `markoffquads.cli.main`, and prints one sha256 of (exit code, stdout,
-stderr) per workload and format, then one over all of them.  Two
-checkouts whose outputs match print the same lines:
+stderr) per workload and format.  The `walks` line is one sha256 over
+every `Walk` those calls make: values by repr, parents, slots, faces in
+insertion order, nodes visited and the budget flag, so a change to the
+walk shows even where stdout does not.  The `total` line is one sha256
+over the workload lines.  Two checkouts whose outputs match print the
+same lines:
 
     python3 tools/stdout_digests.py > new.txt     # in each checkout's root
     diff old.txt new.txt
@@ -25,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from markoffquads import cli  # noqa: E402
+from markoffquads import cli, curvecomplex, mcshane, spectra  # noqa: E402
 
 SEEDS = range(1, 9)
 FORMATS = ("jsonl", "csv")
@@ -38,21 +42,46 @@ def _run(argv: list[str]) -> bytes:
     return f"{code}\n{len(out.getvalue())}\n{out.getvalue()}{err.getvalue()}".encode()
 
 
+@contextlib.contextmanager
+def _digesting_walks(h):
+    """Feed every `Walk` returned inside the block into h, by wrapping
+    `walk` in each module that binds it."""
+    real = curvecomplex.walk
+    modules = (curvecomplex, spectra, mcshane)
+
+    def digesting_walk(*args, **kwargs):
+        w = real(*args, **kwargs)
+        h.update(repr((w.values, w.parents, w.slots, list(w.faces.items()),
+                       w.nodes_visited, w.budget_hit)).encode())
+        return w
+
+    for module in modules:
+        module.walk = digesting_walk
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.walk = real
+
+
 def main() -> None:
     if Path(cli.__file__).resolve().parent != ROOT / "src" / "markoffquads":
         sys.exit(f"imported {cli.__file__}, not this checkout's copy")
     total = hashlib.sha256()
-    for name in workloads.WORKLOADS:
-        for fmt in FORMATS:
-            h = hashlib.sha256()
-            calls = 0
-            for seed in SEEDS:
-                for call in workloads.build(name, seed):
-                    h.update(_run(["--format", fmt, *call.argv]))
-                    calls += 1
-            line = f"{name} {fmt} {calls} calls {h.hexdigest()}"
-            print(line, flush=True)
-            total.update(line.encode())
+    walks = hashlib.sha256()
+    with _digesting_walks(walks):
+        for name in workloads.WORKLOADS:
+            for fmt in FORMATS:
+                h = hashlib.sha256()
+                calls = 0
+                for seed in SEEDS:
+                    for call in workloads.build(name, seed):
+                        h.update(_run(["--format", fmt, *call.argv]))
+                        calls += 1
+                line = f"{name} {fmt} {calls} calls {h.hexdigest()}"
+                print(line, flush=True)
+                total.update(line.encode())
+    print(f"walks {walks.hexdigest()}")
     print(f"total {total.hexdigest()}")
 
 
