@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -179,8 +180,9 @@ def walk(
     its magnitude is below the largest of the three magnitudes it leaves
     in place (a descending direction), is within cell_bound, or times
     the smallest of those three is within face_bound.  on_budget is
-    "raise" or "truncate"; a truncated walk keeps everything found
-    before the budget ran out.
+    "raise" or "truncate" (any other value raises DomainError before
+    the walk); a truncated walk keeps everything found before the
+    budget ran out.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
@@ -191,28 +193,77 @@ def walk(
     minus the old entry): float arithmetic is not associative, so any
     other order changes the low bits of cell values, and with them
     lengths, sums and, at a bound, which cells are kept.
+
+    A Fuchsian root (four entries with a positive real part and an
+    imaginary part of exactly +0.0) under bounds that are not infinite
+    is walked in real arithmetic on the real parts, and each value and
+    face product is stored as a complex.  That walk is the complex one
+    bit for bit while every stored value stays positive: complex `*`,
+    `+`, `-` and `abs` on such numbers give the real parts that float
+    arithmetic gives and imaginary parts of +0.0, so the same flips are
+    followed and the budget runs out at the same cell; a flip that
+    overflows is infinite or NaN on both paths and is pruned, since
+    every bound is finite.  Rounding can still drive a followed flip to
+    zero or below, and then complex products would carry signed zeros
+    that real ones do not, so such a walk is made again in complex
+    arithmetic.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
         raise DomainError("need at least one of cell_bound, face_bound")
-    root_vals = q.values()
-    values = list(root_vals)
+    if on_budget not in ("raise", "truncate"):
+        raise DomainError(f"on_budget must be 'raise' or 'truncate', not {on_budget!r}")
+    root = q.values()
+    if (cell_bound != math.inf and face_bound != math.inf
+            and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0
+                    and math.copysign(1.0, v.imag) == 1.0 for v in root)):
+        # an array of floats rather than a list of float objects keeps
+        # the peak memory near the complex walk's; imported here, so a
+        # command that walks no Fuchsian quad never loads the module
+        from array import array
+
+        w = _walk([v.real for v in root], array("d"), cell_bound, face_bound, max_cells)
+        # magnitudes, and so the budget, agree with the complex walk's
+        # even where the guard below refuses the values
+        _check_budget(w, on_budget, max_cells)
+        if min(w.values) > 0.0:
+            # 0j + x is complex(x) for every float x but -0.0, and no
+            # value or product of positive values is -0.0
+            faces = w.faces
+            for pair, p in faces.items():
+                faces[pair] = 0j + p
+            return w._replace(values=[0j + x for x in w.values])
+    w = _walk(root, [], cell_bound, face_bound, max_cells)
+    _check_budget(w, on_budget, max_cells)
+    return w
+
+
+def _check_budget(w: Walk, on_budget: str, max_cells: int) -> None:
+    if w.budget_hit and on_budget == "raise":
+        raise BudgetExceededError(
+            f"cell budget {max_cells} exhausted; suspected non-summable input")
+
+
+def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
+    """The loop of `walk`, from the four root values `start`, appending
+    each cell's value to the empty sequence `values`.  A walk that runs
+    out of budget returns what it found, with budget_hit set."""
+    values.extend(start)
     parents = [0] * 4
     slots = [0] * 4
-    faces: dict[tuple[int, int], complex] = {}
+    faces = {}
     record_faces = face_bound is not None
     if record_faces:
         for i in range(4):
             for j in range(i + 1, 4):
-                p = root_vals[i] * root_vals[j]
+                p = start[i] * start[j]
                 if abs(p) <= face_bound:
                     faces[(i, j)] = p
     # no magnitude is <= -1: an absent cell bound keeps nothing
     cbound = -1.0 if cell_bound is None else cell_bound
-    exhausted = f"cell budget {max_cells} exhausted; suspected non-summable input"
     # one flat record per queued vertex: (vertex name, arrival slot 0..3
     # or -1 at the root, the four cell ids, the four values)
-    queue = deque([(0, -1, 0, 1, 2, 3, *root_vals)])
+    queue = deque([(0, -1, 0, 1, 2, 3, *start)])
     push, pop = queue.append, queue.popleft
     add_value, add_parent, add_slot = values.append, parents.append, slots.append
     n = 4  # cells so far, and the id of the next
@@ -276,7 +327,7 @@ def walk(
                 if (m < mb or m < mc or m < md or m <= cbound
                         or (record_faces and m * min(mb, mc, md) <= face_bound)):
                     if n >= max_cells:
-                        raise BudgetExceededError(exhausted)
+                        raise BudgetExceededError
                     add_value(fa)
                     add_parent(name)
                     add_slot(1)
@@ -287,7 +338,7 @@ def walk(
                 if (m < ma or m < mc or m < md or m <= cbound
                         or (record_faces and m * min(ma, mc, md) <= face_bound)):
                     if n >= max_cells:
-                        raise BudgetExceededError(exhausted)
+                        raise BudgetExceededError
                     add_value(fb)
                     add_parent(name)
                     add_slot(2)
@@ -298,7 +349,7 @@ def walk(
                 if (m < ma or m < mb or m < md or m <= cbound
                         or (record_faces and m * min(ma, mb, md) <= face_bound)):
                     if n >= max_cells:
-                        raise BudgetExceededError(exhausted)
+                        raise BudgetExceededError
                     add_value(fc)
                     add_parent(name)
                     add_slot(3)
@@ -309,17 +360,14 @@ def walk(
                 if (m < ma or m < mb or m < mc or m <= cbound
                         or (record_faces and m * min(ma, mb, mc) <= face_bound)):
                     if n >= max_cells:
-                        raise BudgetExceededError(exhausted)
+                        raise BudgetExceededError
                     add_value(fd)
                     add_parent(name)
                     add_slot(4)
                     push((n, 3, ia, ib, ic, n, a, b, c, fd))
                     n += 1
-    except BudgetExceededError:
-        if on_budget == "raise":
-            raise
+    except BudgetExceededError:  # raised above only to leave the loop
         budget_hit = True
-
     return Walk(values, parents, slots, faces, visited, budget_hit)
 
 

@@ -64,6 +64,24 @@ def _ints(values) -> str:
     return "[" + ",".join(map(str, values)) + "]"
 
 
+# byte k to the digit of slot k for k in 1..4, and every other byte to
+# "x", which no JSON number contains
+_SLOT_DIGITS = bytes(b"x1234"[k] if k < 5 else ord("x") for k in range(256))
+
+
+def _word(word: tuple) -> str:
+    """A flip word's JSON array: one table lookup per slot instead of
+    one str per slot.  A word with a slot outside 1..4, or one that is
+    not an int, is written by `_ints`."""
+    try:
+        digits = bytes(word).translate(_SLOT_DIGITS).decode()
+    except (TypeError, ValueError):  # not an int, or outside 0..255
+        return _ints(word)
+    if "x" in digits:
+        return _ints(word)
+    return "[" + ",".join(digits) + "]"
+
+
 def quad_records(head: dict, quads, encode) -> RecordSet:
     """`head` plus `"result": q` for each IntegerQuad q: a tuple, so JSON
     writes an array and CSV joins it with `;`.  `encode` is the strict
@@ -92,18 +110,25 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
         _, t, ell, ref, word = entry
         if type(t) is not complex or type(ell) is not complex:
             return None
-        a, tr, ti, lr, li = abs(ell), t.real, t.imag, ell.real, ell.imag
+        tr, ti, lr, li = t.real, t.imag, ell.real, ell.imag
+        # |l| = hypot(lr, li) is lr itself when l is a positive real, so
+        # one repr writes both
+        real = li == 0.0 and lr > 0.0
+        a = lr if real else abs(ell)
         if not isfinite(a + tr + ti + lr + li):  # a part is not finite, or the sum overflows
             return None
         # a complex is x or [x,y], as cli._complex_json writes it; words
         # and id pairs hold the walk's int slots and ids
         if type(ref) is int and type(word) is tuple:
-            word = _ints(word)
+            word = _word(word)
         elif type(ref) is tuple and word is None:
             ref, word = _ints(ref), "null"
         else:
             return None
-        return template % (a, ref, repr(lr) if li == 0.0 else f"[{lr!r},{li!r}]",
-                           repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]", word)
+        trace = repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
+        if real:
+            length = repr(lr)
+            return template % (length, ref, length, trace, word)
+        return template % (a, ref, repr(lr) if li == 0.0 else f"[{lr!r},{li!r}]", trace, word)
 
     return RecordSet(entries, record, line)

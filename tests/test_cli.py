@@ -716,12 +716,35 @@ def test_record_set_rows_the_template_cannot_write():
         out = io.StringIO()
         _emit(records, "jsonl", out)
         assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
-    for bad in (complex(4, math.inf), complex(math.nan, 0.0)):
+    for bad in (complex(4, math.inf), complex(math.nan, 0.0), complex(math.inf, 0.0)):
         for field in ("trace", "length"):
             records = jsonlines.entry_records(head, [ok._replace(**{field: bad})],
                                               cli._JSON.encode)
             with pytest.raises(DomainError, match="not JSON compliant"):
                 _emit(records, "jsonl", io.StringIO())
+
+
+@pytest.mark.parametrize("field, value", [
+    # a positive real length writes one repr as both length and |length|;
+    # -0.0, 0.0 and negative real parts take the general path
+    ("length", complex(2.5, 0.0)), ("length", complex(2.5, -0.0)),
+    ("length", complex(-0.0, 0.0)), ("length", complex(0.0, -0.0)),
+    ("length", complex(-2.5, 0.0)), ("length", complex(-2.5, 1.0)),
+    # each entry's length with a real trace, then with a complex one
+    ("trace", complex(4.5, -0.0)), ("trace", complex(4.5, 0.25)),
+    # word slots outside 1..4 and slots that are not ints
+    ("word", ()), ("word", (1, 2, 3, 4, 4, 3, 2, 1)), ("word", (0,)), ("word", (5, 1)),
+    ("word", (-1,)), ("word", (2 ** 70,)), ("word", (3, 49)), ("word", (1.0, 2)),
+])
+def test_entry_record_lines_equal_json_dumps(field, value):
+    head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
+    entries = [SpectrumEntry(CurveKind.ONE_SIDED, 4 + 0j, 2.2 + 0.5j, 0, (1, 2)),
+               SpectrumEntry(CurveKind.ONE_SIDED, 4 + 1j, 2.5 + 0j, 3, (4, 1))]
+    records = jsonlines.entry_records(head, [e._replace(**{field: value}) for e in entries],
+                                      cli._JSON.encode)
+    out = io.StringIO()
+    _emit(records, "jsonl", out)
+    assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
 
 
 def _integer_quad_past(digits):

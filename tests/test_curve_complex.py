@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from markoffquads import (
     BudgetExceededError,
+    DomainError,
     MarkoffQuad,
     VertexKind,
     classify_vertex,
     complete_quad,
+    curvecomplex,
     explore,
     fibonacci_level_counts,
     fibonacci_values,
@@ -414,6 +416,13 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget=
 
 _REAL = (3.0, 4.0, 5.0, complete_quad(3.0, 4.0, 5.0)[1])
 _QUASI_FUCHSIAN = (3 + 0.1j, 4 - 0.2j, 5.0, complete_quad(3 + 0.1j, 4 - 0.2j, 5.0)[1])
+# a positive real root whose first flip rounds to 0.0 and whose next
+# ones are negative: the real walk is refused and made again in complex
+_ROUNDS_BELOW_ZERO = (complete_quad(1e5, 1e5, 1e5)[1].real, 1e5, 1e5, 1e5)
+_SIGNED_ZERO = (complex(4, -0.0),) * 4
+# a positive real root whose flips and face products overflow a few
+# flips out
+_OVERFLOWS = (1e40, 1e40, 1e40, complete_quad(1e40, 1e40, 1e40)[0].real)
 
 
 @pytest.mark.parametrize("vals, cell_bound, face_bound, max_cells", [
@@ -426,6 +435,15 @@ _QUASI_FUCHSIAN = (3 + 0.1j, 4 - 0.2j, 5.0, complete_quad(3 + 0.1j, 4 - 0.2j, 5.
     # descending rule moves the walk
     ((484, 4, 4, 36), 3.0, None, 200_000),
     ((484, 4, 4, 36), None, 10.0, 200_000),
+    # roots at the edges of the real walk: a positive real root that
+    # rounds to a non-positive cell, entries of imaginary part -0.0,
+    # negative entries, and infinite bounds, under one of which face
+    # products overflow and are kept
+    (_ROUNDS_BELOW_ZERO, 10.0, 1e30, 500),
+    *[(q, cb, fb, 200_000) for q in (_SIGNED_ZERO, (-4, -4, -4, -4))
+      for cb, fb in ((1e5, None), (None, 1e7), (1e4, 1e6))],
+    ((4, 4, 4, 4), math.inf, None, 3_000),
+    (_OVERFLOWS, None, math.inf, 300),
 ])
 def test_explore_matches_reference_bfs(vals, cell_bound, face_bound, max_cells):
     cells = _check_against_reference(vals, cell_bound, face_bound, max_cells)[0]
@@ -460,3 +478,77 @@ def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_fa
     _check_against_reference(vals, None if log_cell is None else 10 ** log_cell,
                              None if log_face is None else 10 ** log_face,
                              max_cells, on_budget)
+
+
+@pytest.mark.parametrize("vals, cell_bound, face_bound, max_cells, real_walks", [
+    ((4, 4, 4, 4), 1e5, None, 200_000, [True]),
+    ((4, 4, 4, 4), None, 1e7, 200_000, [True]),
+    ((2, 5, 5, 8), 1e4, 1e6, 200_000, [True]),
+    (_ROUNDS_BELOW_ZERO, 10.0, 1e30, 500, [True, False]),
+    (_SIGNED_ZERO, 1e5, None, 200_000, [False]),
+    ((-4, -4, -4, -4), 1e5, None, 200_000, [False]),
+    (_QUASI_FUCHSIAN, 1e5, None, 200_000, [False]),
+    ((4, 4, 4, 4), math.inf, None, 3_000, [False]),
+    ((4, 4, 4, 4), 1e5, math.inf, 3_000, [False]),
+])
+def test_walk_takes_the_real_path_only_where_it_is_exact(
+        monkeypatch, vals, cell_bound, face_bound, max_cells, real_walks):
+    # which loop walks ran in floats; the guard's second walk is complex
+    loop, seen = curvecomplex._walk, []
+
+    def spy(start, values, *args):
+        seen.append(type(start[0]) is float)
+        return loop(start, values, *args)
+
+    monkeypatch.setattr(curvecomplex, "_walk", spy)
+    w = walk(MarkoffQuad.from_values(vals), cell_bound=cell_bound, face_bound=face_bound,
+             max_cells=max_cells, on_budget="truncate")
+    assert seen == real_walks
+    assert all(type(v) is complex for v in w.values)
+    assert all(type(p) is complex for p in w.faces.values())
+
+
+@pytest.mark.parametrize("on_budget", ["raise", "truncate"])
+def test_guarded_walk_matches_reference_at_every_budget(monkeypatch, on_budget):
+    # the rounding root's fifth cell is 0.0, so every walk past four
+    # cells is refused by the guard; one that runs out of budget under
+    # "raise" raises after the real walk, with no second walk
+    loop, seen = curvecomplex._walk, []
+
+    def spy(start, values, *args):
+        seen.append(type(start[0]) is float)
+        return loop(start, values, *args)
+
+    monkeypatch.setattr(curvecomplex, "_walk", spy)
+    for max_cells in range(5, 60):
+        seen.clear()
+        _check_against_reference(_ROUNDS_BELOW_ZERO, 10.0, 1e30, max_cells, on_budget)
+        assert seen == ([True] if on_budget == "raise" else [True, False, True, False])
+
+
+@pytest.mark.parametrize("on_budget", ["Raise", "truncated", "", None])
+def test_walk_rejects_an_unknown_on_budget_mode(on_budget):
+    # before walking: a 4-cell budget would otherwise raise or truncate
+    for fn in (walk, explore):
+        with pytest.raises(DomainError, match="on_budget"):
+            fn(Q4, cell_bound=1e12, max_cells=4, on_budget=on_budget)
+
+
+@given(st.integers(0, 2 ** 32), st.one_of(st.none(), st.floats(0, 30)),
+       st.one_of(st.none(), st.floats(0, 40)), st.integers(1, 2000),
+       st.sampled_from(["raise", "truncate"]))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face,
+                                                  max_cells, on_budget):
+    # unperturbed sinks have positive real entries, so these take the
+    # real walk; what it returns must hold complex values only
+    assume(log_cell is not None or log_face is not None)
+    sink, _ = reduce_to_sink(sample_fuchsian_quad(random.Random(seed)))
+    kw = dict(cell_bound=None if log_cell is None else 10 ** log_cell,
+              face_bound=None if log_face is None else 10 ** log_face,
+              max_cells=max_cells, on_budget=on_budget)
+    budget_hit = _check_against_reference(sink.values(), **kw)[3]
+    if not (budget_hit and on_budget == "raise"):
+        w = walk(sink, **kw)
+        assert all(type(v) is complex for v in w.values)
+        assert all(type(p) is complex for p in w.faces.values())
