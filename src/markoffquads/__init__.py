@@ -34,7 +34,6 @@ from .quadalgebra import (
     verify_quad,
 )
 from .curvecomplex import (
-    Cell,
     Face,
     FibonacciAssignment,
     SpiralSequence,
@@ -42,7 +41,6 @@ from .curvecomplex import (
     VertexKind,
     Walk,
     classify_vertex,
-    explore,
     fibonacci_level_counts,
     fibonacci_values,
     reduce_to_sink,

@@ -8,7 +8,8 @@ exhausted (`klein -n`, `growth --shells` and the quads
 `enumerate-integral` finds count against --max-cells too),
 4 precondition violation (branch cut, summability violation, domain
 errors, numbers out of float range, a result strict JSON or CSV cannot
-hold).  A closed stdout pipe ends the run with exit 0.
+hold).  A closed stdout pipe ends the run with exit 0; an output that
+cannot be written, exit 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .coords import (
     quad_to_horocyclic,
     quad_to_lambda,
 )
-from .curvecomplex import reduce_to_sink
+from .curvecomplex import DEFAULT_MAX_CELLS, reduce_to_sink
 from .errors import (
     BqViolationError,
     BranchCutError,
@@ -433,7 +434,7 @@ def _add_common(p, defaults: bool):
     # a string default (the env value) goes through the type check too
     p.add_argument("--max-cells", type=_positive_int,
                    help=f"cell budget for enumerations (env {ENV_MAX_CELLS})",
-                   **kw(env_cells or 200_000))
+                   **kw(env_cells or DEFAULT_MAX_CELLS))
     p.add_argument("--exact", action="store_true",
                    help="force the integer fast-path, rejecting non-integers",
                    **({} if defaults else {"default": argparse.SUPPRESS}))
@@ -555,19 +556,28 @@ def main(argv=None) -> int:
             except OSError as e:
                 raise _UsageError(f"cannot write --out {args.out!r}: {e.strerror}") from None
             close = True
-        records, code = args.run(args)
-        if close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate(0)  # a pipe or device has nothing to cut
-        _emit(records, args.format, out)
-        out.flush()
+        try:
+            records, code = args.run(args)
+            if close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)  # a pipe or device has nothing to cut
+            _emit(records, args.format, out)
+            out.flush()
+        finally:
+            # inside the handlers' reach: closing flushes what a failed
+            # write left behind, and fails again
+            if close:
+                out.close()
         return code
     except BrokenPipeError:
-        # the reader stopped early (`mql ... | head`); point stdout at
-        # devnull so the interpreter's flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader stopped early (`mql ... | head`)
+        _stdout_to_devnull()
         return 0
+    except OSError as e:
+        # the output cannot take the records (a full disk, say)
+        if not close:
+            _stdout_to_devnull()
+        print(f"mql: error: cannot write output: {e.strerror or e}", file=sys.stderr)
+        return 1
     except (_UsageError, argparse.ArgumentTypeError) as e:
         print(f"mql: error: {e}", file=sys.stderr)
         return 1
@@ -583,9 +593,14 @@ def main(argv=None) -> int:
     except MarkoffError as e:
         print(f"mql: error: {e}", file=sys.stderr)
         return 4
-    finally:
-        if close:
-            out.close()
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so that the interpreter's flush at exit
+    cannot fail again on what is left in its buffer."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -123,7 +123,6 @@ _PERMUTATIONS = {
     "phi2": (2, 3, 0, 1),  # (a,b,c,d) -> (c,d,a,b)
     "phi3": (3, 2, 1, 0),  # (a,b,c,d) -> (d,c,b,a)
 }
-MCG_LETTERS = ("f1", "f2", "f3", "f4", "phi1", "phi2", "phi3")
 
 
 def mcg_apply(word, q: MarkoffQuad) -> MarkoffQuad:

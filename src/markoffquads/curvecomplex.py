@@ -4,18 +4,16 @@ Vertices of the underlying 4-regular tree are quads; crossing an edge
 flips one entry.  One-sided curve classes are 3-cells: an entry slot
 keeps its identity across every flip that does not replace it, so cells
 are tracked by persistent ids, and a pair of cells meeting at a vertex
-is a face (a two-sided curve class).  Pruned breadth-first exploration
+is a face (a two-sided curve class).  A pruned breadth-first walk
 enumerates all cells below a trace bound and all faces below a product
 bound; this is the engine behind spectra, identity sums and the
 summability check.
 
-`walk` runs that exploration and returns its arrays as a `Walk`: per
-cell id the value, the creating vertex and the slot flipped there, plus
-the faces keyed by id pair.  A cell's flip word is rebuilt from those
-arrays only when asked for (`Walk.word`, `Walk.words`).  `explore` is
-the view over a walk that builds every word, `Cell` and sorted `Face`;
-the library's own callers read the arrays instead and build words only
-for the records that print them.
+`walk` runs that walk and returns its arrays as a `Walk`: per cell id
+the value, the creating vertex and the slot flipped there, plus the
+faces keyed by id pair.  A cell's flip word is rebuilt from those
+arrays only when asked for (`Walk.word`, `Walk.words`), so callers
+build words only for the records that print them.
 """
 
 from __future__ import annotations
@@ -100,27 +98,11 @@ def reduce_to_sink(
     )
 
 
-class Cell(NamedTuple):
-    """A discovered 3-cell: id in discovery order, value, and the flip
-    word of the vertex that created it (root cells carry the empty word)."""
-
-    id: int
-    value: complex
-    word: tuple[int, ...]
-
-
 class Face(NamedTuple):
     """An unordered pair of cells meeting at some visited vertex."""
 
     cells: tuple[int, int]
     product: complex
-
-
-class Exploration(NamedTuple):
-    cells: tuple[Cell, ...]
-    faces: tuple[Face, ...]
-    nodes_visited: int
-    budget_hit: bool
 
 
 class Walk(NamedTuple):
@@ -157,10 +139,6 @@ class Walk(NamedTuple):
         for k in range(4, len(parents)):
             words.append(words[parents[k]] + (slots[k],))
         return words
-
-    def sorted_faces(self) -> tuple[Face, ...]:
-        faces = self.faces
-        return tuple(Face(key, faces[key]) for key in sorted(faces))
 
 
 def walk(
@@ -369,23 +347,6 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
     except BudgetExceededError:  # raised above only to leave the loop
         budget_hit = True
     return Walk(values, parents, slots, faces, visited, budget_hit)
-
-
-def explore(
-    q: MarkoffQuad,
-    cell_bound: float | None = None,
-    face_bound: float | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    tol: float = DEFAULT_TOL,
-    on_budget: str = "raise",
-) -> Exploration:
-    """`walk` with every cell's word and `Cell`, and the faces as `Face`s
-    sorted by id pair."""
-    w = walk(q, cell_bound, face_bound, max_cells, tol, on_budget)
-    values = w.values
-    cells = tuple(map(Cell, range(len(values)), values, w.words()))
-    return Exploration(cells=cells, faces=w.sorted_faces(),
-                       nodes_visited=w.nodes_visited, budget_hit=w.budget_hit)
 
 
 class FibonacciAssignment(NamedTuple):

@@ -177,7 +177,9 @@ def complete_quad(a, b, c) -> tuple[complex, complex]:
         small, big = big, small
     if abs(small) == abs(big) and (big.real, big.imag) < (small.real, small.imag):
         small, big = big, small
-    return small, big
+    # 0j + r turns a -0.0 part into +0.0 and changes no other bit, so a
+    # root completed from real entries is real with imaginary part +0.0
+    return 0j + small, 0j + big
 
 
 def two_sided_trace(a, b) -> complex:

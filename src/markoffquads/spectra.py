@@ -47,9 +47,9 @@ def _trace_bound(fn, L: float) -> float:
 
 
 # The private passes below compute each length once and return, in
-# discovery order, tuples that lead with the spectrum's sort key.  Cell
-# ids and id pairs are unique, so sorting the tuples never compares the
-# complex values behind the key.
+# discovery order, tuples that lead with the spectrum's sort key.  The
+# cell ids and id pairs are unique, so sorting the tuples never compares
+# the complex values behind the key.
 
 def _one_sided_rows(w: Walk, bound, L, with_words=True) -> list[tuple]:
     """(|l|, word, id, trace, l) for every cell of w with |trace| <= bound

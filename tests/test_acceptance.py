@@ -29,7 +29,6 @@ from markoffquads import (
     complete_quad,
     enumerate_fundamental,
     enumerate_integral_below,
-    explore,
     fibonacci_level_counts,
     flip,
     fricke_residual,
@@ -50,6 +49,7 @@ from markoffquads import (
     spiral_sequence,
     systole,
     two_sided_length,
+    walk,
 )
 from helpers import (
     brute_integral_scan,
@@ -135,11 +135,10 @@ def test_criterion_3_mcshane():
         assert ok, (root.values(), rep)
         assert abs(rep.partial_sum - 0.5) <= 1e-3
         # h-form vs geometric form per term
-        ex = explore(q, face_bound=1e4, max_cells=budget)
-        for f in ex.faces:
-            ell = two_sided_length(f.product - 2)
+        for product in walk(q, face_bound=1e4, max_cells=budget).faces.values():
+            ell = two_sided_length(product - 2)
             geom = 1 / (1 + complex(math.e) ** (ell / 2))
-            assert abs(h(f.product) - geom) <= 1e-10
+            assert abs(h(product) - geom) <= 1e-10
     print("[criterion 3] PASS: partial sums monotone, bounded, converged "
           "to 1/2 at 1e-3 for every fundamental quad")
 
@@ -199,15 +198,15 @@ def test_criterion_6_oracle_equivalence():
     for start in [(4, 4, 4, 4), (2, 5, 5, 8), (3, 3, 6, 6)]:
         cell_bound = face_bound = 1e5
         oracle_cells, oracle_faces = unpruned_walk(start, depth, face_bound)
-        ex = explore(MarkoffQuad.from_values(start), cell_bound=cell_bound,
-                     face_bound=face_bound)
-        ident = {c.id: (("r", c.id) if c.id < 4 else c.word) for c in ex.cells}
-        got_cells = {ident[c.id] for c in ex.cells
-                     if abs(c.value) <= cell_bound and len(c.word) <= depth}
+        w = walk(MarkoffQuad.from_values(start), cell_bound=cell_bound,
+                 face_bound=face_bound)
+        words = w.words()
+        ident = [("r", k) if k < 4 else word for k, word in enumerate(words)]
+        got_cells = {ident[k] for k, v in enumerate(w.values)
+                     if abs(v) <= cell_bound and len(words[k]) <= depth}
         want_cells = {k for k, v in oracle_cells.items() if abs(v) <= cell_bound}
         assert got_cells == want_cells
-        got_faces = {frozenset((ident[f.cells[0]], ident[f.cells[1]]))
-                     for f in ex.faces}
+        got_faces = {frozenset((ident[i], ident[j])) for i, j in w.faces}
         got_faces = {
             p for p in got_faces
             if max(0 if k[0] == "r" else len(k) for k in p) <= depth

@@ -804,6 +804,22 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.wait() == 0 and err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv, stdout", [
+    (("--out", "/dev/full", "verify", "4,4,4,4"), os.devnull),
+    (("spectrum", "4,4,4,4", "-L", "30"), "/dev/full"),
+])
+def test_failed_write_is_one_line_with_exit_1(argv, stdout):
+    # every write to /dev/full fails with ENOSPC
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(stdout, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "markoffquads.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"mql: error: cannot write output: ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+
 def _fresh(args, unbuffered, code=None):
     """A fresh interpreter with PYTHONUNBUFFERED set or unset: `mql args`,
     or the given `-c` code with args as its argv."""

@@ -14,7 +14,6 @@ from markoffquads import (
     classify_vertex,
     complete_quad,
     curvecomplex,
-    explore,
     fibonacci_level_counts,
     fibonacci_values,
     flip_value,
@@ -115,14 +114,14 @@ def test_walk_cells_budget():
 
 
 def test_walk_faces_examples():
-    faces = walk(Q4, face_bound=16).sorted_faces()
+    faces = sorted(walk(Q4, face_bound=16).faces.items())
     assert len(faces) == 6
-    assert all(abs(f.product - 16) <= 1e-12 for f in faces)
-    assert sorted(f.cells for f in faces) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    faces = walk(Q4, face_bound=144).sorted_faces()
+    assert all(abs(p - 16) <= 1e-12 for _, p in faces)
+    assert [pair for pair, _ in faces] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    faces = sorted(walk(Q4, face_bound=144).faces.items())
     assert len(faces) == 18
-    assert sum(1 for f in faces if abs(f.product - 144) <= 1e-9) == 12
-    assert walk(Q4, face_bound=15).sorted_faces() == ()
+    assert sum(1 for _, p in faces if abs(p - 144) <= 1e-9) == 12
+    assert walk(Q4, face_bound=15).faces == {}
 
 
 def test_pruned_matches_unpruned_walk():
@@ -135,15 +134,14 @@ def test_pruned_matches_unpruned_walk():
         q = MarkoffQuad.from_values(start)
         oracle_cells, oracle_faces = unpruned_walk(start, depth, face_bound=face_bound)
 
-        ex = explore(q, cell_bound=cell_bound, face_bound=face_bound)
-        ident = {}
-        for c in ex.cells:
-            ident[c.id] = ("r", c.id) if c.id < 4 else c.word
+        w = walk(q, cell_bound=cell_bound, face_bound=face_bound)
+        words = w.words()
+        ident = [("r", k) if k < 4 else word for k, word in enumerate(words)]
 
         got_cells = {
-            ident[c.id]: c.value
-            for c in ex.cells
-            if abs(c.value) <= cell_bound and (c.id < 4 or len(c.word) <= depth)
+            ident[k]: v
+            for k, v in enumerate(w.values)
+            if abs(v) <= cell_bound and len(words[k]) <= depth
         }
         want_cells = {k: v for k, v in oracle_cells.items()
                       if abs(v) <= cell_bound}
@@ -155,9 +153,9 @@ def test_pruned_matches_unpruned_walk():
             return max(0 if p[0] == "r" else len(p) for p in pair)
 
         got_faces = {
-            frozenset((ident[f.cells[0]], ident[f.cells[1]]))
-            for f in ex.faces
-            if abs(f.product) <= face_bound
+            frozenset((ident[i], ident[j]))
+            for (i, j), p in w.faces.items()
+            if abs(p) <= face_bound
         }
         got_faces = {p for p in got_faces if face_depth(p) <= depth}
         want_faces = {p for p, prod in oracle_faces.items()
@@ -296,21 +294,23 @@ def test_sink_uniqueness_over_translates():
 
 
 def test_explore_fully_pruned_keeps_only_root_cells():
-    ex = explore(Q4, cell_bound=3.0)
-    assert [(c.id, c.value, c.word) for c in ex.cells] == [(i, 4, ()) for i in range(4)]
-    assert ex.nodes_visited == 1
+    w = walk(Q4, cell_bound=3.0)
+    assert w.values == [4, 4, 4, 4] and w.words() == [()] * 4
+    assert w.nodes_visited == 1
 
 
 def test_explore_truncate_respects_budget():
-    full = explore(Q4, cell_bound=1e12)
-    ex = explore(Q4, cell_bound=1e12, max_cells=20, on_budget="truncate")
-    assert ex.budget_hit and not full.budget_hit
-    assert len(ex.cells) <= 20
-    assert ex.nodes_visited > 0
-    # the truncated walk is a prefix of the full one, ids and words included
-    assert [(c.id, c.value, c.word) for c in ex.cells] == [
-        (c.id, c.value, c.word) for c in full.cells[:len(ex.cells)]
-    ]
+    full = walk(Q4, cell_bound=1e12)
+    w = walk(Q4, cell_bound=1e12, max_cells=20, on_budget="truncate")
+    assert w.budget_hit and not full.budget_hit
+    n = len(w.values)
+    assert n <= 20
+    assert w.nodes_visited > 0
+    # the truncated walk is a prefix of the full one, parents, slots and
+    # words included
+    assert w.values == full.values[:n]
+    assert (w.parents, w.slots) == (full.parents[:n], full.slots[:n])
+    assert w.words() == full.words()[:n]
 
 
 def test_pruned_matches_unpruned_on_complex_quads():
@@ -324,15 +324,15 @@ def test_pruned_matches_unpruned_on_complex_quads():
         base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
         vals = perturb_quad(base.values(), rng, scale=1e-2)
         oracle_cells, oracle_faces = unpruned_walk(vals, depth, face_bound=bound)
-        ex = explore(MarkoffQuad.from_values(vals), cell_bound=bound,
-                     face_bound=bound, tol=1e-6)
-        ident = {c.id: (("r", c.id) if c.id < 4 else c.word) for c in ex.cells}
-        got = {ident[c.id] for c in ex.cells
-               if abs(c.value) <= bound and len(c.word) <= depth}
+        w = walk(MarkoffQuad.from_values(vals), cell_bound=bound,
+                 face_bound=bound, tol=1e-6)
+        words = w.words()
+        ident = [("r", k) if k < 4 else word for k, word in enumerate(words)]
+        got = {ident[k] for k, v in enumerate(w.values)
+               if abs(v) <= bound and len(words[k]) <= depth}
         want = {k for k, v in oracle_cells.items() if abs(v) <= bound}
         assert got == want
-        got_faces = {frozenset((ident[f.cells[0]], ident[f.cells[1]]))
-                     for f in ex.faces}
+        got_faces = {frozenset((ident[i], ident[j])) for i, j in w.faces}
         got_faces = {p for p in got_faces
                      if max(0 if k[0] == "r" else len(k) for k in p) <= depth}
         assert got_faces == set(oracle_faces)
@@ -350,8 +350,8 @@ def test_fibonacci_two_routes_agree():
     assert hist == fibonacci_level_counts(17)
 
 
-def _reference_explore(vals, cell_bound, face_bound, max_cells):
-    """explore() restated flip by flip: one flip_value call per edge, the
+def _reference_walk(vals, cell_bound, face_bound, max_cells):
+    """walk() restated flip by flip: one flip_value call per edge, the
     growth rule from its docstring, every pair checked at every visited
     vertex and the first product kept, and a budget that stops the walk.
     Faces come back in discovery order; the last item is the slot (1..4)
@@ -392,12 +392,12 @@ def _reference_explore(vals, cell_bound, face_bound, max_cells):
 
 
 def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget="truncate"):
-    """Assert that walk and explore agree bit for bit with the reference
+    """Assert that walk agrees bit for bit with the reference
     (same ids, values by repr, words, faces in discovery order, node
     count and budget flag), truncated walks included; return the
     reference's result."""
     q = MarkoffQuad.from_values(vals)
-    ref = _reference_explore(q.values(), cell_bound, face_bound, max_cells)
+    ref = _reference_walk(q.values(), cell_bound, face_bound, max_cells)
     cells, faces, visited, budget_hit, _ = ref
     kw = dict(cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells,
               on_budget=on_budget)
@@ -405,12 +405,11 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget=
         with pytest.raises(BudgetExceededError, match=f"cell budget {max_cells} exhausted"):
             walk(q, **kw)
         return ref
-    w, ex = walk(q, **kw), explore(q, **kw)
-    assert [(c.id, repr(c.value), c.word) for c in ex.cells] == cells
+    w = walk(q, **kw)
+    words = w.words()
+    assert [(k, repr(v), words[k]) for k, v in enumerate(w.values)] == cells
     assert [(pair, repr(p)) for pair, p in w.faces.items()] == faces
-    assert [(f.cells, repr(f.product)) for f in ex.faces] == sorted(faces)
     assert (w.nodes_visited, w.budget_hit) == (visited, budget_hit)
-    assert (ex.nodes_visited, ex.budget_hit) == (visited, budget_hit)
     return ref
 
 
@@ -490,6 +489,8 @@ def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_fa
     (_QUASI_FUCHSIAN, 1e5, None, 200_000, [False]),
     ((4, 4, 4, 4), math.inf, None, 3_000, [False]),
     ((4, 4, 4, 4), 1e5, math.inf, 3_000, [False]),
+    # completed from real entries, so its last entry is real too
+    (_REAL, 1e4, None, 200_000, [True]),
 ])
 def test_walk_takes_the_real_path_only_where_it_is_exact(
         monkeypatch, vals, cell_bound, face_bound, max_cells, real_walks):
@@ -523,15 +524,14 @@ def test_guarded_walk_matches_reference_at_every_budget(monkeypatch, on_budget):
     for max_cells in range(5, 60):
         seen.clear()
         _check_against_reference(_ROUNDS_BELOW_ZERO, 10.0, 1e30, max_cells, on_budget)
-        assert seen == ([True] if on_budget == "raise" else [True, False, True, False])
+        assert seen == ([True] if on_budget == "raise" else [True, False])
 
 
 @pytest.mark.parametrize("on_budget", ["Raise", "truncated", "", None])
 def test_walk_rejects_an_unknown_on_budget_mode(on_budget):
     # before walking: a 4-cell budget would otherwise raise or truncate
-    for fn in (walk, explore):
-        with pytest.raises(DomainError, match="on_budget"):
-            fn(Q4, cell_bound=1e12, max_cells=4, on_budget=on_budget)
+    with pytest.raises(DomainError, match="on_budget"):
+        walk(Q4, cell_bound=1e12, max_cells=4, on_budget=on_budget)
 
 
 @given(st.integers(0, 2 ** 32), st.one_of(st.none(), st.floats(0, 30)),

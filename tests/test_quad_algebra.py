@@ -128,6 +128,18 @@ def test_complete_quad_examples():
     assert dp == pytest.approx(30)
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (4, 4, 4), (3, 4, 5), (1, 5, 24), (1e5, 1e5, 1e5), (-4, -4, -4), (2, 2, -4), (0, 0, 0),
+])
+def test_complete_quad_zero_parts_are_positive(a, b, c):
+    # a root completed from real entries is real, with imaginary part
+    # +0.0: a -0.0 would keep the quad off the real walk
+    for root in complete_quad(a, b, c):
+        for part in (root.real, root.imag):
+            if part == 0.0:
+                assert math.copysign(1.0, part) == 1.0, (a, b, c, root)
+
+
 def test_complete_quad_vieta_random():
     rng = random.Random(5)
     for _ in range(300):

@@ -8,7 +8,6 @@ import pytest
 
 from markoffquads import (
     BqReport,
-    Cell,
     DomainCheck,
     DomainError,
     Face,
@@ -28,7 +27,6 @@ from markoffquads import (
     VertexClass,
     VertexKind,
 )
-from markoffquads.curvecomplex import Exploration
 
 # (class, keyword arguments, repr text); repr text is pinned verbatim
 # because users and logs read it
@@ -41,10 +39,7 @@ CASES = [
      "KleinSequence(A=3, terms=(1, 1, 2), lambda_plus=2.5, lambda_minus=0.5)"),
     (VertexClass, dict(kind=VertexKind.SINK, orientations=(-1, -1, -1, -1)),
      "VertexClass(kind=<VertexKind.SINK: 'sink'>, orientations=(-1, -1, -1, -1))"),
-    (Exploration, dict(cells=(Cell(0, 4j, ()),), faces=(Face((0, 1), 16),),
-                       nodes_visited=1, budget_hit=False),
-     "Exploration(cells=(Cell(id=0, value=4j, word=()),), "
-     "faces=(Face(cells=(0, 1), product=16),), nodes_visited=1, budget_hit=False)"),
+    (Face, dict(cells=(0, 1), product=16), "Face(cells=(0, 1), product=16)"),
     (FibonacciAssignment, dict(basis=(1, 2, 3), values={1: 1, 4: 3}),
      "FibonacciAssignment(basis=(1, 2, 3), values={1: 1, 4: 3})"),
     (SpiralSequence, dict(a=3, b=3, n_start=-1, terms=(1, 2), closed_form=None),

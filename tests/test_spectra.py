@@ -14,7 +14,6 @@ from markoffquads import (
     MarkoffQuad,
     SpectrumEntry,
     count_s,
-    explore,
     fit_power_law,
     flip_value,
     growth_exponent,
@@ -70,18 +69,19 @@ RIGID = MarkoffQuad(12, 4, 6, 2)
 
 def _walk(q, **bounds):
     sink, _ = reduce_to_sink(q)
-    return explore(sink, **bounds)
+    return walk(sink, **bounds)
 
 
 @pytest.mark.parametrize("q, L", [(Q4, 14.0), (QF, 12.0), (RIGID, 14.0)])
 def test_one_sided_spectrum_order_matches_explore(q, L):
     bound = 2 * math.sinh(L / 2)
+    w = _walk(q, cell_bound=bound)
     want = []
-    for c in _walk(q, cell_bound=bound).cells:
-        if abs(c.value) <= bound:
-            ell = one_sided_length(c.value)
+    for k, (value, word) in enumerate(zip(w.values, w.words())):
+        if abs(value) <= bound:
+            ell = one_sided_length(value)
             if abs(ell) < L:
-                want.append(SpectrumEntry(CurveKind.ONE_SIDED, c.value, ell, c.id, c.word))
+                want.append(SpectrumEntry(CurveKind.ONE_SIDED, value, ell, k, word))
     want.sort(key=lambda e: (abs(e.length), e.word, e.cell_ref))
     assert one_sided_spectrum(q, L) == want
     assert count_s(q, L) == len(want)
@@ -90,11 +90,11 @@ def test_one_sided_spectrum_order_matches_explore(q, L):
 @pytest.mark.parametrize("q, L", [(Q4, 9.0), (QF, 9.0), (RIGID, 9.0)])
 def test_two_sided_spectrum_order_matches_explore(q, L):
     want = []
-    for f in _walk(q, face_bound=2 * math.cosh(L / 2) + 2).faces:
-        e = f.product - 2
+    for pair, product in _walk(q, face_bound=2 * math.cosh(L / 2) + 2).faces.items():
+        e = product - 2
         ell = two_sided_length(e)
         if abs(ell) < L:
-            want.append(SpectrumEntry(CurveKind.TWO_SIDED, e, ell, f.cells, None))
+            want.append(SpectrumEntry(CurveKind.TWO_SIDED, e, ell, pair, None))
     want.sort(key=lambda e: (abs(e.length), e.cell_ref))
     assert two_sided_spectrum(q, L) == want
 

@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from markoffquads import cli, curvecomplex, mcshane, spectra  # noqa: E402
+from markoffquads import cli, curvecomplex  # noqa: E402
 
 SEEDS = range(1, 9)
 FORMATS = ("jsonl", "csv")
@@ -45,9 +45,17 @@ def _run(argv: list[str]) -> bytes:
 @contextlib.contextmanager
 def _digesting_walks(h):
     """Feed every `Walk` returned inside the block into h, by wrapping
-    `walk` in each module that binds it."""
+    `walk` in each loaded markoffquads module that binds it.  Exits if
+    spectra or mcshane, which make the workloads' walks, is not among
+    them."""
     real = curvecomplex.walk
-    modules = (curvecomplex, spectra, mcshane)
+    modules = [m for name, m in list(sys.modules.items())
+               if name.partition(".")[0] == "markoffquads"
+               and getattr(m, "walk", None) is real]
+    missing = sorted({"markoffquads.mcshane", "markoffquads.spectra"}
+                     - {m.__name__ for m in modules})
+    if missing:
+        sys.exit(f"walk is not bound in {', '.join(missing)}")
 
     def digesting_walk(*args, **kwargs):
         w = real(*args, **kwargs)
