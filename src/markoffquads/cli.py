@@ -15,6 +15,7 @@ cannot be written, exit 1.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
@@ -23,17 +24,6 @@ import stat
 import sys
 
 from . import __version__
-from .coords import (
-    HorocyclicCoords,
-    LambdaCoords,
-    horocyclic_to_quad,
-    in_fundamental_domain,
-    lambda_to_quad,
-    mcg_apply,
-    quad_to_horocyclic,
-    quad_to_lambda,
-)
-from .curvecomplex import DEFAULT_MAX_CELLS, reduce_to_sink
 from .errors import (
     BqViolationError,
     BranchCutError,
@@ -43,10 +33,11 @@ from .errors import (
     InvalidQuadError,
     MarkoffError,
 )
-from .integral import IntegerQuad, classify, enumerate_fundamental, enumerate_integral_below, int_flip
-from .mcshane import check_bq, mcshane_partial, mcshane_verify, Verdict
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flip, klein_sequence, verify_quad
-from .spectra import CurveKind, growth_exponent, one_sided_spectrum, systole, two_sided_spectrum
+# parsing a quad needs these two modules and no more.  Each command
+# imports the rest of what it uses, so that a fresh call compiles only
+# those modules, and imports them before its main work (jsonlines says why)
+from .integral import IntegerQuad
+from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, MarkoffQuad
 
 ENV_MAX_CELLS = "MQL_MAX_CELLS"
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -192,7 +183,7 @@ def _display(v) -> str:
         return f"{_float_text(v.real)}{sign}{_float_text(abs(v.imag))}i"
     if isinstance(v, (list, tuple)):
         return ";".join(_display(x) for x in v)
-    if isinstance(v, Verdict):
+    if isinstance(v, enum.Enum):  # the str-enum Verdict, without importing mcshane
         return v.value
     return str(v)
 
@@ -241,6 +232,7 @@ def _base(args, cmd: str) -> dict:
 
 
 def _cmd_verify(args):
+    from .quadalgebra import verify_quad
     q = parse_quad(args.quad, args.exact)
     if isinstance(q, IntegerQuad):
         residual, valid = 0.0, True  # constructor already proved exactness
@@ -253,6 +245,8 @@ def _cmd_verify(args):
 
 
 def _cmd_flip(args):
+    from .integral import int_flip
+    from .quadalgebra import flip
     q = parse_quad(args.quad, args.exact)
     if isinstance(q, IntegerQuad):
         result = int_flip(q, args.index)
@@ -267,17 +261,19 @@ def _cmd_reduce(args):
     q = parse_quad(args.quad, args.exact)
     rec = _base(args, "reduce")
     if isinstance(q, IntegerQuad):
+        from .integral import classify
         root, word = classify(q)
         rec.update({"root": list(root.values()), "word": word, "path": "integer"})
     else:
+        from .curvecomplex import reduce_to_sink  # the integer route needs no curvecomplex
         sink, word = reduce_to_sink(q.require_valid(args.tol), tol=args.tol)
         rec.update({"root": list(sink.values()), "word": word, "path": "complex"})
     return [rec], 0
 
 
 def _cmd_spectrum(args):
-    # the commands that write many records import jsonlines first: see there why
     from .jsonlines import entry_records
+    from .spectra import CurveKind, one_sided_spectrum, two_sided_spectrum
     q = _markoff_arg(args.quad, args)
     if args.two_sided:
         fn, kind = two_sided_spectrum, CurveKind.TWO_SIDED
@@ -290,6 +286,7 @@ def _cmd_spectrum(args):
 
 def _cmd_systole(args):
     from .jsonlines import entry_records
+    from .spectra import systole
     q = _markoff_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
     head = {**_base(args, "systole"), "kind": witness.kind.value}
@@ -297,6 +294,7 @@ def _cmd_systole(args):
 
 
 def _cmd_mcshane(args):
+    from .mcshane import Verdict, mcshane_partial, mcshane_verify
     if (args.cutoff is None) == (args.target_tol is None):
         raise _UsageError("give exactly one of --cutoff or --target-tol")
     q = _markoff_arg(args.quad, args)
@@ -322,6 +320,7 @@ def _cmd_mcshane(args):
 
 
 def _cmd_bq_check(args):
+    from .mcshane import check_bq
     q = _markoff_arg(args.quad, args)
     rep = check_bq(q, args.k, max_cells=args.max_cells, quad_tol=args.tol)
     rec = _base(args, "bq-check")
@@ -337,17 +336,20 @@ def _cmd_bq_check(args):
 
 
 def _cmd_fundamental(args):
+    from .integral import enumerate_fundamental
     from .jsonlines import quad_records
     return quad_records(_base(args, "fundamental"), enumerate_fundamental(), _JSON.encode), 0
 
 
 def _cmd_enumerate_integral(args):
+    from .integral import enumerate_integral_below
     from .jsonlines import quad_records
     quads = enumerate_integral_below(args.bound, max_cells=args.max_cells)
     return quad_records(_base(args, "enumerate-integral"), quads, _JSON.encode), 0
 
 
 def _cmd_growth(args):
+    from .spectra import growth_exponent
     q = _markoff_arg(args.quad, args)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
                           max_cells=args.max_cells, tol=args.tol)
@@ -362,6 +364,15 @@ def _cmd_growth(args):
 
 
 def _cmd_coords(args):
+    from .coords import (
+        HorocyclicCoords,
+        LambdaCoords,
+        horocyclic_to_quad,
+        in_fundamental_domain,
+        lambda_to_quad,
+        quad_to_horocyclic,
+        quad_to_lambda,
+    )
     rec = _base(args, "coords")
     rec["quad"] = args.values
     if args.to is not None:
@@ -391,6 +402,7 @@ def _cmd_coords(args):
 
 
 def _cmd_mcg(args):
+    from .coords import mcg_apply
     q = _markoff_arg(args.quad, args)
     word = [w for w in re.split(r"[,\s]+", args.word.strip()) if w]
     result = mcg_apply(word, q)
@@ -400,6 +412,7 @@ def _cmd_mcg(args):
 
 
 def _cmd_klein(args):
+    from .quadalgebra import klein_sequence
     seeds = [p.strip() for p in args.seed.split(",")]
     if len(seeds) != 2:
         raise _UsageError("--seed needs two comma-separated values")

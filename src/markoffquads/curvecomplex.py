@@ -25,9 +25,8 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, flips
+from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, MarkoffQuad, flips
 
-DEFAULT_MAX_CELLS = 200_000
 DEFAULT_MAX_STEPS = 10_000
 
 

@@ -12,9 +12,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .curvecomplex import DEFAULT_MAX_CELLS
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import _value_type, flip_value, flips
+from .quadalgebra import DEFAULT_MAX_CELLS, _value_type, flip_value, flips
 
 
 class _IntegerQuadFields(NamedTuple):

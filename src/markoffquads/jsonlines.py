@@ -8,10 +8,10 @@ row adds only its own numbers, written exactly as the strict JSON
 encoder writes them.  A row the template cannot write as it is goes to
 the encoder as its dict, so its bytes, or its error, are the encoder's.
 
-`markoffquads.cli` imports this module only for those four commands: a
-fresh `mql` call without a bytecode cache compiles every module it
-imports, and the other commands have no use for this one.  Each of the
-four imports it before its main work.  Imported after a walk, the
+`markoffquads.cli` imports this module, like every library module,
+only in the commands that use it, here those four: a fresh `mql` call
+without a bytecode cache compiles every module it imports.  Each command
+imports its modules before its main work.  Imported after a walk, a
 module's objects would sit among the walk's freed memory and keep it
 resident in a process that goes on calling `cli.main`.
 """

@@ -27,6 +27,9 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+# the cell budget of a walk or an enumeration; it lives here, with the
+# other default, so that integer quads need not load the walker
+DEFAULT_MAX_CELLS = 200_000
 
 
 def _as_complex(x) -> complex:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markoffquads import cli, jsonlines
+from markoffquads import cli, integral, jsonlines, spectra
 from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import (CurveKind, DomainError, IntegerQuad, MarkoffQuad, SpectrumEntry,
                           int_flip)
@@ -362,6 +362,52 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+# run one command in a fresh interpreter, print its exit code and the
+# markoffquads modules it loaded
+_LOADS_CODE = (
+    "import contextlib, io, sys\n"
+    "from markoffquads import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('markoffquads.')))\n"
+)
+
+
+# every call loads cli, errors, integral (IntegerQuad, for parsing) and
+# quadalgebra; the set is what the command adds to those
+_LOADS = [
+    (("verify", "4,4,4,4"), set()),
+    (("verify", "4.0,4,4,4"), set()),
+    (("flip", "4,4,4,36", "-i", "4"), set()),
+    (("flip", "4.0,4,4,36", "-i", "4"), set()),
+    (("klein", "-A", "3", "--seed", "1,2", "-n", "4"), set()),
+    (("reduce", "4,4,4,36"), set()),
+    (("coords", "4,4,4,36", "--to", "lambda"), {"coords"}),
+    (("coords", "0.25,0.25,0.25,0.25", "--from", "horocyclic"), {"coords"}),
+    (("mcg", "4,4,4,36", "-w", "f1"), {"coords"}),
+    (("reduce", "4.0,4,4,36"), {"curvecomplex"}),
+    (("mcshane", "4,4,4,36", "--cutoff", "100"), {"curvecomplex", "mcshane"}),
+    (("bq-check", "4,4,4,36", "-k", "10"), {"curvecomplex", "mcshane"}),
+    (("spectrum", "4,4,4,4", "-L", "3"), {"curvecomplex", "spectra", "jsonlines"}),
+    (("systole", "4,4,4,4"), {"curvecomplex", "spectra", "jsonlines"}),
+    (("growth", "4,4,4,4", "--lmin", "1", "--lmax", "5", "--shells", "4"),
+     {"curvecomplex", "spectra"}),
+    (("fundamental",), {"jsonlines"}),
+    (("enumerate-integral", "-B", "100"), {"jsonlines"}),
+]
+
+
+@pytest.mark.parametrize("argv, adds", _LOADS, ids=["-".join(argv) for argv, _ in _LOADS])
+def test_each_command_loads_only_its_modules(argv, adds):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADS_CODE, *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
+    code, *loaded = proc.stdout.split()
+    base = {"cli", "errors", "integral", "quadalgebra"}
+    assert code == "0" and set(loaded) == {f"markoffquads.{m}" for m in base | adds}
 
 
 def test_relation_tol_reaches_mcshane_and_bq_check(capsys):
@@ -761,22 +807,24 @@ _INF_TRACE = lambda entry: entry._replace(trace=complex(math.inf, 0.0))
 
 # the stderr texts were pinned from the writer that encoded every record
 @pytest.mark.parametrize("c_encoder", [True, False])
-@pytest.mark.parametrize("argv, name, bad", [
-    (("spectrum", "4,4,4,4", "-L", "120"), "one_sided_spectrum", _INF_TRACE),
-    (("enumerate-integral", "-B", str(10 ** 12)), "enumerate_integral_below",
+# each command imports its function from the home module when it runs,
+# so the home module's attribute is the one to patch
+@pytest.mark.parametrize("argv, home, name, bad", [
+    (("spectrum", "4,4,4,4", "-L", "120"), spectra, "one_sided_spectrum", _INF_TRACE),
+    (("enumerate-integral", "-B", str(10 ** 12)), integral, "enumerate_integral_below",
      lambda q: _integer_quad_past(4400)),
 ], ids=["inf-trace", "long-int"])
-def test_record_set_failure_at_row_600(capsys, monkeypatch, c_encoder, argv, name, bad):
+def test_record_set_failure_at_row_600(capsys, monkeypatch, c_encoder, argv, home, name, bad):
     code, good, _ = run_cli(capsys, *argv)
     assert code == 0 and good.count("\n") > 601
-    compute = getattr(cli, name)
+    compute = getattr(home, name)
 
     def row_600_bad(*args, **kwargs):
         rows = compute(*args, **kwargs)
         rows[600] = bad(rows[600])
         return rows
 
-    monkeypatch.setattr(cli, name, row_600_bad)
+    monkeypatch.setattr(home, name, row_600_bad)
     if not c_encoder:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     code, out, err = run_cli(capsys, *argv)

@@ -29,7 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from markoffquads import cli, curvecomplex  # noqa: E402
+# `cli` imports each command's modules when the command runs; spectra and
+# mcshane, which make the workloads' walks, are imported here so that
+# their `walk` can be wrapped before the first call
+from markoffquads import cli, curvecomplex, mcshane, spectra  # noqa: E402, F401
 
 SEEDS = range(1, 9)
 FORMATS = ("jsonl", "csv")
