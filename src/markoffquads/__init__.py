@@ -26,9 +26,9 @@ _HOMES = {
         "two_sided_trace", "verify_quad",
     ),
     "curvecomplex": (
-        "Face", "FibonacciAssignment", "SpiralSequence", "VertexClass",
-        "VertexKind", "Walk", "classify_vertex", "fibonacci_level_counts",
-        "fibonacci_values", "reduce_to_sink", "spiral_sequence", "walk",
+        "Face", "SpiralSequence", "VertexClass", "VertexKind", "Walk",
+        "classify_vertex", "fibonacci_level_counts", "reduce_to_sink",
+        "spiral_sequence", "walk",
     ),
     "spectra": (
         "CurveKind", "GrowthFit", "SpectrumEntry", "count_s", "fit_power_law",

@@ -348,70 +348,38 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
     return Walk(values, parents, slots, faces, visited, budget_hit)
 
 
-class FibonacciAssignment(NamedTuple):
-    """Integer weights on cells generated from value 1 on a basis edge by
-    the sum rule: a new cell's weight is the sum of the three weights at
-    its creation vertex."""
-
-    basis: tuple[int, int, int]
-    values: dict[int, int]
-
-
-def fibonacci_values(basis: tuple[int, int, int], depth: int) -> FibonacciAssignment:
-    """Propagate the weights outward to every vertex within the given
-    tree distance of the basis edge (distance 0 is its two endpoints)."""
-    basis = tuple(basis)
-    if len(set(basis)) != 3:
-        raise DomainError("basis edge needs three distinct cell ids")
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    values = {c: 1 for c in basis}
-    next_id = max(basis) + 1
-    # a vertex is four cell ids; the two endpoints of the basis edge each
-    # add one new cell
-    frontier = []
-    for _ in range(2):
-        values[next_id] = 3
-        frontier.append(basis + (next_id,))
-        next_id += 1
-    for _ in range(depth):
-        new_frontier = []
-        for vertex in frontier:
-            for drop in vertex[:-1]:  # never cross back over the arrival edge
-                kept = tuple(c for c in vertex if c != drop)
-                values[next_id] = sum(values[c] for c in kept)
-                new_frontier.append(kept + (next_id,))
-                next_id += 1
-        frontier = new_frontier
-    return FibonacciAssignment(basis=basis, values=values)
-
-
 def fibonacci_level_counts(max_value: int) -> dict[int, int]:
-    """Count cells by weight for all weights <= max_value.
+    """Count the cells of the sum-rule tree by weight, for all weights
+    <= max_value, in increasing order of weight.
 
-    Weights strictly increase outward (a new weight is the sum of three
-    positive weights at its vertex), so pruning branches whose new weight
-    exceeds max_value is exact.
+    The basis edge is three cells of weight 1.  Each of its two endpoint
+    vertices adds a cell of weight 3, and leaving a vertex over any edge
+    but the one it was entered by drops one of its three older cells and
+    adds a cell whose weight is the sum of the three kept.  The two
+    subtrees hanging off the basis edge are mirror images, cell for cell
+    and weight for weight, so one is walked and its counts are doubled.
+
+    Every cell is created at exactly one vertex and its weight depends
+    only on the path to that vertex, so the counts do not depend on the
+    order of the walk; it goes depth-first on an explicit stack, which
+    holds at most three vertices per level.  A new weight exceeds the
+    newest of the three it sums, so weights strictly increase outward
+    and pruning branches whose new weight exceeds max_value is exact.
     """
     if max_value < 1:
         raise DomainError("max_value must be >= 1")
     counts = {1: 3}
-    frontier = []
-    base = (1, 1, 1)
-    if max_value >= 3:
-        counts[3] = 2
-        frontier = [(base, 3), (base, 3)]
-    queue = deque(frontier)
-    while queue:
-        kept3, newest = queue.popleft()
-        vertex = kept3 + (newest,)
-        for drop_pos in range(3):  # the newest cell's own edge is the arrival edge
-            kept = tuple(vertex[p] for p in range(4) if p != drop_pos)
-            w = sum(kept)
-            if w > max_value:
-                continue
-            counts[w] = counts.get(w, 0) + 1
-            queue.append((kept, w))
+    half = {}
+    stack = [(1, 1, 1, 3)] if max_value >= 3 else []  # newest weight last
+    while stack:
+        a, b, c, d = stack.pop()
+        half[d] = half.get(d, 0) + 1
+        for x, y in ((b, c), (a, c), (a, b)):  # drop a, b or c; keep d
+            w = x + y + d
+            if w <= max_value:
+                stack.append((x, y, d, w))
+    for w in sorted(half):
+        counts[w] = 2 * half[w]
     return counts
 
 

@@ -123,6 +123,37 @@ def jordan_totient2(n):
     return result
 
 
+def sum_rule_weights(depth, cap):
+    """Weights <= cap of the cells of the sum-rule tree within `depth`
+    levels of its basis edge, one entry per cell, by a plain
+    level-by-level walk of both sides of the edge.
+
+    The basis edge is three cells of weight 1; each of its two endpoint
+    vertices adds a cell of weight 3 (level 0).  A vertex is its four
+    weights, the newest last.  Each of the three edges it was not
+    entered by drops one of the other three cells and adds, at level
+    j + 1, a cell whose weight is the sum of the three kept.  A branch
+    whose new weight exceeds cap is not followed: that sum includes the
+    newest weight, so weights only grow along a branch.
+    """
+    weights = [1, 1, 1]
+    level = []
+    if cap >= 3:
+        weights += [3, 3]
+        level = [(1, 1, 1, 3), (1, 1, 1, 3)]
+    for _ in range(depth):
+        nxt = []
+        for vertex in level:
+            for drop in range(3):
+                kept = vertex[:drop] + vertex[drop + 1:]
+                w = sum(kept)
+                if w <= cap:
+                    weights.append(w)
+                    nxt.append(kept + (w,))
+        level = nxt
+    return weights
+
+
 def brute_integral_scan(B, a_max=None, b_max=None):
     """All positive integer quads a <= b <= c <= d <= B, optionally with
     a <= a_max and b <= b_max: for each triple, solve the completion

@@ -1,6 +1,6 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,9 +15,9 @@ from markoffquads import (
     complete_quad,
     curvecomplex,
     fibonacci_level_counts,
-    fibonacci_values,
     flip_value,
     flips,
+    growth_exponent,
     reduce_to_sink,
     sample_fuchsian_quad,
     spiral_sequence,
@@ -28,6 +28,7 @@ from helpers import (
     jordan_totient2,
     perturb_quad,
     random_complex_quad,
+    sum_rule_weights,
     unpruned_walk,
 )
 
@@ -194,21 +195,6 @@ def test_tree_property_distinct_nodes():
     assert len(set(vals)) == len(vals)
 
 
-def test_fibonacci_values_examples():
-    fa = fibonacci_values((0, 1, 2), depth=1)
-    vals = sorted(fa.values.values())
-    assert vals[:5] == [1, 1, 1, 3, 3]
-    assert all(v == 5 for v in vals[5:])
-    assert len(vals) == 11
-
-
-def test_fibonacci_defining_recurrence():
-    # every non-basis value equals the sum of the three cells at its
-    # creation vertex; verified structurally by regenerating one layer
-    fa = fibonacci_values((0, 1, 2), depth=0)
-    assert sorted(fa.values.values()) == [1, 1, 1, 3, 3]
-
-
 def test_fibonacci_level_sets_bound():
     counts = fibonacci_level_counts(50)
     assert counts[1] == 3
@@ -216,6 +202,8 @@ def test_fibonacci_level_sets_bound():
     assert counts[5] == 6
     for n in range(1, 51):
         assert counts.get(n, 0) < 4 * jordan_totient2(n), n
+    with pytest.raises(DomainError):
+        fibonacci_level_counts(0)
 
 
 def test_spiral_sequence_example():
@@ -339,15 +327,42 @@ def test_pruned_matches_unpruned_on_complex_quads():
 
 
 def test_fibonacci_two_routes_agree():
-    # depth-limited assignment and value-capped level counting are
-    # independent traversals of the same recursion; weights <= 17 all lie
-    # within depth 8 (the slowest spiral adds 2 per level)
-    fa = fibonacci_values((0, 1, 2), depth=8)
-    hist = {}
-    for w in fa.values.values():
-        if w <= 17:
-            hist[w] = hist.get(w, 0) + 1
-    assert hist == fibonacci_level_counts(17)
+    # the library's depth-first count of one mirror subtree, doubled,
+    # against a level-by-level walk of both; level j adds weights
+    # >= 3 + 2j (the slowest spiral adds 2 per level), so depth
+    # (n - 3) // 2 holds every weight <= n and one level more adds none
+    for n in range(1, 61):
+        depth = max(0, (n - 3) // 2)
+        weights = sum_rule_weights(depth, cap=n)
+        assert len(sum_rule_weights(depth + 1, cap=n)) == len(weights), n
+        assert fibonacci_level_counts(n) == dict(Counter(weights)), n
+
+
+# C(n), the number of cells of weight <= n; log|trace| is comparable to
+# the weight, so C grows at the rate of the one-sided length count
+FIBONACCI_TOTALS = {25: 323, 50: 1535, 100: 7853, 200: 42605, 400: 232613,
+                    800: 1267685}
+
+
+def test_fibonacci_growth_is_strictly_between_quadratic_and_cubic():
+    # the paper's non-polynomial growth in exact integers: on every
+    # doubling 4 C(n) < C(2n) < 8 C(n), a local slope strictly between 2
+    # and 3; the slopes are not monotone (2.449 at 200->400, 2.446 at
+    # 400->800), so only the bracket is asserted
+    totals = {n: sum(fibonacci_level_counts(n).values()) for n in FIBONACCI_TOTALS}
+    assert totals == FIBONACCI_TOTALS
+    for n in totals:
+        if 2 * n in totals:
+            assert 4 * totals[n] < totals[2 * n] < 8 * totals[n], n
+
+
+def test_growth_fit_lies_in_the_fibonacci_slope_bracket():
+    # the float log-log fit on lengths (2.4333) lands inside the bracket
+    # [2.2486, 2.4488] of the exact local slopes log2(C(2n) / C(n))
+    slopes = [math.log2(FIBONACCI_TOTALS[2 * n] / FIBONACCI_TOTALS[n])
+              for n in FIBONACCI_TOTALS if 2 * n in FIBONACCI_TOTALS]
+    fit = growth_exponent(Q4, 10.0, 34.0, 7)
+    assert min(slopes) <= fit.exponent <= max(slopes)
 
 
 def _reference_walk(vals, cell_bound, face_bound, max_cells):

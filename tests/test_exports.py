@@ -10,16 +10,17 @@ import markoffquads
 
 # what `from markoffquads import *` bound in a fresh interpreter when the
 # package imported its seven library modules up front: the exported names
-# and those modules
+# and those modules, less `FibonacciAssignment` and `fibonacci_values`,
+# which were deleted later
 STAR_NAMES = sorted("""
     BqReport BqViolationError BranchCutError BudgetExceededError CurveKind
     DEFAULT_TOL DegenerateClassError DomainCheck DomainError Face
-    FibonacciAssignment GrowthFit HorocyclicCoords IntegerQuad InvalidQuadError
+    GrowthFit HorocyclicCoords IntegerQuad InvalidQuadError
     KleinSequence LambdaCoords MarkoffError MarkoffQuad Matrix2 McShaneReport
     McgRelationsReport SpectrumEntry SpiralSequence Verdict VertexClass
     VertexKind Walk build_representation check_bq classify classify_vertex
     complete_quad coords count_s curvecomplex enumerate_fundamental
-    enumerate_integral_below errors fibonacci_level_counts fibonacci_values
+    enumerate_integral_below errors fibonacci_level_counts
     finite_tree_psi_sum fit_power_law flip flip_value flips fricke_residual
     growth_exponent h horocyclic_to_quad hurwitz_to_quad in_fundamental_domain
     int_flip int_reduce integral klein_sequence lambda_to_quad mcg_apply

@@ -11,7 +11,6 @@ from markoffquads import (
     DomainCheck,
     DomainError,
     Face,
-    FibonacciAssignment,
     GrowthFit,
     HorocyclicCoords,
     IntegerQuad,
@@ -40,8 +39,6 @@ CASES = [
     (VertexClass, dict(kind=VertexKind.SINK, orientations=(-1, -1, -1, -1)),
      "VertexClass(kind=<VertexKind.SINK: 'sink'>, orientations=(-1, -1, -1, -1))"),
     (Face, dict(cells=(0, 1), product=16), "Face(cells=(0, 1), product=16)"),
-    (FibonacciAssignment, dict(basis=(1, 2, 3), values={1: 1, 4: 3}),
-     "FibonacciAssignment(basis=(1, 2, 3), values={1: 1, 4: 3})"),
     (SpiralSequence, dict(a=3, b=3, n_start=-1, terms=(1, 2), closed_form=None),
      "SpiralSequence(a=3, b=3, n_start=-1, terms=(1, 2), closed_form=None)"),
     (BqReport, dict(cutoff=4.0, faces4=(), violations=(), cells_below2=0, budget_hit=False),
