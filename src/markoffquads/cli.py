@@ -320,19 +320,11 @@ def _cmd_mcshane(args):
 
 
 def _cmd_bq_check(args):
+    from .jsonlines import bq_records
     from .mcshane import check_bq
     q = _markoff_arg(args.quad, args)
     rep = check_bq(q, args.k, max_cells=args.max_cells, quad_tol=args.tol)
-    rec = _base(args, "bq-check")
-    rec.update({
-        "cutoff": rep.cutoff,
-        "faces4": [[f.cells[0], f.cells[1], f.product] for f in rep.faces4],
-        "violations": [[f.cells[0], f.cells[1], f.product] for f in rep.violations],
-        "cells_below2": rep.cells_below2,
-        "budget_hit": rep.budget_hit,
-        "ok": rep.ok,
-    })
-    return [rec], 0
+    return bq_records(_base(args, "bq-check"), [rep], _JSON.encode), 0
 
 
 def _cmd_fundamental(args):

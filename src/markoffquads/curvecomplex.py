@@ -164,12 +164,14 @@ def walk(
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
     slot: the arrival cell's faces in one branch per arrival slot, then
-    one block per flip.  Each vertex gets its flips from one `flips`
-    call.  That kernel must keep the operation order of `flip_value`
-    (product of the other three in slot order, minus twice their sum,
-    minus the old entry): float arithmetic is not associative, so any
-    other order changes the low bits of cell values, and with them
-    lengths, sums and, at a bound, which cells are kept.
+    one block per flip.  Each flip block computes its own flip inline,
+    so a vertex makes no call and computes only the three forward flips
+    it can follow, never the one back to its parent.  Each must keep the
+    operation order of `flips` (product of the other three in slot
+    order, minus twice their sum, minus the old entry): float arithmetic
+    is not associative, so any other order changes the low bits of cell
+    values, and with them lengths, sums and, at a bound, which cells are
+    kept.
 
     A Fuchsian root (four entries with a positive real part and an
     imaginary part of exactly +0.0) under bounds that are not infinite
@@ -295,11 +297,11 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
                     if abs(p) <= face_bound:
                         faces[(ic, name)] = p
             ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
-            fa, fb, fc, fd = flips(a, b, c, d)
             # per slot, never prune a strictly descending direction (below
             # one of the three magnitudes the flip leaves in place);
             # otherwise extend only while the new value can still matter
             if back != 0:
+                fa = b * c * d - 2 * (b + c + d) - a
                 m = abs(fa)
                 if (m < mb or m < mc or m < md or m <= cbound
                         or (record_faces and m * min(mb, mc, md) <= face_bound)):
@@ -311,6 +313,7 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
                     push((n, 0, n, ib, ic, id_, fa, b, c, d))
                     n += 1
             if back != 1:
+                fb = a * c * d - 2 * (a + c + d) - b
                 m = abs(fb)
                 if (m < ma or m < mc or m < md or m <= cbound
                         or (record_faces and m * min(ma, mc, md) <= face_bound)):
@@ -322,6 +325,7 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
                     push((n, 1, ia, n, ic, id_, a, fb, c, d))
                     n += 1
             if back != 2:
+                fc = a * b * d - 2 * (a + b + d) - c
                 m = abs(fc)
                 if (m < ma or m < mb or m < md or m <= cbound
                         or (record_faces and m * min(ma, mb, md) <= face_bound)):
@@ -333,6 +337,7 @@ def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
                     push((n, 2, ia, ib, n, id_, a, b, fc, d))
                     n += 1
             if back != 3:
+                fd = a * b * c - 2 * (a + b + c) - d
                 m = abs(fd)
                 if (m < ma or m < mb or m < mc or m <= cbound
                         or (record_faces and m * min(ma, mb, mc) <= face_bound)):

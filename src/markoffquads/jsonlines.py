@@ -1,6 +1,7 @@
 """JSON Lines for the `mql` commands that write many records of one
-fixed shape: `spectrum` and `systole` (spectrum entries), `fundamental`
-and `enumerate-integral` (integer quads).
+fixed shape, or one record with many faces: `spectrum` and `systole`
+(spectrum entries), `fundamental` and `enumerate-integral` (integer
+quads), and `bq-check` (a summability report).
 
 Each line comes from a template made once per call.  The keys and the
 values that every record of the call shares are encoded once, and each
@@ -9,7 +10,7 @@ encoder writes them.  A row the template cannot write as it is goes to
 the encoder as its dict, so its bytes, or its error, are the encoder's.
 
 `markoffquads.cli` imports this module, like every library module,
-only in the commands that use it, here those four: a fresh `mql` call
+only in the commands that use it, here those five: a fresh `mql` call
 without a bytecode cache compiles every module it imports.  Each command
 imports its modules before its main work.  Imported after a walk, a
 module's objects would sit among the walk's freed memory and keep it
@@ -132,3 +133,53 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
         return template % (a, ref, repr(lr) if li == 0.0 else f"[{lr!r},{li!r}]", trace, word)
 
     return RecordSet(entries, record, line)
+
+
+def bq_records(head: dict, reports, encode) -> RecordSet:
+    """`head` plus the cutoff, the [i, j, product] list of each face in
+    faces4 and in violations, the cell count, the budget flag and the
+    verdict of each BqReport; `encode` as for `quad_records`."""
+    template = _template(encode, head, ("budget_hit", "cells_below2", "cutoff", "faces4",
+                                        "ok", "violations"))
+
+    def faces(fs):
+        return [[f.cells[0], f.cells[1], f.product] for f in fs]
+
+    def record(rep):
+        return {**head, "cutoff": rep.cutoff, "faces4": faces(rep.faces4),
+                "violations": faces(rep.violations), "cells_below2": rep.cells_below2,
+                "budget_hit": rep.budget_hit, "ok": rep.ok}
+
+    def line(rep):
+        # check_bq takes the violations from faces4 in order, so one pass
+        # over faces4 meets each of them, by identity, and each face's
+        # text is made once for both lists
+        all_text, bad_text = [], []
+        add = all_text.append
+        violations = iter(rep.violations)
+        v = next(violations, None)
+        total = 0.0
+        for f in rep.faces4:
+            cells, p = f
+            i, j = cells[0], cells[1]
+            # a product is written as its real part when its imaginary
+            # part is zero, as cli._complex_json writes it
+            if type(p) is not complex or p.imag != 0.0 or type(i) is not int \
+                    or type(j) is not int:
+                return None
+            x = p.real
+            total += x
+            text = f"[{i},{j},{x!r}]"
+            add(text)
+            if f is v:
+                bad_text.append(text)
+                v = next(violations, None)
+        # a violation not met above, a part that is not finite, or a sum
+        # that overflows
+        if v is not None or not math.isfinite(total):
+            return None
+        return template % (encode(rep.budget_hit), encode(rep.cells_below2),
+                           encode(rep.cutoff), "[" + ",".join(all_text) + "]",
+                           encode(rep.ok), "[" + ",".join(bad_text) + "]")
+
+    return RecordSet(reports, record, line)

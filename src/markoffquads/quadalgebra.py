@@ -217,9 +217,12 @@ def two_sided_length(e, tol: float = DEFAULT_TOL) -> complex:
 
     Principal branch (Re >= 0).  Real e in [-2, 2] is elliptic or
     parabolic and rejected; the test uses distance <= tol to the segment.
+    It is skipped when |e| > 4 and tol < 1: every point of [-2, 2] has
+    modulus <= 2, so e then lies more than 2 from the segment and the
+    test would pass.  e is finite here, as _as_complex rejects the rest.
     """
     e = _as_complex(e)
-    if _segment_distance(e, -2.0, 2.0) <= tol:
+    if not (abs(e) > 4.0 and tol < 1.0) and _segment_distance(e, -2.0, 2.0) <= tol:
         raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
     return 2 * cmath.acosh(e / 2)
 

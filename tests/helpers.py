@@ -7,6 +7,7 @@ against a second, unrelated route to the same numbers.
 
 import cmath
 import math
+import struct
 from collections import deque
 
 
@@ -204,3 +205,19 @@ def perturb_quad(vals, rng, scale=1e-3):
     r1, r2 = completion_roots(a, b, c)
     nd = r1 if abs(r1 - d) <= abs(r2 - d) else r2
     return (a, b, c, nd)
+
+
+def value_bits_or_error(f, *args):
+    """f(*args) as the bits of its complex value, or the type and text
+    of the exception it raises, so that two routes can be compared
+    exactly, NaN results and errors included."""
+    try:
+        z = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def around(v):
+    """v and the floats one ulp below and above it."""
+    return math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from markoffquads import cli, integral, jsonlines, spectra
 from markoffquads.cli import _emit, main, parse_quad
-from markoffquads import (CurveKind, DomainError, IntegerQuad, MarkoffQuad, SpectrumEntry,
-                          int_flip)
+from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
+                          SpectrumEntry, check_bq, complete_quad, int_flip)
 
 
 def run_cli(capsys, *argv):
@@ -389,7 +389,7 @@ _LOADS = [
     (("mcg", "4,4,4,36", "-w", "f1"), {"coords"}),
     (("reduce", "4.0,4,4,36"), {"curvecomplex"}),
     (("mcshane", "4,4,4,36", "--cutoff", "100"), {"curvecomplex", "mcshane"}),
-    (("bq-check", "4,4,4,36", "-k", "10"), {"curvecomplex", "mcshane"}),
+    (("bq-check", "4,4,4,36", "-k", "10"), {"curvecomplex", "mcshane", "jsonlines"}),
     (("spectrum", "4,4,4,4", "-L", "3"), {"curvecomplex", "spectra", "jsonlines"}),
     (("systole", "4,4,4,4"), {"curvecomplex", "spectra", "jsonlines"}),
     (("growth", "4,4,4,4", "--lmin", "1", "--lmax", "5", "--shells", "4"),
@@ -746,7 +746,8 @@ def test_main_stdout_equals_json_dumps(monkeypatch, c_encoder):
         if isinstance(records, jsonlines.RecordSet):
             templated.update(rec["cmd"] for rec in recs)
     assert cmds == set(cli._COMMANDS)
-    assert templated == {"spectrum", "systole", "fundamental", "enumerate-integral"}
+    assert templated == {"spectrum", "systole", "fundamental", "enumerate-integral",
+                         "bq-check"}
 
 
 def test_record_set_rows_the_template_cannot_write():
@@ -768,6 +769,88 @@ def test_record_set_rows_the_template_cannot_write():
                                               cli._JSON.encode)
             with pytest.raises(DomainError, match="not JSON compliant"):
                 _emit(records, "jsonl", io.StringIO())
+
+
+def _bq_record(quad, k, max_cells):
+    # bq-check's record, key for key as the command built it for the
+    # encoder before its line came from a template
+    q = MarkoffQuad.from_values(parse_quad(quad).values())
+    rep = check_bq(q, float(k), max_cells=max_cells)
+    faces = lambda fs: [[f.cells[0], f.cells[1], f.product] for f in fs]
+    return {"cmd": "bq-check", "quad": quad, "version": cli.__version__,
+            "cutoff": rep.cutoff, "faces4": faces(rep.faces4),
+            "violations": faces(rep.violations), "cells_below2": rep.cells_below2,
+            "budget_hit": rep.budget_hit, "ok": rep.ok}
+
+
+# complex face products: the whole record goes to the encoder
+_BQ_COMPLEX = ",".join(map(str, (1 + 1j, 1 + 0.5j, 2 - 1j,
+                                  complete_quad(1 + 1j, 1 + 0.5j, 2 - 1j)[1])))
+_BQ_CASES = {
+    # all faces4 real and all of them violations, at every budget that
+    # cuts the walk short
+    "0000": [("0,0,0,0", "4", n) for n in range(4, 61)],
+    "complex": [(_BQ_COMPLEX, "4", 200)],
+    "empty": [("2,5,5,8", "10", 1000)],
+    # violations a strict subset of faces4, and -0.0 real parts
+    "subset": [("0,1,-3,2", "4", 60)],
+}
+
+
+@pytest.mark.parametrize("case", _BQ_CASES)
+def test_bq_check_lines_equal_json_dumps(case):
+    for quad, k, max_cells in _BQ_CASES[case]:
+        argv = ("bq-check", quad, "-k", k, "--max-cells", str(max_cells))
+        out, records = _stdout_and_records(argv)
+        rec = _bq_record(quad, k, max_cells)
+        assert isinstance(records, jsonlines.RecordSet) and list(records) == [rec]
+        assert out == _dumps(rec) + "\n"
+        # the template writes every record but the one with complex products
+        [rep] = records.rows
+        assert (records.line(rep) is None) == (case == "complex")
+        if case == "subset":
+            assert 0 < len(rep.violations) < len(rep.faces4)
+        # CSV comes from the same dict
+        csv_out, expected = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(csv_out):
+            assert main([*argv, "--format", "csv"]) == 0
+        _emit([rec], "csv", expected)
+        assert csv_out.getvalue() == expected.getvalue()
+
+
+def test_bq_records_the_template_cannot_write():
+    # products that are not complex, cells that are not ints, a sum that
+    # overflows and violations that are not faces of faces4 go to the encoder
+    head = {"cmd": "bq-check", "quad": "0,0,0,0", "version": "0.1.0"}
+    f = Face((0, 1), 2 + 0j)
+    g = Face((0, 2), -0.0 + 0j)
+    reports = [
+        BqReport(4.0, (f, g), (f,), 3, False),
+        BqReport(4.0, (f, f._replace(product=2)), (), 0, False),
+        BqReport(4.0, (f, f._replace(product=2.5)), (), 0, False),
+        BqReport(4.0, (f._replace(cells=(True, 1)), g), (), 0, True),
+        BqReport(4.0, (f._replace(product=1e308 + 0j),) * 2, (), 0, False),
+        BqReport(4.0, (f, g), (Face((0, 1), 2 + 0j),), 0, False),
+        BqReport(4.0, (f, g), (g, f), 0, False),
+        BqReport(4.0, (), (f,), 0, False),
+        BqReport(4, (), (), 0, False),
+    ]
+    lines = [jsonlines.bq_records(head, [rep], cli._JSON.encode).line(rep) for rep in reports]
+    assert [line is None for line in lines] == [False, True, True, True, True, True, True,
+                                                True, False]
+    records = jsonlines.bq_records(head, reports, cli._JSON.encode)
+    out = io.StringIO()
+    _emit(records, "jsonl", out)
+    assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
+    for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, math.inf)):
+        records = jsonlines.bq_records(head, [BqReport(4.0, (f, f._replace(product=bad)), (),
+                                                       0, False)], cli._JSON.encode)
+        with pytest.raises(DomainError, match="not JSON compliant"):
+            _emit(records, "jsonl", io.StringIO())
+    records = jsonlines.bq_records(head, [BqReport(math.nan, (f,), (), 0, False)],
+                                   cli._JSON.encode)
+    with pytest.raises(DomainError, match="not JSON compliant"):
+        _emit(records, "jsonl", io.StringIO())
 
 
 @pytest.mark.parametrize("field, value", [

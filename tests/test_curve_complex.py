@@ -281,13 +281,13 @@ def test_sink_uniqueness_over_translates():
                 assert x == pytest.approx(y, rel=1e-6)
 
 
-def test_explore_fully_pruned_keeps_only_root_cells():
+def test_walk_fully_pruned_keeps_only_root_cells():
     w = walk(Q4, cell_bound=3.0)
     assert w.values == [4, 4, 4, 4] and w.words() == [()] * 4
     assert w.nodes_visited == 1
 
 
-def test_explore_truncate_respects_budget():
+def test_walk_truncate_respects_budget():
     full = walk(Q4, cell_bound=1e12)
     w = walk(Q4, cell_bound=1e12, max_cells=20, on_budget="truncate")
     assert w.budget_hit and not full.budget_hit

@@ -21,7 +21,8 @@ from markoffquads import (
     psi,
     sample_fuchsian_quad,
 )
-from helpers import perturb_quad
+from helpers import around, perturb_quad, value_bits_or_error
+from markoffquads.quadalgebra import _segment_distance
 
 Q4 = MarkoffQuad(4, 4, 4, 4)
 
@@ -47,6 +48,37 @@ def test_h_branch_cut_rejection():
     # just outside the guard band is accepted
     assert h(2 + 1e-6j) is not None
     assert h(-1e-6) is not None
+
+
+def _h_always_testing_the_cut(x, tol):
+    # h with the distance to the cut computed for every input
+    x = complex(x)
+    if _segment_distance(x, 0.0, 4.0) <= tol:
+        raise BranchCutError(f"{x} within {tol:g} of the cut [0,4]")
+    s = cmath.sqrt(1 - 4 / x)
+    if abs(x) > 8:
+        return 2 / (x * (1 + s))
+    return (1 - s) / 2
+
+
+# |x| at 8 and 4 and one ulp either side, in four directions; points on
+# the cut, within 1e-9 of it, and 0.4, 0.9, 3.9 and 9.9 from it, some
+# of them with |x| > 8; NaN, infinite and overflowing inputs
+_H_POINTS = [u * r for r in (*around(8.0), *around(4.0)) for u in (1, -1, 1j, -1j)] + [
+    0, 1e-300, 2, 4, 4 - 1e-12, 4 + 0.5e-9, 2 + 0.5e-9j, -0.5e-9, 4.4, 4.9, 7.9, 13.9,
+    -0.4, -3.9, 2 + 9.9j, 8.5j, complex(math.nextafter(8.0, math.inf), 0.25),
+    math.nan, math.inf, -math.inf, complex(math.nan, math.inf), complex(math.inf, math.nan),
+    complex(2, math.nan), complex(math.nan, 0), complex(1.5e308, 1.5e308),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5, 0.99, 1.0, 4.0, 10.0])
+def test_h_far_from_the_cut_skips_only_a_test_that_passes(tol):
+    # where |x| > 8 and tol < 1 h leaves out the distance to the cut;
+    # every value and error stays the same bit for bit
+    for x in _H_POINTS:
+        assert value_bits_or_error(h, x, tol) == \
+            value_bits_or_error(_h_always_testing_the_cut, x, tol), x
 
 
 def test_psi_examples():

@@ -29,7 +29,9 @@ from markoffquads import (
     two_sided_trace,
     verify_quad,
 )
-from helpers import brute_flip, completion_roots, quad_residual, random_complex_quad
+from helpers import (around, brute_flip, completion_roots, quad_residual, random_complex_quad,
+                     value_bits_or_error)
+from markoffquads.quadalgebra import _as_complex, _segment_distance
 
 
 def test_verify_quad_examples():
@@ -186,6 +188,34 @@ def test_two_sided_length_examples():
         two_sided_length(-1.5)
     # just off the segment is fine
     assert two_sided_length(2 + 1e-3j).real >= 0
+
+
+def _two_sided_length_always_testing_the_cut(e, tol):
+    # two_sided_length with the distance to [-2, 2] computed for every input
+    e = _as_complex(e)
+    if _segment_distance(e, -2.0, 2.0) <= tol:
+        raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
+    return 2 * cmath.acosh(e / 2)
+
+
+# |e| at 4 and 2 and one ulp either side, in four directions; points on
+# the segment, within 1e-9 of it, and 0.4, 0.9, 3.9 and 9.9 from it,
+# some of them with |e| > 4; NaN, infinite and overflowing inputs
+_TRACE_POINTS = [u * r for r in (*around(4.0), *around(2.0)) for u in (1, -1, 1j, -1j)] + [
+    0, 1e-300, 1.5, -2, 2 - 1e-12, 2 + 0.5e-9, 1 + 0.5e-9j, -2 - 0.5e-9, 2.4, 2.9, 5.9, 11.9,
+    -2.4, -5.9, 1 + 9.9j, 4.5j, complex(math.nextafter(4.0, math.inf), 0.25),
+    math.nan, math.inf, -math.inf, complex(math.nan, math.inf), complex(2, math.nan),
+    complex(1.5e308, 1.5e308),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5, 0.99, 1.0, 4.0, 10.0])
+def test_two_sided_length_far_from_the_cut_skips_only_a_test_that_passes(tol):
+    # where |e| > 4 and tol < 1 the distance to [-2, 2] is left out;
+    # every value and error stays the same bit for bit
+    for e in _TRACE_POINTS:
+        assert value_bits_or_error(two_sided_length, e, tol) == \
+            value_bits_or_error(_two_sided_length_always_testing_the_cut, e, tol), e
 
 
 def test_two_sided_length_h_consistency():
