@@ -19,7 +19,7 @@ _HOMES = {
         "DegenerateClassError", "DomainError", "InvalidQuadError", "MarkoffError",
     ),
     "quadalgebra": (
-        "DEFAULT_TOL", "KleinSequence", "MarkoffQuad", "Matrix2",
+        "DEFAULT_TOL", "IntegerQuad", "KleinSequence", "MarkoffQuad", "Matrix2",
         "build_representation", "complete_quad", "flip", "flip_value", "flips",
         "fricke_residual", "hurwitz_to_quad", "klein_sequence", "one_sided_length",
         "quad_to_hurwitz", "trace_from_length", "two_sided_length",
@@ -39,8 +39,8 @@ _HOMES = {
         "h", "mcshane_partial", "mcshane_verify", "psi",
     ),
     "integral": (
-        "IntegerQuad", "classify", "enumerate_fundamental",
-        "enumerate_integral_below", "int_flip", "int_reduce",
+        "classify", "enumerate_fundamental", "enumerate_integral_below",
+        "int_reduce",
     ),
     "coords": (
         "DomainCheck", "HorocyclicCoords", "LambdaCoords", "McgRelationsReport",

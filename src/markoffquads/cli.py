@@ -33,11 +33,11 @@ from .errors import (
     InvalidQuadError,
     MarkoffError,
 )
-# parsing a quad needs these two modules and no more.  Each command
-# imports the rest of what it uses, so that a fresh call compiles only
-# those modules, and imports them before its main work (jsonlines says why)
-from .integral import IntegerQuad
-from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, MarkoffQuad
+# parsing a quad needs errors and quadalgebra, the home of both quad
+# types, and no more.  Each command imports the rest of what it uses, so
+# that a fresh call compiles only those modules, and imports them before
+# its main work (jsonlines says why)
+from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, IntegerQuad, MarkoffQuad
 
 ENV_MAX_CELLS = "MQL_MAX_CELLS"
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -142,24 +142,6 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                          default=_complex_json)
 
 
-def _record_encoder():
-    """`_JSON.encode` for the records of one call.  `_JSON.encode` builds
-    a C encoder per record; this builds one from `_JSON`'s own settings,
-    with fresh circular-reference markers.  An interpreter without the C
-    accelerator gets `_JSON.encode` itself."""
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return _JSON.encode
-    j = _JSON
-    encoder = make({} if j.check_circular else None, j.default,
-                   json.encoder.encode_basestring_ascii if j.ensure_ascii
-                   else json.encoder.encode_basestring,
-                   j.indent, j.key_separator, j.item_separator, j.sort_keys,
-                   j.skipkeys, j.allow_nan)
-    join = "".join
-    return lambda rec: join(encoder(rec, 0))
-
-
 def _float_text(x: float) -> str:
     # the CSV twin of the JSON encoder's allow_nan=False
     if not math.isfinite(x):
@@ -204,7 +186,7 @@ def _emit(records, fmt: str, out) -> None:
     sink = _buffered(out)
     try:
         if fmt == "jsonl":
-            encode, write = _record_encoder(), sink.write
+            encode, write = _JSON.encode, sink.write
             if hasattr(records, "lines"):  # a jsonlines.RecordSet: lines from a template
                 for line in records.lines(encode):
                     write(line)
@@ -233,25 +215,17 @@ def _base(args, cmd: str) -> dict:
 
 def _cmd_verify(args):
     from .quadalgebra import verify_quad
-    q = parse_quad(args.quad, args.exact)
-    if isinstance(q, IntegerQuad):
-        residual, valid = 0.0, True  # constructor already proved exactness
-    else:
-        residual = verify_quad(q, args.tol)
-        valid = residual <= args.tol
+    residual = verify_quad(parse_quad(args.quad, args.exact), args.tol)
+    valid = residual <= args.tol
     rec = _base(args, "verify")
     rec.update({"residual": residual, "valid": valid})
     return [rec], (0 if valid else 2)
 
 
 def _cmd_flip(args):
-    from .integral import int_flip
     from .quadalgebra import flip
     q = parse_quad(args.quad, args.exact)
-    if isinstance(q, IntegerQuad):
-        result = int_flip(q, args.index)
-    else:
-        result = flip(q.require_valid(args.tol), args.index)
+    result = flip(q.require_valid(args.tol), args.index)
     rec = _base(args, "flip")
     rec["result"] = list(result.values())
     return [rec], 0

@@ -76,22 +76,26 @@ def reduce_to_sink(
 
     At each step the largest-magnitude entry whose flip strictly
     decreases it is flipped (ties on magnitude break to the lowest
-    index).  Ties |d'| = |d| are terminal moves, never taken.
+    index).  Ties |d'| = |d| are terminal moves, never taken.  A flip
+    whose modulus is past the float range raises DomainError.
     """
     q.require_valid(tol)
     vals = list(q.values())
     path: list[int] = []
-    for _ in range(max_steps):
-        new = flips(*vals)
-        best = None
-        for i in range(4):
-            if abs(new[i]) < abs(vals[i]):
-                if best is None or abs(vals[i]) > abs(vals[best]):
-                    best = i
-        if best is None:
-            return MarkoffQuad.from_values(vals), path
-        vals[best] = new[best]
-        path.append(best + 1)
+    try:
+        for _ in range(max_steps):
+            new = flips(*vals)
+            best = None
+            for i in range(4):
+                if abs(new[i]) < abs(vals[i]):
+                    if best is None or abs(vals[i]) > abs(vals[best]):
+                        best = i
+            if best is None:
+                return MarkoffQuad.from_values(vals), path
+            vals[best] = new[best]
+            path.append(best + 1)
+    except OverflowError:  # abs of finite parts whose modulus is past the float range
+        raise DomainError("a flip's modulus is out of float range") from None
     raise BudgetExceededError(
         f"no sink within {max_steps} flips; input may cycle among ties or be non-summable"
     )
@@ -159,7 +163,8 @@ def walk(
     the smallest of those three is within face_bound.  on_budget is
     "raise" or "truncate" (any other value raises DomainError before
     the walk); a truncated walk keeps everything found before the
-    budget ran out.
+    budget ran out.  A value or face product whose parts are finite but
+    whose modulus is past the float range raises DomainError.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
@@ -212,7 +217,10 @@ def walk(
             for pair, p in faces.items():
                 faces[pair] = 0j + p
             return w._replace(values=[0j + x for x in w.values])
-    w = _walk(root, [], cell_bound, face_bound, max_cells)
+    try:
+        w = _walk(root, [], cell_bound, face_bound, max_cells)
+    except OverflowError:  # abs of finite parts whose modulus is past the float range
+        raise DomainError("a cell's or face's modulus is out of float range") from None
     _check_budget(w, on_budget, max_cells)
     return w
 

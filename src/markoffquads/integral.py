@@ -3,6 +3,8 @@
 Everything here is plain Python int (arbitrary precision); no floating
 point.  Flips of positive integer quads stay positive and integral: the
 replaced entry and its substitute multiply to (sum of the other three)^2.
+The quad type, IntegerQuad, and its flip live in quadalgebra beside
+MarkoffQuad; this module reduces, classifies and enumerates integer quads.
 """
 
 from __future__ import annotations
@@ -10,60 +12,9 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_MAX_CELLS, _value_type, flip_value, flips
-
-
-class _IntegerQuadFields(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-@_value_type
-class IntegerQuad(_IntegerQuadFields):
-    """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact."""
-
-    __slots__ = ()
-
-    def __new__(cls, a, b, c, d):
-        vals = (a, b, c, d)
-        # one test passes four plain nonnegative ints; the loop names the first bad entry
-        if not (type(a) is type(b) is type(c) is type(d) is int and min(vals) >= 0):
-            for name, v in zip("abcd", vals):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise DomainError(f"entry {name}={v!r} is not an int")
-                if v < 0:
-                    raise DomainError(f"entry {name}={v} is negative")
-        s = a + b + c + d
-        if s * s != a * b * c * d:
-            raise InvalidQuadError(f"({a},{b},{c},{d}) fails (a+b+c+d)^2 = abcd")
-        return tuple.__new__(cls, vals)
-
-    @classmethod
-    def from_values(cls, values) -> "IntegerQuad":
-        vals = tuple(values)
-        if len(vals) != 4:
-            raise DomainError(f"expected 4 entries, got {len(vals)}")
-        return cls(*vals)
-
-    _make = from_values  # so that _replace validates too
-
-    def values(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
-    def sorted_values(self) -> tuple[int, int, int, int]:
-        return tuple(sorted(self))
-
-
-def int_flip(q: IntegerQuad, i: int) -> IntegerQuad:
-    """Exact flip at 1-based index i."""
-    vals = list(q.values())
-    vals[i - 1] = flip_value(vals, i)
-    return IntegerQuad.from_values(vals)
+from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, flip_value, flips
 
 
 def int_reduce(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
@@ -191,7 +142,7 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
         queue.append(canon)
 
     for root in _fundamental():
-        v = root.sorted_values()
+        v = tuple(sorted(root))
         if max(v) <= B and v not in seen:
             add(v)
     while queue:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .integral import IntegerQuad
+from .quadalgebra import IntegerQuad
 
 
 class RecordSet:

@@ -38,10 +38,14 @@ def h(x, tol: float = BRANCH_TOL) -> complex:
     it changes no result.  An infinite part makes both |x| and the
     distance infinite, so the test is skipped where it would pass; a
     NaN part with no infinite one makes |x| NaN, which fails |x| > 8,
-    so the test runs as before.
+    so the test runs as before.  Finite parts whose modulus is past the
+    float range raise DomainError.
     """
     x = complex(x)
-    ax = abs(x)
+    try:
+        ax = abs(x)
+    except OverflowError:
+        raise DomainError(f"modulus of {x} out of float range") from None
     if not (ax > 8.0 and tol < 1.0) and _segment_distance(x, 0.0, 4.0) <= tol:
         raise BranchCutError(f"{x} within {tol:g} of the cut [0,4]")
     s = cmath.sqrt(1 - 4 / x)

@@ -7,10 +7,12 @@ A Markoff quad is a 4-tuple (a, b, c, d) of complex numbers satisfying
 The entries are traces of four once-intersecting one-sided simple closed
 curves on a thrice-punctured projective plane; each equals 2*sinh of half
 the complex length of the corresponding geodesic.  This module provides
-the quad relation, flips, quad completion, trace/length conversions,
-explicit SL(2,C)-representation matrices, the Fricke relation as a
-numerical oracle, the Markoff-Hurwitz substitution and the punctured
-Klein bottle trace recursion.
+the two quad types, MarkoffQuad (complex traces, checked against the
+relation to a tolerance) and IntegerQuad (nonnegative ints, exact), the
+quad relation, one flip for both types, quad completion, trace/length
+conversions, explicit SL(2,C)-representation matrices, the Fricke
+relation as a numerical oracle, the Markoff-Hurwitz substitution and the
+punctured Klein bottle trace recursion.
 """
 
 from __future__ import annotations
@@ -86,31 +88,22 @@ class MarkoffQuad(_MarkoffQuadFields):
             raise DomainError(f"expected 4 entries, got {len(vals)}")
         return cls(*vals)
 
-    _make = from_values  # so that _replace validates too
+    _make = from_values  # so that _replace and flip validate too
 
     def values(self) -> tuple[complex, complex, complex, complex]:
         return tuple(self)
-
-    def entry(self, i: int) -> complex:
-        """Entry at 1-based index i."""
-        return self[_check_index(i) - 1]
-
-    def replace(self, i: int, value) -> "MarkoffQuad":
-        vals = list(self.values())
-        vals[_check_index(i) - 1] = value
-        return MarkoffQuad.from_values(vals)
 
     def residual(self) -> float:
         a, b, c, d = self.values()
         s = a + b + c + d
         prod = a * b * c * d
-        r = abs(s * s - prod) / max(1.0, abs(prod))
+        try:
+            r = abs(s * s - prod) / max(1.0, abs(prod))
+        except OverflowError:  # finite parts whose modulus is past the float range
+            r = math.inf
         if not math.isfinite(r):
             raise DomainError(f"quad relation overflows float range for {self.values()}")
         return r
-
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual() <= tol
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> "MarkoffQuad":
         r = self.residual()
@@ -119,6 +112,54 @@ class MarkoffQuad(_MarkoffQuadFields):
                 f"quad relation violated: residual {r:.3e} > tol {tol:.3e} "
                 f"for {self.values()}"
             )
+        return self
+
+
+class _IntegerQuadFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+@_value_type
+class IntegerQuad(_IntegerQuadFields):
+    """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact.  It
+    answers what a MarkoffQuad is asked: the constructor proves the
+    relation, so the residual is 0.0 and every tolerance passes."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        vals = (a, b, c, d)
+        # one test passes four plain nonnegative ints; the loop names the first bad entry
+        if not (type(a) is type(b) is type(c) is type(d) is int and min(vals) >= 0):
+            for name, v in zip("abcd", vals):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise DomainError(f"entry {name}={v!r} is not an int")
+                if v < 0:
+                    raise DomainError(f"entry {name}={v} is negative")
+        s = a + b + c + d
+        if s * s != a * b * c * d:
+            raise InvalidQuadError(f"({a},{b},{c},{d}) fails (a+b+c+d)^2 = abcd")
+        return tuple.__new__(cls, vals)
+
+    @classmethod
+    def from_values(cls, values) -> "IntegerQuad":
+        vals = tuple(values)
+        if len(vals) != 4:
+            raise DomainError(f"expected 4 entries, got {len(vals)}")
+        return cls(*vals)
+
+    _make = from_values  # so that _replace and flip validate too
+
+    def values(self) -> tuple[int, int, int, int]:
+        return tuple(self)
+
+    def residual(self) -> float:
+        return 0.0
+
+    def require_valid(self, tol: float = DEFAULT_TOL) -> "IntegerQuad":
         return self
 
 
@@ -153,10 +194,13 @@ def flip_value(values, i: int):
     return flips(*values)[i - 1]
 
 
-def flip(q: MarkoffQuad, i: int) -> MarkoffQuad:
+def flip(q: MarkoffQuad | IntegerQuad, i: int) -> MarkoffQuad | IntegerQuad:
     """Replace entry i by the other root of the completion quadratic.
-    Involutive, and maps valid quads to valid quads."""
-    return q.replace(i, flip_value(q.values(), i))
+    Involutive, and maps valid quads to valid quads.  The result has
+    q's type, so an IntegerQuad flips exactly."""
+    vals = list(q)
+    vals[i - 1] = flip_value(vals, i)
+    return q._make(vals)
 
 
 def complete_quad(a, b, c) -> tuple[complex, complex]:
@@ -219,10 +263,15 @@ def two_sided_length(e, tol: float = DEFAULT_TOL) -> complex:
     parabolic and rejected; the test uses distance <= tol to the segment.
     It is skipped when |e| > 4 and tol < 1: every point of [-2, 2] has
     modulus <= 2, so e then lies more than 2 from the segment and the
-    test would pass.  e is finite here, as _as_complex rejects the rest.
+    test would pass.  e is finite here, as _as_complex rejects the rest;
+    finite parts whose modulus is past the float range raise DomainError.
     """
     e = _as_complex(e)
-    if not (abs(e) > 4.0 and tol < 1.0) and _segment_distance(e, -2.0, 2.0) <= tol:
+    try:
+        ae = abs(e)
+    except OverflowError:
+        raise DomainError(f"modulus of {e} out of float range") from None
+    if not (ae > 4.0 and tol < 1.0) and _segment_distance(e, -2.0, 2.0) <= tol:
         raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
     return 2 * cmath.acosh(e / 2)
 

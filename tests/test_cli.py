@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from markoffquads import cli, integral, jsonlines, spectra
 from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
-                          SpectrumEntry, check_bq, complete_quad, int_flip)
+                          SpectrumEntry, check_bq, complete_quad, flip)
 
 
 def run_cli(capsys, *argv):
@@ -375,15 +375,16 @@ _LOADS_CODE = (
 )
 
 
-# every call loads cli, errors, integral (IntegerQuad, for parsing) and
-# quadalgebra; the set is what the command adds to those
+# every call loads cli, errors and quadalgebra (both quad types, for
+# parsing); the set is what the command adds to those.  Only the three
+# integer commands below load integral
 _LOADS = [
     (("verify", "4,4,4,4"), set()),
     (("verify", "4.0,4,4,4"), set()),
     (("flip", "4,4,4,36", "-i", "4"), set()),
     (("flip", "4.0,4,4,36", "-i", "4"), set()),
     (("klein", "-A", "3", "--seed", "1,2", "-n", "4"), set()),
-    (("reduce", "4,4,4,36"), set()),
+    (("reduce", "4,4,4,36"), {"integral"}),
     (("coords", "4,4,4,36", "--to", "lambda"), {"coords"}),
     (("coords", "0.25,0.25,0.25,0.25", "--from", "horocyclic"), {"coords"}),
     (("mcg", "4,4,4,36", "-w", "f1"), {"coords"}),
@@ -394,8 +395,8 @@ _LOADS = [
     (("systole", "4,4,4,4"), {"curvecomplex", "spectra", "jsonlines"}),
     (("growth", "4,4,4,4", "--lmin", "1", "--lmax", "5", "--shells", "4"),
      {"curvecomplex", "spectra"}),
-    (("fundamental",), {"jsonlines"}),
-    (("enumerate-integral", "-B", "100"), {"jsonlines"}),
+    (("fundamental",), {"integral", "jsonlines"}),
+    (("enumerate-integral", "-B", "100"), {"integral", "jsonlines"}),
 ]
 
 
@@ -406,7 +407,7 @@ def test_each_command_loads_only_its_modules(argv, adds):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stderr == ""
     code, *loaded = proc.stdout.split()
-    base = {"cli", "errors", "integral", "quadalgebra"}
+    base = {"cli", "errors", "quadalgebra"}
     assert code == "0" and set(loaded) == {f"markoffquads.{m}" for m in base | adds}
 
 
@@ -492,6 +493,27 @@ GOLDEN = [
         *(f'5.26783158769927,{pair},spectrum,two-sided,5.26783158769927,"4,4,4,4",14,0.1.0,'
           for pair in ("0;1", "0;2", "0;3", "1;2", "1;3", "2;3")),
     )),
+    # integer quads: verify is exact, and flips stay exact past 2**53
+    (("verify", "4,4,4,4"), _lines(
+        '{"cmd":"verify","quad":"4,4,4,4","residual":0.0,"valid":true,"version":"0.1.0"}',
+    )),
+    (("--format", "csv", "verify", "4,4,4,4"), _lines(
+        "cmd,quad,residual,valid,version",
+        'verify,"4,4,4,4",0,true,0.1.0',
+    )),
+    (("flip", "4,4,1847108999736036,25726909536794404", "-i", "3"), _lines(
+        '{"cmd":"flip","quad":"4,4,1847108999736036,25726909536794404",'
+        '"result":[4,4,358329624515385604,25726909536794404],"version":"0.1.0"}',
+    )),
+    (("flip", "4,4,1847108999736036,25726909536794404", "-i", "4"), _lines(
+        '{"cmd":"flip","quad":"4,4,1847108999736036,25726909536794404",'
+        '"result":[4,4,1847108999736036,132616459510084],"version":"0.1.0"}',
+    )),
+    (("--format", "csv", "flip", "4,4,1847108999736036,25726909536794404", "-i", "3"), _lines(
+        "cmd,quad,result,version",
+        'flip,"4,4,1847108999736036,25726909536794404",'
+        "4;4;358329624515385604;25726909536794404,0.1.0",
+    )),
 ]
 
 
@@ -549,11 +571,16 @@ def _grown_integer_quad(digits):
     # alternate flips of entries 3 and 4 of (4,4,4,4) grow them geometrically
     q, i = IntegerQuad(4, 4, 4, 4), 3
     while len(str(max(q.values()))) < digits:
-        q, i = int_flip(q, i), 7 - i
+        q, i = flip(q, i), 7 - i
     return ",".join(str(v) for v in q.values())
 
 
 MISSING_OUT = os.path.join(os.path.dirname(__file__), "no-such-dir", "out.jsonl")
+# a valid quad (residual 1.6e-16) some of whose flips have finite parts
+# and a modulus past the float range
+_BIG = "5.741387723620521e+102+1.5384002039780802e+102i"
+OVERFLOWING_MODULUS = f"{_BIG},{_BIG},{_BIG},1.4625583084179431e-102-3.918913176240167e-103i"
+_X77 = "1.1671344836798443e+77+2.3215748319919262e+76i"  # its 4th power has modulus 2e308
 BIG_INT = "7" * 5000  # past the interpreter's 4300-digit int-from-str limit
 INT400 = _grown_integer_quad(400)  # exact quad, past the float range
 
@@ -582,6 +609,15 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     (("--tol", "0", "verify", "4.0,4,4,4"), 1),
     (("mcshane", "4,4,4,4", "--target-tol", "0"), 1),
     (("mcshane", "4,4,4,4", "--target-tol", "-1e-3"), 1),
+    *[(argv, 4) for argv in (
+        ("spectrum", OVERFLOWING_MODULUS, "-L", "3"),
+        ("systole", OVERFLOWING_MODULUS),
+        ("mcshane", OVERFLOWING_MODULUS, "--cutoff", "100"),
+        ("bq-check", OVERFLOWING_MODULUS, "-k", "4"),
+        ("reduce", OVERFLOWING_MODULUS),
+        ("growth", OVERFLOWING_MODULUS, "--lmin", "1", "--lmax", "5", "--shells", "4"),
+        ("verify", f"{_X77},{_X77},{_X77},{_X77}"),
+    )],
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -690,6 +726,8 @@ def test_emit_failure_at_record_600(monkeypatch, c_encoder, bad):
 
 
 def test_emit_builds_one_encoder_per_call(monkeypatch):
+    # every command hands _emit one record, which `_JSON.encode` writes
+    # with one encoder, or a record set, whose template lines need none
     make = json.encoder.c_make_encoder
     if make is None:
         pytest.skip("this interpreter has no C JSON encoder")
@@ -699,11 +737,13 @@ def test_emit_builds_one_encoder_per_call(monkeypatch):
         markers.append(args[0])
         return make(*args)
 
+    head = {"cmd": "fundamental", "quad": None, "version": cli.__version__}
+    record_set = jsonlines.quad_records(head, [IntegerQuad(4, 4, 4, 4)] * 700, cli._JSON.encode)
     monkeypatch.setattr(json.encoder, "c_make_encoder", counting_make)
-    for n in (1, 700):
-        _emit([{"i": i, "q": IntegerQuad(4, 4, 4, 4)} for i in range(n)], "jsonl", io.StringIO())
-    assert len(markers) == 2 and markers[0] == markers[1] == {}
-    assert markers[0] is not markers[1]
+    _emit([{"i": 0, "q": IntegerQuad(4, 4, 4, 4)}], "jsonl", io.StringIO())
+    assert len(markers) == 1 and markers[0] == {}
+    _emit(record_set, "jsonl", io.StringIO())
+    assert len(markers) == 1
 
 
 # each shape that reaches _emit as a record set: two-sided complex, one-sided
@@ -880,7 +920,7 @@ def _integer_quad_past(digits):
     # _grown_integer_quad, without the str conversion the digit limit forbids
     q, i = IntegerQuad(4, 4, 4, 4), 3
     while max(q) < 10 ** (digits - 1):
-        q, i = int_flip(q, i), 7 - i
+        q, i = flip(q, i), 7 - i
     return q
 
 

@@ -13,7 +13,7 @@ from markoffquads import (
     classify,
     enumerate_fundamental,
     enumerate_integral_below,
-    int_flip,
+    flip,
     int_reduce,
 )
 from markoffquads import integral
@@ -40,14 +40,16 @@ def test_integer_quad_validates_exactly():
 
 
 def test_int_flip_examples():
-    assert int_flip(IntegerQuad(4, 4, 4, 4), 4).values() == (4, 4, 4, 36)
-    q = int_flip(IntegerQuad(1, 5, 24, 30), 1)
+    # flip keeps an IntegerQuad's type, so integer flips stay exact
+    assert type(flip(IntegerQuad(4, 4, 4, 4), 4)) is IntegerQuad
+    assert flip(IntegerQuad(4, 4, 4, 4), 4).values() == (4, 4, 4, 36)
+    q = flip(IntegerQuad(1, 5, 24, 30), 1)
     assert q.values() == (3481, 5, 24, 30)
     assert (3481 + 5 + 24 + 30) ** 2 == 3481 * 5 * 24 * 30
     # involution, exactly
-    assert int_flip(q, 1).values() == (1, 5, 24, 30)
+    assert flip(q, 1).values() == (1, 5, 24, 30)
     with pytest.raises(DomainError, match="entry index must be 1..4, got 5"):
-        int_flip(q, 5)
+        flip(q, 5)
 
 
 @given(st.sampled_from(FUNDAMENTAL),
@@ -56,7 +58,7 @@ def test_int_flip_examples():
 def test_flip_words_stay_valid_and_reduce_back(root, word):
     q = IntegerQuad.from_values(root)
     for i in word:
-        q = int_flip(q, i)  # constructor revalidates exactness each step
+        q = flip(q, i)  # constructor revalidates exactness each step
     reduced, _ = int_reduce(q)
     assert reduced.values() == root
 
@@ -75,7 +77,7 @@ def test_int_reduce_confluence_under_permutation():
     for root in FUNDAMENTAL:
         q = IntegerQuad.from_values(root)
         for i in (rng.randint(1, 4) for _ in range(5)):
-            q = int_flip(q, i)
+            q = flip(q, i)
         base, _ = int_reduce(q)
         for perm in itertools.permutations(range(4)):
             shuffled = IntegerQuad.from_values(tuple(q.values()[p] for p in perm))
@@ -100,11 +102,11 @@ def test_fundamental_ninth_orbit_is_disjoint():
     # (2,4,6,12) cannot reach any other root: reduction is strict descent
     # and (2,4,6,12) is flip-rigid (self-flip tie at the max, others grow)
     q = IntegerQuad(2, 4, 6, 12)
-    assert int_flip(q, 4).values() == (2, 4, 6, 12)
-    assert int_flip(q, 3).values()[2] > 6
-    assert int_flip(q, 2).values()[1] > 4
-    assert int_flip(q, 1).values()[0] > 2
-    reduced, _ = int_reduce(int_flip(int_flip(q, 1), 3))
+    assert flip(q, 4).values() == (2, 4, 6, 12)
+    assert flip(q, 3).values()[2] > 6
+    assert flip(q, 2).values()[1] > 4
+    assert flip(q, 1).values()[0] > 2
+    reduced, _ = int_reduce(flip(flip(q, 1), 3))
     assert reduced.values() == (2, 4, 6, 12)
 
 
@@ -183,7 +185,7 @@ def test_classify_does_not_run_the_search(monkeypatch):
     monkeypatch.setattr(integral, "_fundamental", no_search)
     for root in FUNDAMENTAL:
         for i in (1, 2, 3, 4):
-            q = int_flip(int_flip(IntegerQuad.from_values(root), i), 5 - i)
+            q = flip(flip(IntegerQuad.from_values(root), i), 5 - i)
             assert classify(q)[0].values() == root
 
 

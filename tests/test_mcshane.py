@@ -51,9 +51,14 @@ def test_h_branch_cut_rejection():
 
 
 def _h_always_testing_the_cut(x, tol):
-    # h with the distance to the cut computed for every input
+    # h with the distance to the cut computed for every input; a modulus
+    # past the float range is a DomainError, as in h
     x = complex(x)
-    if _segment_distance(x, 0.0, 4.0) <= tol:
+    try:
+        distance = _segment_distance(x, 0.0, 4.0)
+    except OverflowError:
+        raise DomainError(f"modulus of {x} out of float range") from None
+    if distance <= tol:
         raise BranchCutError(f"{x} within {tol:g} of the cut [0,4]")
     s = cmath.sqrt(1 - 4 / x)
     if abs(x) > 8:
@@ -69,6 +74,7 @@ _H_POINTS = [u * r for r in (*around(8.0), *around(4.0)) for u in (1, -1, 1j, -1
     -0.4, -3.9, 2 + 9.9j, 8.5j, complex(math.nextafter(8.0, math.inf), 0.25),
     math.nan, math.inf, -math.inf, complex(math.nan, math.inf), complex(math.inf, math.nan),
     complex(2, math.nan), complex(math.nan, 0), complex(1.5e308, 1.5e308),
+    complex(-1.5e308, 1.5e308),
 ]
 
 

@@ -48,11 +48,13 @@ def test_quad_rejects_non_finite():
         MarkoffQuad(float("inf"), 1, 1, 1)
     with pytest.raises(DomainError):
         MarkoffQuad(4, 4, 10 ** 400, 10 ** 400)  # int past the float range
-    # finite entries whose relation overflows: never a passing residual
-    big = MarkoffQuad(1e200, 1e200, 1e200, 1e200)
-    for check in (big.residual, big.require_valid, lambda: verify_quad(big)):
-        with pytest.raises(DomainError):
-            check()
+    # finite entries whose relation overflows, to inf or to a finite
+    # complex whose modulus is past the float range: never a passing residual
+    x = cmath.rect(1.19e77, math.pi / 16)  # x**4 has modulus 2.0e308
+    for big in (MarkoffQuad(1e200, 1e200, 1e200, 1e200), MarkoffQuad(x, x, x, x)):
+        for check in (big.residual, big.require_valid, lambda: verify_quad(big)):
+            with pytest.raises(DomainError):
+                check()
 
 
 def test_flip_examples():
@@ -191,9 +193,14 @@ def test_two_sided_length_examples():
 
 
 def _two_sided_length_always_testing_the_cut(e, tol):
-    # two_sided_length with the distance to [-2, 2] computed for every input
+    # two_sided_length with the distance to [-2, 2] computed for every
+    # input; a modulus past the float range is a DomainError, as there
     e = _as_complex(e)
-    if _segment_distance(e, -2.0, 2.0) <= tol:
+    try:
+        distance = _segment_distance(e, -2.0, 2.0)
+    except OverflowError:
+        raise DomainError(f"modulus of {e} out of float range") from None
+    if distance <= tol:
         raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
     return 2 * cmath.acosh(e / 2)
 
@@ -205,7 +212,7 @@ _TRACE_POINTS = [u * r for r in (*around(4.0), *around(2.0)) for u in (1, -1, 1j
     0, 1e-300, 1.5, -2, 2 - 1e-12, 2 + 0.5e-9, 1 + 0.5e-9j, -2 - 0.5e-9, 2.4, 2.9, 5.9, 11.9,
     -2.4, -5.9, 1 + 9.9j, 4.5j, complex(math.nextafter(4.0, math.inf), 0.25),
     math.nan, math.inf, -math.inf, complex(math.nan, math.inf), complex(2, math.nan),
-    complex(1.5e308, 1.5e308),
+    complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308),
 ]
 
 

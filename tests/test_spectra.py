@@ -73,7 +73,7 @@ def _walk(q, **bounds):
 
 
 @pytest.mark.parametrize("q, L", [(Q4, 14.0), (QF, 12.0), (RIGID, 14.0)])
-def test_one_sided_spectrum_order_matches_explore(q, L):
+def test_one_sided_spectrum_order_matches_walk(q, L):
     bound = 2 * math.sinh(L / 2)
     w = _walk(q, cell_bound=bound)
     want = []
@@ -88,7 +88,7 @@ def test_one_sided_spectrum_order_matches_explore(q, L):
 
 
 @pytest.mark.parametrize("q, L", [(Q4, 9.0), (QF, 9.0), (RIGID, 9.0)])
-def test_two_sided_spectrum_order_matches_explore(q, L):
+def test_two_sided_spectrum_order_matches_walk(q, L):
     want = []
     for pair, product in _walk(q, face_bound=2 * math.cosh(L / 2) + 2).faces.items():
         e = product - 2
