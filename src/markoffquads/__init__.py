@@ -22,13 +22,12 @@ _HOMES = {
         "DEFAULT_TOL", "IntegerQuad", "KleinSequence", "MarkoffQuad", "Matrix2",
         "build_representation", "complete_quad", "flip", "flip_value", "flips",
         "fricke_residual", "hurwitz_to_quad", "klein_sequence", "one_sided_length",
-        "quad_to_hurwitz", "trace_from_length", "two_sided_length",
-        "two_sided_trace", "verify_quad",
+        "quad_to_hurwitz", "reduce_to_sink", "trace_from_length",
+        "two_sided_length", "two_sided_trace", "verify_quad",
     ),
     "curvecomplex": (
         "Face", "SpiralSequence", "VertexClass", "VertexKind", "Walk",
-        "classify_vertex", "fibonacci_level_counts", "reduce_to_sink",
-        "spiral_sequence", "walk",
+        "classify_vertex", "fibonacci_level_counts", "spiral_sequence", "walk",
     ),
     "spectra": (
         "CurveKind", "GrowthFit", "SpectrumEntry", "count_s", "fit_power_law",
@@ -38,10 +37,7 @@ _HOMES = {
         "BqReport", "McShaneReport", "Verdict", "check_bq", "finite_tree_psi_sum",
         "h", "mcshane_partial", "mcshane_verify", "psi",
     ),
-    "integral": (
-        "classify", "enumerate_fundamental", "enumerate_integral_below",
-        "int_reduce",
-    ),
+    "integral": ("classify", "enumerate_fundamental", "enumerate_integral_below"),
     "coords": (
         "DomainCheck", "HorocyclicCoords", "LambdaCoords", "McgRelationsReport",
         "horocyclic_to_quad", "in_fundamental_domain", "lambda_to_quad",

@@ -123,11 +123,16 @@ def parse_quad(text: str, exact: bool = False):
     return MarkoffQuad.from_values(_parse_entry(p) for p in parts)
 
 
+def _quad_arg(text: str, args):
+    """A quad argument of either type, checked against --tol."""
+    return parse_quad(text, args.exact).require_valid(args.tol)
+
+
 def _markoff_arg(text: str, args) -> MarkoffQuad:
-    """A quad argument for the float routines, checked against --tol."""
+    """A quad argument in floats, checked against --tol, for walks from the input itself."""
     q = parse_quad(text, args.exact)
     if isinstance(q, IntegerQuad):
-        q = MarkoffQuad.from_values(q.values())
+        q = MarkoffQuad.from_values(q)
     return q.require_valid(args.tol)
 
 
@@ -224,23 +229,22 @@ def _cmd_verify(args):
 
 def _cmd_flip(args):
     from .quadalgebra import flip
-    q = parse_quad(args.quad, args.exact)
-    result = flip(q.require_valid(args.tol), args.index)
+    result = flip(_quad_arg(args.quad, args), args.index)
     rec = _base(args, "flip")
     rec["result"] = list(result.values())
     return [rec], 0
 
 
 def _cmd_reduce(args):
-    q = parse_quad(args.quad, args.exact)
+    q = _quad_arg(args.quad, args)
     rec = _base(args, "reduce")
     if isinstance(q, IntegerQuad):
         from .integral import classify
         root, word = classify(q)
         rec.update({"root": list(root.values()), "word": word, "path": "integer"})
     else:
-        from .curvecomplex import reduce_to_sink  # the integer route needs no curvecomplex
-        sink, word = reduce_to_sink(q.require_valid(args.tol), tol=args.tol)
+        from .quadalgebra import reduce_to_sink
+        sink, word = reduce_to_sink(q, tol=args.tol)
         rec.update({"root": list(sink.values()), "word": word, "path": "complex"})
     return [rec], 0
 
@@ -248,7 +252,7 @@ def _cmd_reduce(args):
 def _cmd_spectrum(args):
     from .jsonlines import entry_records
     from .spectra import CurveKind, one_sided_spectrum, two_sided_spectrum
-    q = _markoff_arg(args.quad, args)
+    q = _quad_arg(args.quad, args)
     if args.two_sided:
         fn, kind = two_sided_spectrum, CurveKind.TWO_SIDED
     else:
@@ -261,7 +265,7 @@ def _cmd_spectrum(args):
 def _cmd_systole(args):
     from .jsonlines import entry_records
     from .spectra import systole
-    q = _markoff_arg(args.quad, args)
+    q = _quad_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
     head = {**_base(args, "systole"), "kind": witness.kind.value}
     return entry_records(head, [witness], _JSON.encode), 0
@@ -316,7 +320,7 @@ def _cmd_enumerate_integral(args):
 
 def _cmd_growth(args):
     from .spectra import growth_exponent
-    q = _markoff_arg(args.quad, args)
+    q = _quad_arg(args.quad, args)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
                           max_cells=args.max_cells, tol=args.tol)
     rec = _base(args, "growth")

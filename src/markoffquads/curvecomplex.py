@@ -27,8 +27,6 @@ from typing import NamedTuple
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
 from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, MarkoffQuad, flips
 
-DEFAULT_MAX_STEPS = 10_000
-
 
 class VertexKind(enum.Enum):
     SINK = "sink"
@@ -52,53 +50,23 @@ class VertexClass(NamedTuple):
 def classify_vertex(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> VertexClass:
     """Classify a vertex by its count of strictly magnitude-decreasing
     flips.  Four outgoing edges cannot occur at a valid quad (there are
-    no sources); such input is rejected as numerically invalid."""
+    no sources); such input is rejected as numerically invalid.  A flip
+    whose modulus is past the float range raises DomainError."""
     q.require_valid(tol)
     vals = q.values()
     orient = []
-    for new, old in zip(flips(*vals), vals):
-        new, old = abs(new), abs(old)
-        orient.append(+1 if new < old else (-1 if new > old else 0))
+    try:
+        for new, old in zip(flips(*vals), vals):
+            new, old = abs(new), abs(old)
+            orient.append(+1 if new < old else (-1 if new > old else 0))
+    except OverflowError:  # abs of finite parts whose modulus is past the float range
+        raise DomainError("a flip's modulus is out of float range") from None
     out = sum(1 for o in orient if o == +1)
     if out == 4:
         raise InvalidQuadError("four outgoing edges: no valid quad is a source")
     kind = {0: VertexKind.SINK, 1: VertexKind.FUNNEL,
             2: VertexKind.SADDLE2, 3: VertexKind.SADDLE3}[out]
     return VertexClass(kind=kind, orientations=tuple(orient))
-
-
-def reduce_to_sink(
-    q: MarkoffQuad,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    tol: float = DEFAULT_TOL,
-) -> tuple[MarkoffQuad, list[int]]:
-    """Flip strictly-decreasing directions until none remains.
-
-    At each step the largest-magnitude entry whose flip strictly
-    decreases it is flipped (ties on magnitude break to the lowest
-    index).  Ties |d'| = |d| are terminal moves, never taken.  A flip
-    whose modulus is past the float range raises DomainError.
-    """
-    q.require_valid(tol)
-    vals = list(q.values())
-    path: list[int] = []
-    try:
-        for _ in range(max_steps):
-            new = flips(*vals)
-            best = None
-            for i in range(4):
-                if abs(new[i]) < abs(vals[i]):
-                    if best is None or abs(vals[i]) > abs(vals[best]):
-                        best = i
-            if best is None:
-                return MarkoffQuad.from_values(vals), path
-            vals[best] = new[best]
-            path.append(best + 1)
-    except OverflowError:  # abs of finite parts whose modulus is past the float range
-        raise DomainError("a flip's modulus is out of float range") from None
-    raise BudgetExceededError(
-        f"no sink within {max_steps} flips; input may cycle among ties or be non-summable"
-    )
 
 
 class Face(NamedTuple):

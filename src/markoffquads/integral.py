@@ -3,8 +3,9 @@
 Everything here is plain Python int (arbitrary precision); no floating
 point.  Flips of positive integer quads stay positive and integral: the
 replaced entry and its substitute multiply to (sum of the other three)^2.
-The quad type, IntegerQuad, and its flip live in quadalgebra beside
-MarkoffQuad; this module reduces, classifies and enumerates integer quads.
+The quad type, IntegerQuad, its flip and its descent to the sink live
+in quadalgebra beside MarkoffQuad; this module classifies and enumerates
+integer quads.
 """
 
 from __future__ import annotations
@@ -14,29 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, flip_value, flips
-
-
-def int_reduce(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
-    """Flip the maximal entry while that strictly decreases it.
-
-    Only a maximal entry can strictly decrease (the replaced entry and
-    its substitute multiply to the square of the rest), and entries
-    strictly shrink, so this terminates.  Ties d' = d are terminal.
-    Returns the terminal quad sorted ascending plus the flip word
-    (1-based positions in the input orientation).
-    """
-    vals = list(q.values())
-    if min(vals) <= 0:
-        raise DomainError("reduction needs all entries positive")
-    word: list[int] = []
-    while True:
-        m = max(range(4), key=lambda j: (vals[j], -j))
-        new = flip_value(vals, m + 1)
-        if new >= vals[m]:
-            return IntegerQuad.from_values(sorted(vals)), word
-        vals[m] = new
-        word.append(m + 1)
+from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, flips, reduce_to_sink
 
 
 # Search box from the reduction argument: after sorting, the largest
@@ -107,19 +86,21 @@ def enumerate_fundamental() -> list[IntegerQuad]:
 
 
 def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
-    """Reduce and match against the fundamental table; returns the root
-    and the flip word taken.  A reduced quad outside the table means the
-    input was not a positive integer quad.
+    """Reduce (`reduce_to_sink`, exact here) and match against the
+    fundamental table; returns the root, ascending, and the flip word
+    taken.  A reduced quad outside the table means the input was not a
+    positive integer quad.
 
     The reduced quad is valid and ascending, and the search keeps every
     such quad of the SEARCH_BOUNDS box (of the two roots in c only the
     smaller can lie in it), so membership is the box test alone; the
     search itself is not run."""
-    reduced, word = int_reduce(q)
+    if min(q) <= 0:
+        raise DomainError("reduction needs all entries positive")
+    sink, word = reduce_to_sink(q)
+    reduced = IntegerQuad.from_values(sorted(sink))
     if not _in_search_box(*reduced):
-        raise InvalidQuadError(
-            f"reduced form {reduced.values()} is not a fundamental quad"
-        )
+        raise InvalidQuadError(f"reduced form {reduced.values()} is not a fundamental quad")
     return reduced, word
 
 

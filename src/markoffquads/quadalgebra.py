@@ -9,10 +9,10 @@ curves on a thrice-punctured projective plane; each equals 2*sinh of half
 the complex length of the corresponding geodesic.  This module provides
 the two quad types, MarkoffQuad (complex traces, checked against the
 relation to a tolerance) and IntegerQuad (nonnegative ints, exact), the
-quad relation, one flip for both types, quad completion, trace/length
-conversions, explicit SL(2,C)-representation matrices, the Fricke
-relation as a numerical oracle, the Markoff-Hurwitz substitution and the
-punctured Klein bottle trace recursion.
+quad relation, one flip and one descent to the sink for both types,
+quad completion, trace/length conversions, explicit SL(2,C)-representation
+matrices, the Fricke relation as a numerical oracle, the Markoff-Hurwitz
+substitution and the punctured Klein bottle trace recursion.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import (
     BranchCutError,
+    BudgetExceededError,
     DegenerateClassError,
     DomainError,
     InvalidQuadError,
@@ -32,6 +33,7 @@ DEFAULT_TOL = 1e-9
 # the cell budget of a walk or an enumeration; it lives here, with the
 # other default, so that integer quads need not load the walker
 DEFAULT_MAX_CELLS = 200_000
+DEFAULT_MAX_STEPS = 10_000
 
 
 def _as_complex(x) -> complex:
@@ -203,25 +205,66 @@ def flip(q: MarkoffQuad | IntegerQuad, i: int) -> MarkoffQuad | IntegerQuad:
     return q._make(vals)
 
 
+def reduce_to_sink(q: MarkoffQuad | IntegerQuad, max_steps: int = DEFAULT_MAX_STEPS,
+                   tol: float = DEFAULT_TOL) -> tuple[MarkoffQuad | IntegerQuad, list[int]]:
+    """Flip strictly-decreasing directions until none remains; returns
+    the sink, in q's type, and the flip word (1-based slots).
+
+    At each step the largest-magnitude entry whose flip strictly
+    decreases it is flipped (ties on magnitude break to the lowest
+    index).  Ties |d'| = |d| are terminal moves, never taken.  An
+    IntegerQuad descends exactly and with no step cap, since each step
+    lowers a nonnegative int entry.  A MarkoffQuad raises
+    BudgetExceededError after max_steps flips, and DomainError at a
+    flip whose modulus is past the float range.
+    """
+    q.require_valid(tol)
+    exact = isinstance(q, IntegerQuad)
+    vals = list(q)
+    path: list[int] = []
+    try:
+        while exact or len(path) < max_steps:
+            new = flips(*vals)
+            best = None
+            for i in range(4):
+                if abs(new[i]) < abs(vals[i]):
+                    if best is None or abs(vals[i]) > abs(vals[best]):
+                        best = i
+            if best is None:
+                return q._make(vals), path
+            vals[best] = new[best]
+            path.append(best + 1)
+    except OverflowError:  # abs of finite parts whose modulus is past the float range
+        raise DomainError("a flip's modulus is out of float range") from None
+    raise BudgetExceededError(f"no sink within {max_steps} flips; "
+                              "input may cycle among ties or be non-summable")
+
+
 def complete_quad(a, b, c) -> tuple[complex, complex]:
     """Both roots (d, dPrime) of x^2 + (2a+2b+2c-abc)x + (a+b+c)^2.
 
     Either root completes (a, b, c) to a Markoff quad.  The larger
     magnitude root is returned second; exact ties are ordered by
-    (re, im) lexicographically.
+    (re, im) lexicographically.  Roots past the float range raise
+    DomainError.
     """
     a, b, c = _as_complex(a), _as_complex(b), _as_complex(c)
     s = a + b + c
     B = 2 * s - a * b * c
     C = s * s
-    disc = cmath.sqrt(B * B - 4 * C)
-    r1 = (-B + disc) / 2
-    r2 = (-B - disc) / 2
-    big, small = (r1, r2) if abs(r1) >= abs(r2) else (r2, r1)
-    if big != 0:
-        small = C / big  # Vieta refinement: avoids cancellation in the small root
-    if abs(small) > abs(big):
-        small, big = big, small
+    try:
+        disc = cmath.sqrt(B * B - 4 * C)
+        r1 = (-B + disc) / 2
+        r2 = (-B - disc) / 2
+        big, small = (r1, r2) if abs(r1) >= abs(r2) else (r2, r1)
+        if big != 0:
+            small = C / big  # Vieta refinement: avoids cancellation in the small root
+        if abs(small) > abs(big):
+            small, big = big, small
+        if not (cmath.isfinite(small) and cmath.isfinite(big)):
+            raise OverflowError
+    except OverflowError:  # a root, or the modulus of one, past the float range
+        raise DomainError("a completing root is out of float range") from None
     if abs(small) == abs(big) and (big.real, big.imag) < (small.real, small.imag):
         small, big = big, small
     # 0j + r turns a -0.0 part into +0.0 and changes no other bit, so a

@@ -2,7 +2,8 @@
 
 One-sided classes come from cells of the quad tree (trace = 2 sinh(l/2)),
 two-sided classes from faces via e = ab - 2 (trace = 2 cosh(l/2)).
-Quasi-Fuchsian ordering and cutoffs use |l|.
+Quasi-Fuchsian ordering and cutoffs use |l|.  Each walk starts from the
+sink, in floats, of a quad of either type; an IntegerQuad descends exactly.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .curvecomplex import DEFAULT_MAX_CELLS, Walk, reduce_to_sink, walk
+from .curvecomplex import DEFAULT_MAX_CELLS, Walk, walk
 from .errors import BudgetExceededError, DomainError
 from .quadalgebra import (
     DEFAULT_TOL,
     MarkoffQuad,
     one_sided_length,
+    reduce_to_sink,
     two_sided_length,
 )
 
@@ -44,6 +46,11 @@ def _trace_bound(fn, L: float) -> float:
         return 2.0 * fn(L / 2)
     except OverflowError:
         raise DomainError(f"cutoff L={L!r} is out of range: its trace bound overflows") from None
+
+
+def _sink(q, tol) -> MarkoffQuad:
+    """q's sink, as the MarkoffQuad that the walk starts from."""
+    return MarkoffQuad.from_values(reduce_to_sink(q, tol=tol)[0])
 
 
 # The private passes below compute each length once and return, in
@@ -83,7 +90,7 @@ def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
     every one-sided class with |l| < L."""
     if L <= 0:
         return []
-    sink, _ = reduce_to_sink(q, tol=tol)
+    sink = _sink(q, tol)
     bound = _trace_bound(math.sinh, L)
     for v in sink.values():
         if v == 0:  # a parabolic class within every bound: raise before the walk
@@ -119,7 +126,7 @@ def two_sided_spectrum(
     2 cosh(|l|/2) bounds the face product by 2 cosh(L/2) + 2."""
     if L <= 0:
         return []
-    sink, _ = reduce_to_sink(q, tol=tol)
+    sink = _sink(q, tol)
     product_bound = _trace_bound(math.cosh, L) + 2.0
     # root faces (0, 1), (0, 2) and (0, 3) sort before every other id pair,
     # so a degenerate one among them is the face the rows would raise on
@@ -161,7 +168,7 @@ def systole(
     sinh and cosh.  Ties go to one-sided classes, then to the lowest cell
     id or id pair.  A degenerate sink class raises before the walk.
     """
-    sink, _ = reduce_to_sink(q, tol=tol)
+    sink = _sink(q, tol)
     vals = sink.values()
     products = [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]
     cells = [(abs(one_sided_length(v)), abs(v)) for v in vals]

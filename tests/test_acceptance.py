@@ -91,10 +91,8 @@ def test_criterion_1b_fundamental_search_sound_and_fast():
         assert (a + b + c + d) ** 2 == a * b * c * d
         assert (a, b, c, d) == tuple(sorted((a, b, c, d)))
         assert d <= a + b + c
-        from markoffquads import int_reduce
-
-        reduced, word = int_reduce(q)
-        assert reduced.values() == q.values() and word == []
+        sink, word = reduce_to_sink(q)
+        assert sink == q and word == []
     print(f"[criterion 1b] PASS: search sound, {len(quads)} reduced quads "
           f"in {elapsed:.2f}s")
 

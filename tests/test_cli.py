@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from markoffquads import cli, integral, jsonlines, spectra
 from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
-                          SpectrumEntry, check_bq, complete_quad, flip)
+                          SpectrumEntry, check_bq, complete_quad, flip, reduce_to_sink)
 
 
 def run_cli(capsys, *argv):
@@ -388,7 +388,7 @@ _LOADS = [
     (("coords", "4,4,4,36", "--to", "lambda"), {"coords"}),
     (("coords", "0.25,0.25,0.25,0.25", "--from", "horocyclic"), {"coords"}),
     (("mcg", "4,4,4,36", "-w", "f1"), {"coords"}),
-    (("reduce", "4.0,4,4,36"), {"curvecomplex"}),
+    (("reduce", "4.0,4,4,36"), set()),
     (("mcshane", "4,4,4,36", "--cutoff", "100"), {"curvecomplex", "mcshane"}),
     (("bq-check", "4,4,4,36", "-k", "10"), {"curvecomplex", "mcshane", "jsonlines"}),
     (("spectrum", "4,4,4,4", "-L", "3"), {"curvecomplex", "spectra", "jsonlines"}),
@@ -583,6 +583,7 @@ OVERFLOWING_MODULUS = f"{_BIG},{_BIG},{_BIG},1.4625583084179431e-102-3.918913176
 _X77 = "1.1671344836798443e+77+2.3215748319919262e+76i"  # its 4th power has modulus 2e308
 BIG_INT = "7" * 5000  # past the interpreter's 4300-digit int-from-str limit
 INT400 = _grown_integer_quad(400)  # exact quad, past the float range
+INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as floats
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -591,7 +592,7 @@ INT400 = _grown_integer_quad(400)  # exact quad, past the float range
     (("growth", "4,4,4,4", "--lmin", "10", "--lmax", "1e300", "--shells", "7"), 4),
     (("spectrum", f"4,4,4,{BIG_INT}", "-L", "8"), 1),
     (("verify", "1e200,1e200,1e200,1e200"), 4),
-    (("spectrum", INT400, "-L", "8"), 4),
+    (("spectrum", INT400_FLOATS, "-L", "8"), 4),
     (("coords", "1,2,x,4", "--from", "horocyclic"), 1),
     (("klein", "-A", "1e200", "--seed", "1e200,1e200", "-n", "5"), 4),
     (("klein", "-A", "3", "--seed", "1,2", "-n", "5000", "--max-cells", "1000"), 3),
@@ -623,6 +624,35 @@ def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""
     assert err.startswith("mql: ") and err.count("\n") == 1
+
+
+# exact quads that a float descent gets wrong: the first flip of the
+# first cancels two numbers near 3.97e16, where one ulp is 8, and INT400
+# is past the float range
+_EXACT_DESCENTS = [
+    ("484,68644,1195914724,39732704840132164", ("-L", "6")),
+    ("36,9746884,1383988804,485624817088451044", ("-L", "6")),
+    (INT400, ("-L", "8")),
+]
+
+
+@pytest.mark.parametrize("quad, spectrum_args", _EXACT_DESCENTS,
+                         ids=["4.0e16", "4.9e17", "INT400"])
+def test_integer_quads_descend_exactly(capsys, quad, spectrum_args):
+    # each command gives the records it gives on the exact sink, in the
+    # slot order the descent leaves, bar the quad field
+    sink, _ = reduce_to_sink(parse_quad(quad))
+    sink_text = ",".join(map(str, sink))
+    for cmd, *rest in (("systole",), ("spectrum", *spectrum_args),
+                       ("growth", "--lmin", "10", "--lmax", "34", "--shells", "7")):
+        records = []
+        for q in (quad, sink_text):
+            code, out, err = run_cli(capsys, cmd, q, *rest)
+            assert code == 0 and err == ""
+            recs = lines(out)
+            assert recs and all(rec.pop("quad") == q for rec in recs)
+            records.append(recs)
+        assert records[0] == records[1], cmd
 
 
 def test_csv_refuses_non_finite_numbers(capsys):

@@ -80,6 +80,15 @@ def test_saddle_has_small_face():
     assert found > 0  # the sample really does hit saddles
 
 
+def test_classify_vertex_flip_past_the_float_range():
+    # a valid quad (residual 1.6e-16) some of whose flips have finite
+    # parts and a modulus past the float range
+    z = 5.741387723620521e+102 + 1.5384002039780802e+102j
+    q = MarkoffQuad(z, z, z, 1.4625583084179431e-102 - 3.918913176240167e-103j)
+    with pytest.raises(DomainError, match="out of float range"):
+        classify_vertex(q)
+
+
 def test_reduce_to_sink_examples():
     sink, word = reduce_to_sink(MarkoffQuad(4, 4, 4, 36))
     assert sink.values() == (4, 4, 4, 4) and word == [4]

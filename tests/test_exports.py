@@ -10,8 +10,9 @@ import markoffquads
 
 # what `from markoffquads import *` bound in a fresh interpreter when the
 # package imported its seven library modules up front: the exported names
-# and those modules, less `FibonacciAssignment`, `fibonacci_values` and
-# `int_flip` (whose work `flip` does), which were deleted later
+# and those modules, less `FibonacciAssignment`, `fibonacci_values`,
+# `int_flip` (whose work `flip` does) and the integer reduction (whose
+# work `reduce_to_sink` does), which were deleted later
 STAR_NAMES = sorted("""
     BqReport BqViolationError BranchCutError BudgetExceededError CurveKind
     DEFAULT_TOL DegenerateClassError DomainCheck DomainError Face
@@ -23,7 +24,7 @@ STAR_NAMES = sorted("""
     enumerate_integral_below errors fibonacci_level_counts
     finite_tree_psi_sum fit_power_law flip flip_value flips fricke_residual
     growth_exponent h horocyclic_to_quad hurwitz_to_quad in_fundamental_domain
-    int_reduce integral klein_sequence lambda_to_quad mcg_apply
+    integral klein_sequence lambda_to_quad mcg_apply
     mcg_relations_check mcshane mcshane_partial mcshane_verify one_sided_length
     one_sided_spectrum psi quad_to_horocyclic quad_to_hurwitz quad_to_lambda
     quadalgebra reduce_to_sink sample_fuchsian_quad sample_horocyclic spectra

@@ -14,9 +14,11 @@ from markoffquads import (
     enumerate_fundamental,
     enumerate_integral_below,
     flip,
-    int_reduce,
+    flips,
+    reduce_to_sink,
 )
 from markoffquads import integral
+from markoffquads.quadalgebra import DEFAULT_MAX_STEPS
 from markoffquads.integral import SEARCH_BOUNDS
 from helpers import brute_integral_scan
 
@@ -59,30 +61,66 @@ def test_flip_words_stay_valid_and_reduce_back(root, word):
     q = IntegerQuad.from_values(root)
     for i in word:
         q = flip(q, i)  # constructor revalidates exactness each step
-    reduced, _ = int_reduce(q)
+    reduced, _ = classify(q)
     assert reduced.values() == root
 
 
-def test_int_reduce_examples():
-    reduced, word = int_reduce(IntegerQuad(4, 4, 4, 36))
-    assert reduced.values() == (4, 4, 4, 4) and word == [4]
-    reduced, word = int_reduce(IntegerQuad(3481, 5, 24, 30))
-    assert reduced.values() == (1, 5, 24, 30) and word == [1]
-    reduced, word = int_reduce(IntegerQuad(2, 5, 5, 8))
-    assert reduced.values() == (2, 5, 5, 8) and word == []
+def test_exact_descent_examples():
+    # reduce_to_sink keeps an IntegerQuad's type, so integer descents are exact
+    sink, word = reduce_to_sink(IntegerQuad(4, 4, 4, 36))
+    assert type(sink) is IntegerQuad
+    assert sink.values() == (4, 4, 4, 4) and word == [4]
+    sink, word = reduce_to_sink(IntegerQuad(3481, 5, 24, 30))
+    assert sink.values() == (1, 5, 24, 30) and word == [1]
+    sink, word = reduce_to_sink(IntegerQuad(2, 5, 5, 8))
+    assert sink.values() == (2, 5, 5, 8) and word == []
+    # classify sorts the sink ascending and keeps the word
+    assert classify(IntegerQuad(5, 8, 2, 5)) == (IntegerQuad(2, 5, 5, 8), [])
+    assert classify(IntegerQuad(4, 4, 36, 4)) == (IntegerQuad(4, 4, 4, 4), [3])
+    with pytest.raises(DomainError, match="reduction needs all entries positive"):
+        classify(IntegerQuad(0, 0, 0, 0))
 
 
-def test_int_reduce_confluence_under_permutation():
+def test_exact_descent_confluence_under_permutation():
     rng = random.Random(31)
     for root in FUNDAMENTAL:
         q = IntegerQuad.from_values(root)
         for i in (rng.randint(1, 4) for _ in range(5)):
             q = flip(q, i)
-        base, _ = int_reduce(q)
+        base, _ = reduce_to_sink(q)
         for perm in itertools.permutations(range(4)):
             shuffled = IntegerQuad.from_values(tuple(q.values()[p] for p in perm))
-            got, _ = int_reduce(shuffled)
-            assert got.values() == base.values()
+            got, _ = reduce_to_sink(shuffled)
+            assert sorted(got.values()) == sorted(base.values())
+
+
+@given(st.sampled_from(FUNDAMENTAL), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_exact_descent_returns_the_root_from_past_the_float_range(root, rng):
+    # a flip word that never undoes its last flip climbs the tree, so
+    # the entries grow until the largest passes 1e300, where float flips
+    # overflow or cancel
+    q, last = IntegerQuad.from_values(root), 0
+    while max(q) <= 10 ** 300:
+        last = rng.choice([i for i in (1, 2, 3, 4) if i != last])
+        q = flip(q, last)
+    sink, _ = reduce_to_sink(q)
+    assert tuple(sorted(sink)) == root
+
+
+def test_exact_descent_has_no_step_cap():
+    # the step cap bounds float descents only: a long spiral around the
+    # face (1, 5), alternate ascending flips of slots 3 and 4 of
+    # (1, 5, 24, 30), descends in more than DEFAULT_MAX_STEPS steps
+    vals = [1, 5, 24, 30]
+    steps = DEFAULT_MAX_STEPS + 1
+    for k in range(steps):
+        i = 2 + k % 2
+        vals[i] = flips(*vals)[i]
+    sink, word = reduce_to_sink(IntegerQuad.from_values(vals))
+    assert sink == IntegerQuad(1, 5, 24, 30) and len(word) == steps
+    sink, word = reduce_to_sink(IntegerQuad(484, 4, 4, 36), max_steps=1)
+    assert sink == IntegerQuad(4, 4, 4, 4) and word == [1, 4]
 
 
 def test_enumerate_fundamental_contents():
@@ -94,8 +132,8 @@ def test_enumerate_fundamental_contents():
         # reduced: sorted and the largest entry at most the sum of the rest
         assert (a, b, c, d) == tuple(sorted((a, b, c, d)))
         assert d <= a + b + c
-        reduced, word = int_reduce(q)
-        assert reduced.values() == q.values() and word == []
+        sink, word = reduce_to_sink(q)
+        assert sink == q and word == []
 
 
 def test_fundamental_ninth_orbit_is_disjoint():
@@ -106,7 +144,7 @@ def test_fundamental_ninth_orbit_is_disjoint():
     assert flip(q, 3).values()[2] > 6
     assert flip(q, 2).values()[1] > 4
     assert flip(q, 1).values()[0] > 2
-    reduced, _ = int_reduce(flip(flip(q, 1), 3))
+    reduced, _ = classify(flip(flip(q, 1), 3))
     assert reduced.values() == (2, 4, 6, 12)
 
 

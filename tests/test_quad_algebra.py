@@ -144,6 +144,14 @@ def test_complete_quad_zero_parts_are_positive(a, b, c):
                 assert math.copysign(1.0, part) == 1.0, (a, b, c, root)
 
 
+def test_complete_quad_past_the_float_range():
+    # the cube of z has modulus past the float range: the quadratic's
+    # coefficients overflow, and its roots would be NaN
+    z = 5.741387723620521e+102 + 1.5384002039780802e+102j
+    with pytest.raises(DomainError, match="out of float range"):
+        complete_quad(z, z, z)
+
+
 def test_complete_quad_vieta_random():
     rng = random.Random(5)
     for _ in range(300):
