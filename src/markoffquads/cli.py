@@ -105,9 +105,9 @@ def _parse_entry(text: str) -> complex:
 
 
 def parse_quad(text: str, exact: bool = False):
-    """Parse "a,b,c,d".  Input of non-negative integers routes to exact
-    arithmetic; --exact forces that route, which rejects non-integers
-    and negative entries."""
+    """Parse "a,b,c,d".  Non-negative integer entries give an exact
+    IntegerQuad, and any other entries a MarkoffQuad; exact rejects
+    non-integer and negative entries instead."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise _UsageError(f"quad needs 4 comma-separated entries, got {len(parts)}")
@@ -126,14 +126,6 @@ def parse_quad(text: str, exact: bool = False):
 def _quad_arg(text: str, args):
     """A quad argument of either type, checked against --tol."""
     return parse_quad(text, args.exact).require_valid(args.tol)
-
-
-def _markoff_arg(text: str, args) -> MarkoffQuad:
-    """A quad argument in floats, checked against --tol, for walks from the input itself."""
-    q = parse_quad(text, args.exact)
-    if isinstance(q, IntegerQuad):
-        q = MarkoffQuad.from_values(q)
-    return q.require_valid(args.tol)
 
 
 def _complex_json(v):
@@ -275,7 +267,7 @@ def _cmd_mcshane(args):
     from .mcshane import Verdict, mcshane_partial, mcshane_verify
     if (args.cutoff is None) == (args.target_tol is None):
         raise _UsageError("give exactly one of --cutoff or --target-tol")
-    q = _markoff_arg(args.quad, args)
+    q = _quad_arg(args.quad, args)
     rec = _base(args, "mcshane")
     if args.cutoff is not None:
         rep = mcshane_partial(q, args.cutoff, max_cells=args.max_cells, tol=args.tol)
@@ -300,8 +292,7 @@ def _cmd_mcshane(args):
 def _cmd_bq_check(args):
     from .jsonlines import bq_records
     from .mcshane import check_bq
-    q = _markoff_arg(args.quad, args)
-    rep = check_bq(q, args.k, max_cells=args.max_cells, quad_tol=args.tol)
+    rep = check_bq(_quad_arg(args.quad, args), args.k, max_cells=args.max_cells, tol=args.tol)
     return bq_records(_base(args, "bq-check"), [rep], _JSON.encode), 0
 
 
@@ -346,7 +337,7 @@ def _cmd_coords(args):
     rec = _base(args, "coords")
     rec["quad"] = args.values
     if args.to is not None:
-        q = _markoff_arg(args.values, args)
+        q = _quad_arg(args.values, args)
         if args.to == "lambda":
             lc = quad_to_lambda(q, tol=args.tol)
             rec["lambda"] = list(lc.values())
@@ -373,9 +364,8 @@ def _cmd_coords(args):
 
 def _cmd_mcg(args):
     from .coords import mcg_apply
-    q = _markoff_arg(args.quad, args)
     word = [w for w in re.split(r"[,\s]+", args.word.strip()) if w]
-    result = mcg_apply(word, q)
+    result = mcg_apply(word, _quad_arg(args.quad, args))
     rec = _base(args, "mcg")
     rec.update({"word": word, "result": list(result.values())})
     return [rec], 0
@@ -419,7 +409,7 @@ def _add_common(p, defaults: bool):
                    help=f"cell budget for enumerations (env {ENV_MAX_CELLS})",
                    **kw(env_cells or DEFAULT_MAX_CELLS))
     p.add_argument("--exact", action="store_true",
-                   help="force the integer fast-path, rejecting non-integers",
+                   help="reject non-integer and negative entries",
                    **({} if defaults else {"default": argparse.SUPPRESS}))
 
 

@@ -14,14 +14,14 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, _value_type, flip
+from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _as_complex, _value_type, flip
 
 _WALL_MARGIN = 1e-6
 
 
 def _positive_real_values(q: MarkoffQuad, tol: float) -> tuple[float, float, float, float]:
     out = []
-    for v in q.values():
+    for v in map(_as_complex, q.values()):  # an int past the float range raises
         if abs(v.imag) > tol * max(1.0, abs(v)) or v.real <= 0:
             raise DomainError(f"entry {v} is not positive real")
         out.append(v.real)
@@ -125,15 +125,16 @@ _PERMUTATIONS = {
 }
 
 
-def mcg_apply(word, q: MarkoffQuad) -> MarkoffQuad:
+def mcg_apply(word, q: MarkoffQuad | IntegerQuad) -> MarkoffQuad | IntegerQuad:
     """Apply a mapping class word, letters acting right-to-left.
-    Letters: f1..f4 (flips) and phi1..phi3 (permutations)."""
+    Letters: f1..f4 (flips) and phi1..phi3 (permutations).  The result
+    has q's type, so an IntegerQuad stays exact."""
     letters = list(word)
     for letter in reversed(letters):
         if letter in _PERMUTATIONS:
             perm = _PERMUTATIONS[letter]
             vals = q.values()
-            q = MarkoffQuad.from_values(vals[p] for p in perm)
+            q = q._make(vals[p] for p in perm)
         elif letter in ("f1", "f2", "f3", "f4"):
             q = flip(q, int(letter[1]))
         else:

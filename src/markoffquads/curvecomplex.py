@@ -25,7 +25,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, MarkoffQuad, flips
+from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, IntegerQuad, MarkoffQuad, flips
 
 
 class VertexKind(enum.Enum):
@@ -82,7 +82,8 @@ class Walk(NamedTuple):
     the slot (1..4) flipped there.  A vertex is named by the cell created
     on arrival; the root is named by cell 0, and root cells 0..3 carry
     parent 0 and slot 0.  faces maps each recorded id pair (smaller id
-    first) to its product, in discovery order."""
+    first) to its product, in discovery order.  A walk from an
+    IntegerQuad holds int values and products."""
 
     values: list[complex]
     parents: list[int]
@@ -113,7 +114,7 @@ class Walk(NamedTuple):
 
 
 def walk(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     cell_bound: float | None = None,
     face_bound: float | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
@@ -132,7 +133,8 @@ def walk(
     "raise" or "truncate" (any other value raises DomainError before
     the walk); a truncated walk keeps everything found before the
     budget ran out.  A value or face product whose parts are finite but
-    whose modulus is past the float range raises DomainError.
+    whose modulus is past the float range raises DomainError.  An
+    IntegerQuad root is walked in exact ints, face products included.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per

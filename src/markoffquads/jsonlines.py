@@ -163,13 +163,16 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
             cells, p = f
             i, j = cells[0], cells[1]
             # a product is written as its real part when its imaginary
-            # part is zero, as cli._complex_json writes it
-            if type(p) is not complex or p.imag != 0.0 or type(i) is not int \
-                    or type(j) is not int:
+            # part is zero, as cli._complex_json writes it, and an int
+            # one, from an exact walk, as it is (a bool is not an int here)
+            if type(p) is complex and p.imag == 0.0:
+                p = p.real
+                total += p
+            elif type(p) is not int:
                 return None
-            x = p.real
-            total += x
-            text = f"[{i},{j},{x!r}]"
+            if type(i) is not int or type(j) is not int:
+                return None
+            text = f"[{i},{j},{p!r}]"
             add(text)
             if f is v:
                 bad_text.append(text)

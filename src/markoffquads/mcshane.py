@@ -19,35 +19,33 @@ from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, walk
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, MarkoffQuad, _segment_distance, flip_value
+from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _segment_distance, flip_value
 
 BRANCH_TOL = 1e-9
 
 
-def h(x, tol: float = BRANCH_TOL) -> complex:
+def h(x) -> complex:
     """h(x) = (1 - sqrt(1 - 4/x)) / 2 on the plane cut along [0, 4].
 
-    Inputs within tol of the cut are rejected rather than silently
-    branch-picked.  For large |x| the algebraically identical form
-    2 / (x (1 + sqrt(1 - 4/x))) avoids cancellation.
+    Inputs within BRANCH_TOL of the cut are rejected rather than
+    silently branch-picked.  For large |x| the algebraically identical
+    form 2 / (x (1 + sqrt(1 - 4/x))) avoids cancellation.  x is boxed
+    into a complex first, so an exact walk's int products sum as floats.
 
-    The distance to the cut is not computed when |x| > 8 and tol < 1:
-    every point of [0, 4] has modulus <= 4, so x then lies at least
-    |x| - 4 > 4 from the cut, and the computed distance, within a few
-    ulps of that, is above tol too.  The test would pass, so skipping
-    it changes no result.  An infinite part makes both |x| and the
-    distance infinite, so the test is skipped where it would pass; a
-    NaN part with no infinite one makes |x| NaN, which fails |x| > 8,
-    so the test runs as before.  Finite parts whose modulus is past the
-    float range raise DomainError.
+    The distance to the cut is not computed when |x| > 8: every point of
+    [0, 4] has modulus <= 4, so x then lies more than 4 from the cut and
+    the test would pass.  An infinite part makes |x| infinite, so the
+    test is skipped where it would pass; a NaN part with no infinite one
+    makes |x| NaN, which fails |x| > 8, so the test runs.  Finite parts
+    whose modulus is past the float range raise DomainError.
     """
     x = complex(x)
     try:
         ax = abs(x)
     except OverflowError:
         raise DomainError(f"modulus of {x} out of float range") from None
-    if not (ax > 8.0 and tol < 1.0) and _segment_distance(x, 0.0, 4.0) <= tol:
-        raise BranchCutError(f"{x} within {tol:g} of the cut [0,4]")
+    if not ax > 8.0 and _segment_distance(x, 0.0, 4.0) <= BRANCH_TOL:
+        raise BranchCutError(f"{x} within {BRANCH_TOL:g} of the cut [0,4]")
     s = cmath.sqrt(1 - 4 / x)
     if ax > 8:
         return 2 / (x * (1 + s))
@@ -96,20 +94,19 @@ class BqReport(NamedTuple):
 
 
 def check_bq(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     k: float = 4.0,
     max_cells: int = DEFAULT_MAX_CELLS,
-    tol: float = BRANCH_TOL,
-    quad_tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> BqReport:
     """Enumerate faces with |product| <= max(k, 4) and report any whose
-    product lies within tol of the segment [0, 4]; quad_tol is the
-    tolerance of the quad relation check.  Finiteness cannot be certified
+    product lies within BRANCH_TOL of the segment [0, 4]; tol is the
+    tolerance of the quad relation check.  An IntegerQuad is walked
+    exactly, so its products are ints.  Finiteness cannot be certified
     from finite data, only refuted; budget exhaustion sets budget_hit
     instead of raising."""
     bound = max(k, 4.0)
-    w = walk(q, face_bound=bound, max_cells=max_cells, tol=quad_tol,
-             on_budget="truncate")
+    w = walk(q, face_bound=bound, max_cells=max_cells, tol=tol, on_budget="truncate")
     faces = w.faces
     faces4 = []
     add = faces4.append
@@ -118,7 +115,8 @@ def check_bq(
         if abs(p) <= 4.0:
             add(Face(key, p))
     faces4 = tuple(faces4)
-    violations = tuple([f for f in faces4 if _segment_distance(f.product, 0.0, 4.0) <= tol])
+    violations = tuple([f for f in faces4
+                        if _segment_distance(f.product, 0.0, 4.0) <= BRANCH_TOL])
     below2 = sum(1 for v in w.values if abs(v) <= 2.0)
     return BqReport(cutoff=bound, faces4=faces4, violations=violations,
                     cells_below2=below2, budget_hit=w.budget_hit)
@@ -148,7 +146,7 @@ def _require_summable(q, max_cells, tol):
         p = vals[0] * vals[j]
         if abs(p) <= 4.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:
             raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
-    bq = check_bq(q, 4.0, max_cells=max_cells, quad_tol=tol)
+    bq = check_bq(q, 4.0, max_cells=max_cells, tol=tol)
     if bq.violations:
         raise BqViolationError(
             f"face product {bq.violations[0].product} lies in [0,4]; sum undefined"
@@ -184,22 +182,21 @@ def _partial(q, product_cutoff, max_cells, tol, target_tol):
 
 
 def mcshane_partial(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     product_cutoff: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    target_tol: float | None = None,
 ) -> McShaneReport:
     """Sum h over all distinct faces with |product| <= product_cutoff.
 
     last_shell_max is the largest |h| among faces in the final dyadic
     shell (cutoff/2, cutoff]: a heuristic tail indicator, since no
-    computable tail bound is available.  The verdict is CONVERGED only
-    when a target_tol is supplied and both |sum - 1/2| <= target_tol and
-    last_shell_max <= target_tol/10 hold.
+    computable tail bound is available.  The verdict is PARTIAL, or
+    BUDGET_EXCEEDED when the walk ran out of cells; mcshane_verify
+    decides convergence.  An IntegerQuad is walked exactly.
     """
     _require_summable(q, max_cells, tol)
-    return _partial(q, product_cutoff, max_cells, tol, target_tol)[0]
+    return _partial(q, product_cutoff, max_cells, tol, None)[0]
 
 
 DEFAULT_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
@@ -207,13 +204,12 @@ _CROSS_CHECK_TOL = 1e-10
 
 
 def mcshane_verify(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     target_tol: float,
-    budget_schedule=DEFAULT_SCHEDULE,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, McShaneReport]:
-    """Raise the cutoff along the schedule until the partial sum is
+    """Raise the cutoff along DEFAULT_SCHEDULE until the partial sum is
     within target_tol of 1/2 (with a quiet last shell) or the budget is
     exhausted.  Each term is cross-computed in geometric form
     1/(1 + exp(l/2)) with l from the face relation and must agree with
@@ -222,9 +218,8 @@ def mcshane_verify(
         raise DomainError("target_tol must be positive")
     _require_summable(q, max_cells, tol)
     report = None
-    for cutoff in budget_schedule:
-        report, pairs, products, terms = _partial(q, float(cutoff), max_cells, tol,
-                                                  target_tol)
+    for cutoff in DEFAULT_SCHEDULE:
+        report, pairs, products, terms = _partial(q, cutoff, max_cells, tol, target_tol)
         for pair, p, term in zip(pairs, products, terms):
             ell = 2 * cmath.acosh((p - 2) / 2)
             geom = 1 / (1 + cmath.exp(ell / 2))

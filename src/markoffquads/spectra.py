@@ -49,7 +49,9 @@ def _trace_bound(fn, L: float) -> float:
 
 
 def _sink(q, tol) -> MarkoffQuad:
-    """q's sink, as the MarkoffQuad that the walk starts from."""
+    """q's sink, as the MarkoffQuad that the walk starts from.  An exact
+    sink is boxed too: walking it in ints would change the spectra's
+    output bytes (ROADMAP item 10)."""
     return MarkoffQuad.from_values(reduce_to_sink(q, tol=tol)[0])
 
 

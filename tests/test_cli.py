@@ -277,7 +277,7 @@ def test_non_summable_quad_hits_budget(capsys):
      "zero trace: parabolic/degenerate one-sided class"),
     (("spectrum", "0,0,0,0", "-L", "3", "--two-sided"),
      "two-sided trace (-2+0j) within 1e-09 of [-2,2]"),
-    (("mcshane", "0,0,0,0", "--cutoff", "10"), "face product 0j lies in [0,4]; sum undefined"),
+    (("mcshane", "0,0,0,0", "--cutoff", "10"), "face product 0 lies in [0,4]; sum undefined"),
     (("mcshane", "0,1,2,-3", "--target-tol", "1e-3"),
      "face product 0j lies in [0,4]; sum undefined"),
 ], ids=["spectrum-0123", "spectrum-0000", "growth", "two-sided", "mcshane-cutoff", "mcshane-verify"])
@@ -618,6 +618,7 @@ INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as fl
         ("reduce", OVERFLOWING_MODULUS),
         ("growth", OVERFLOWING_MODULUS, "--lmin", "1", "--lmax", "5", "--shells", "4"),
         ("verify", f"{_X77},{_X77},{_X77},{_X77}"),
+        ("coords", INT400, "--to", "lambda"),
     )],
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
@@ -653,6 +654,34 @@ def test_integer_quads_descend_exactly(capsys, quad, spectrum_args):
             assert recs and all(rec.pop("quad") == q for rec in recs)
             records.append(recs)
         assert records[0] == records[1], cmd
+
+
+@pytest.mark.parametrize("quad", [q for q, _ in _EXACT_DESCENTS],
+                         ids=["4.0e16", "4.9e17", "INT400"])
+def test_integer_quads_walk_exactly(capsys, quad):
+    # a sum and a check over the whole tree do not depend on the quad of
+    # the orbit the walk starts from: each integer quad of the (4,4,4,4)
+    # orbit gives what (4,4,4,4) gives, bar the order of summation
+    for argv in (("mcshane", "--cutoff", "1e6"), ("mcshane", "--target-tol", "1e-3"),
+                 ("bq-check", "-k", "10")):
+        records = []
+        for q in (quad, "4,4,4,4"):
+            code, out, err = run_cli(capsys, argv[0], q, *argv[1:])
+            assert code == 0 and err == ""
+            [rec] = lines(out)
+            assert rec.pop("quad") == q
+            records.append(rec)
+        got, want = records
+        assert abs(got.pop("partial_sum", 0) - want.pop("partial_sum", 0)) <= 1e-15
+        assert got == want, argv
+
+
+def test_mcg_of_an_integer_quad_is_exact(capsys):
+    code, out, err = run_cli(capsys, "mcg", INT400, "-w", "f1,phi2")
+    assert code == 0 and err == ""
+    # letters act right to left: phi2 swaps the pairs, then f1 flips
+    a, b, c, d = parse_quad(INT400)
+    assert lines(out)[0]["result"] == list(flip(IntegerQuad(c, d, a, b), 1))
 
 
 def test_csv_refuses_non_finite_numbers(capsys):
@@ -844,8 +873,7 @@ def test_record_set_rows_the_template_cannot_write():
 def _bq_record(quad, k, max_cells):
     # bq-check's record, key for key as the command built it for the
     # encoder before its line came from a template
-    q = MarkoffQuad.from_values(parse_quad(quad).values())
-    rep = check_bq(q, float(k), max_cells=max_cells)
+    rep = check_bq(parse_quad(quad), float(k), max_cells=max_cells)
     faces = lambda fs: [[f.cells[0], f.cells[1], f.product] for f in fs]
     return {"cmd": "bq-check", "quad": quad, "version": cli.__version__,
             "cutoff": rep.cutoff, "faces4": faces(rep.faces4),
@@ -857,9 +885,10 @@ def _bq_record(quad, k, max_cells):
 _BQ_COMPLEX = ",".join(map(str, (1 + 1j, 1 + 0.5j, 2 - 1j,
                                   complete_quad(1 + 1j, 1 + 0.5j, 2 - 1j)[1])))
 _BQ_CASES = {
-    # all faces4 real and all of them violations, at every budget that
-    # cuts the walk short
+    # all faces4 int (an exact walk) or real and all of them violations,
+    # at every budget that cuts the walk short
     "0000": [("0,0,0,0", "4", n) for n in range(4, 61)],
+    "0000-float": [("0.0,0,0,0", "4", n) for n in range(4, 61)],
     "complex": [(_BQ_COMPLEX, "4", 200)],
     "empty": [("2,5,5,8", "10", 1000)],
     # violations a strict subset of faces4, and -0.0 real parts
@@ -889,8 +918,9 @@ def test_bq_check_lines_equal_json_dumps(case):
 
 
 def test_bq_records_the_template_cannot_write():
-    # products that are not complex, cells that are not ints, a sum that
-    # overflows and violations that are not faces of faces4 go to the encoder
+    # products that are neither complex nor int, cells that are not ints,
+    # a sum that overflows and violations that are not faces of faces4 go
+    # to the encoder
     head = {"cmd": "bq-check", "quad": "0,0,0,0", "version": "0.1.0"}
     f = Face((0, 1), 2 + 0j)
     g = Face((0, 2), -0.0 + 0j)
@@ -898,6 +928,7 @@ def test_bq_records_the_template_cannot_write():
         BqReport(4.0, (f, g), (f,), 3, False),
         BqReport(4.0, (f, f._replace(product=2)), (), 0, False),
         BqReport(4.0, (f, f._replace(product=2.5)), (), 0, False),
+        BqReport(4.0, (f, f._replace(product=True)), (), 0, False),
         BqReport(4.0, (f._replace(cells=(True, 1)), g), (), 0, True),
         BqReport(4.0, (f._replace(product=1e308 + 0j),) * 2, (), 0, False),
         BqReport(4.0, (f, g), (Face((0, 1), 2 + 0j),), 0, False),
@@ -906,8 +937,8 @@ def test_bq_records_the_template_cannot_write():
         BqReport(4, (), (), 0, False),
     ]
     lines = [jsonlines.bq_records(head, [rep], cli._JSON.encode).line(rep) for rep in reports]
-    assert [line is None for line in lines] == [False, True, True, True, True, True, True,
-                                                True, False]
+    assert [line is None for line in lines] == [False, False, True, True, True, True, True,
+                                                True, True, False]
     records = jsonlines.bq_records(head, reports, cli._JSON.encode)
     out = io.StringIO()
     _emit(records, "jsonl", out)
