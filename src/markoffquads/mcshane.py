@@ -19,16 +19,16 @@ from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, walk
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _segment_distance, flip_value
-
-BRANCH_TOL = 1e-9
+from .quadalgebra import (BRANCH_TOL, DEFAULT_TOL, IntegerQuad, MarkoffQuad, _segment_distance,
+                          flip_value)
 
 
 def h(x) -> complex:
     """h(x) = (1 - sqrt(1 - 4/x)) / 2 on the plane cut along [0, 4].
 
     Inputs within BRANCH_TOL of the cut are rejected rather than
-    silently branch-picked.  For large |x| the algebraically identical
+    silently branch-picked, as two_sided_length rejects x - 2 near
+    [-2, 2].  For large |x| the algebraically identical
     form 2 / (x (1 + sqrt(1 - 4/x))) avoids cancellation.  x is boxed
     into a complex first, so an exact walk's int products sum as floats.
 
@@ -137,13 +137,12 @@ class McShaneReport(NamedTuple):
 
 
 def _require_summable(q, max_cells, tol):
-    # the [0, 4] faces do not depend on the cutoff: check them once per sum.
-    # Root faces (0, 1), (0, 2) and (0, 3) sort before every other id
-    # pair, so check_bq would report them first: test them before walking.
+    """Raise BqViolationError for a face product within BRANCH_TOL of
+    [0, 4], once per sum, as no cutoff changes them: first the six faces
+    of q's cells in id-pair order, with no walk, then check_bq's."""
     q.require_valid(tol)
     vals = q.values()
-    for j in (1, 2, 3):
-        p = vals[0] * vals[j]
+    for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
         if abs(p) <= 4.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:
             raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
     bq = check_bq(q, 4.0, max_cells=max_cells, tol=tol)

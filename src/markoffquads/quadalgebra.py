@@ -299,23 +299,26 @@ def trace_from_length(ell) -> complex:
     return 2 * cmath.sinh(_as_complex(ell) / 2)
 
 
-def two_sided_length(e, tol: float = DEFAULT_TOL) -> complex:
+BRANCH_TOL = 1e-9  # the one width of the branch cut, whatever the relation tol
+
+
+def two_sided_length(e) -> complex:
     """Complex length of a two-sided class with trace e = 2 cosh(l/2).
 
     Principal branch (Re >= 0).  Real e in [-2, 2] is elliptic or
-    parabolic and rejected; the test uses distance <= tol to the segment.
-    It is skipped when |e| > 4 and tol < 1: every point of [-2, 2] has
-    modulus <= 2, so e then lies more than 2 from the segment and the
-    test would pass.  e is finite here, as _as_complex rejects the rest;
-    finite parts whose modulus is past the float range raise DomainError.
+    parabolic: e within BRANCH_TOL of it is rejected, as h rejects e + 2
+    near [0, 4].  The test is skipped when |e| > 4, where e lies more
+    than 2 from [-2, 2] and the test would pass.  e is finite here, as
+    _as_complex rejects the rest; finite parts whose modulus is past the
+    float range raise DomainError.
     """
     e = _as_complex(e)
     try:
         ae = abs(e)
     except OverflowError:
         raise DomainError(f"modulus of {e} out of float range") from None
-    if not (ae > 4.0 and tol < 1.0) and _segment_distance(e, -2.0, 2.0) <= tol:
-        raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
+    if not ae > 4.0 and _segment_distance(e, -2.0, 2.0) <= BRANCH_TOL:
+        raise BranchCutError(f"two-sided trace {e} within {BRANCH_TOL:g} of [-2,2]")
     return 2 * cmath.acosh(e / 2)
 
 

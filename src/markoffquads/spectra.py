@@ -75,12 +75,12 @@ def _one_sided_rows(w: Walk, bound, L, with_words=True) -> list[tuple]:
     return rows
 
 
-def _two_sided_rows(faces, L, tol) -> list[tuple]:
+def _two_sided_rows(faces, L) -> list[tuple]:
     """(|l|, id pair, trace, l) for every face with |l| < L."""
     rows = []
     for pair in sorted(faces):  # id-pair order decides which degenerate face raises
         e = faces[pair] - 2
-        ell = two_sided_length(e, tol=tol)
+        ell = two_sided_length(e)
         a = abs(ell)
         if a < L:
             rows.append((a, pair, e, ell))
@@ -130,15 +130,13 @@ def two_sided_spectrum(
         return []
     sink = _sink(q, tol)
     product_bound = _trace_bound(math.cosh, L) + 2.0
-    # root faces (0, 1), (0, 2) and (0, 3) sort before every other id pair,
-    # so a degenerate one among them is the face the rows would raise on
+    # the sink's six faces, in id-pair order: a degenerate one raises before the walk
     vals = sink.values()
-    for j in (1, 2, 3):
-        p = vals[0] * vals[j]
+    for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
         if abs(p) <= product_bound:
-            two_sided_length(p - 2, tol=tol)
+            two_sided_length(p - 2)
     w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
-    rows = _two_sided_rows(w.faces, L, tol)
+    rows = _two_sided_rows(w.faces, L)
     rows.sort()
     kind = CurveKind.TWO_SIDED
     return [SpectrumEntry(kind, trace, ell, pair, None) for _, pair, trace, ell in rows]
@@ -174,14 +172,14 @@ def systole(
     vals = sink.values()
     products = [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]
     cells = [(abs(one_sided_length(v)), abs(v)) for v in vals]
-    faces = [(abs(two_sided_length(p - 2, tol=tol)), abs(p)) for p in products]
+    faces = [(abs(two_sided_length(p - 2)), abs(p)) for p in products]
     best = min(cells + faces)[0]
     cell_bound = max([_trace_bound(math.sinh, best)] + [m for a, m in cells if a == best])
     face_bound = max([_trace_bound(math.cosh, best) + 2.0] + [m for a, m in faces if a == best])
     w = walk(sink, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells, tol=tol)
     one = min(_one_sided_rows(w, cell_bound, math.inf, with_words=False),
               key=lambda row: (row[0], row[2]), default=None)  # |l|, then id
-    two = min(_two_sided_rows(w.faces, math.inf, tol), default=None)
+    two = min(_two_sided_rows(w.faces, math.inf), default=None)
     if one is not None and (two is None or one[0] <= two[0]):
         _, _, cid, trace, length = one
         return length, SpectrumEntry(CurveKind.ONE_SIDED, trace, length, cid, w.word(cid))

@@ -263,9 +263,10 @@ def test_klein_subcommand(capsys):
 
 def test_non_summable_quad_hits_budget(capsys):
     # the elliptic face (1, 2), product 1, circles an infinite family of
-    # bounded cells: divergence is made observable by the budget guard
+    # bounded cells: the one-sided spectrum, which tests no face, makes
+    # the divergence observable by the budget guard
     code, _, err = run_cli(capsys, "spectrum", "8,1,1,-6-8i", "-L", "10",
-                           "--two-sided", "--max-cells", "20000")
+                           "--max-cells", "20000")
     assert code == 3
     assert err == "mql: budget exhausted: cell budget 20000 exhausted; suspected non-summable input\n"
 
@@ -277,16 +278,31 @@ def test_non_summable_quad_hits_budget(capsys):
      "zero trace: parabolic/degenerate one-sided class"),
     (("spectrum", "0,0,0,0", "-L", "3", "--two-sided"),
      "two-sided trace (-2+0j) within 1e-09 of [-2,2]"),
+    (("spectrum", "8,1,1,-6-8i", "-L", "10", "--two-sided"),
+     "two-sided trace (-1+0j) within 1e-09 of [-2,2]"),
     (("mcshane", "0,0,0,0", "--cutoff", "10"), "face product 0 lies in [0,4]; sum undefined"),
     (("mcshane", "0,1,2,-3", "--target-tol", "1e-3"),
      "face product 0j lies in [0,4]; sum undefined"),
-], ids=["spectrum-0123", "spectrum-0000", "growth", "two-sided", "mcshane-cutoff", "mcshane-verify"])
+], ids=["spectrum-0123", "spectrum-0000", "growth", "two-sided", "two-sided-face-12",
+        "mcshane-cutoff", "mcshane-verify"])
 def test_degenerate_sink_is_a_precondition_violation(capsys, argv, message):
-    # a zero sink entry, or a degenerate face of the root's first cell,
-    # raises before the walk instead of spending the budget (exit 3)
+    # a zero sink entry, or a degenerate face among the six of the sink's
+    # cells, raises before the walk instead of spending the budget (exit 3)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == f"mql: precondition violation: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("systole",), ("spectrum", "-L", "2", "--two-sided")],
+                         ids=["systole", "two-sided"])
+def test_relation_tol_leaves_the_branch_cut_alone(capsys, argv):
+    # the sink's face (0, 1) has trace 2.3, hyperbolic: --tol 0.5 loosens
+    # the quad relation, not the cut [-2, 2], so stdout does not move
+    cmd, *rest = argv
+    quad = "1,4.3,100,140.4571129984594"
+    default = run_cli(capsys, cmd, quad, *rest)
+    assert default[0] == 0 and default[1]
+    assert run_cli(capsys, cmd, quad, *rest, "--tol", "0.5") == default
 
 
 def test_domain_error_exit_4(capsys):

@@ -20,6 +20,7 @@ from markoffquads import (
     mcshane_verify,
     psi,
     sample_fuchsian_quad,
+    two_sided_length,
 )
 from helpers import around, perturb_quad, value_bits_or_error
 from markoffquads.mcshane import BRANCH_TOL
@@ -84,6 +85,25 @@ def test_h_far_from_the_cut_skips_only_a_test_that_passes():
     # error stays the same bit for bit
     for x in _H_POINTS:
         assert value_bits_or_error(h, x) == value_bits_or_error(_h_always_testing_the_cut, x), x
+
+
+def test_one_cut_for_h_and_two_sided_length():
+    # h's cut [0, 4] and two_sided_length's [-2, 2] are one cut at one
+    # width: on it, 0.5e-9 from it and 1e-6 from it, p is rejected by h
+    # exactly when its trace p - 2 is
+    def rejects(fn, x):
+        try:
+            fn(x)
+        except BranchCutError:
+            return True
+        return False
+
+    points = [t + u * r for t in (0, 1, 2, 3.5, 4) for r in (0, 0.5e-9, 1e-6)
+              for u in (1j, -1j)]
+    points += [-0.5e-9, 4 + 0.5e-9, -1e-6, 4 + 1e-6]
+    for p in points:
+        assert rejects(h, p) == rejects(two_sided_length, p - 2), p
+    assert [rejects(h, p) for p in (0, -0.5e-9, -1e-6, 2 + 1e-6j)] == [True, True, False, False]
 
 
 def test_psi_examples():
@@ -170,12 +190,13 @@ def test_root_face_violation_raises_before_walking(monkeypatch):
             mcshane_partial(q, 10)
         with pytest.raises(BqViolationError, match=r"face product 0j lies in \[0,4\]"):
             mcshane_verify(q, 1e-3)
-    assert walks == []
-    # a violating face away from cell 0 still waits for the walk
+    # a violating face away from cell 0, (1, 2), is among the six tested first
     q = MarkoffQuad.from_values((8, 1, 1, -6 - 8j))
     with pytest.raises(BqViolationError, match=r"face product \(1\+0j\) lies in \[0,4\]"):
         mcshane_partial(q, 10, max_cells=2000)
-    assert len(walks) == 1
+    with pytest.raises(BqViolationError, match=r"face product \(1\+0j\) lies in \[0,4\]"):
+        mcshane_verify(q, 1e-3)
+    assert walks == []
     # an invalid quad is still reported as invalid first
     with pytest.raises(InvalidQuadError):
         mcshane_partial(MarkoffQuad(0, 0, 0, 1), 10)

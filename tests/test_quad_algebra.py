@@ -31,7 +31,7 @@ from markoffquads import (
 )
 from helpers import (around, brute_flip, completion_roots, quad_residual, random_complex_quad,
                      value_bits_or_error)
-from markoffquads.quadalgebra import _as_complex, _segment_distance
+from markoffquads.quadalgebra import BRANCH_TOL, _as_complex, _segment_distance
 
 
 def test_verify_quad_examples():
@@ -200,7 +200,7 @@ def test_two_sided_length_examples():
     assert two_sided_length(2 + 1e-3j).real >= 0
 
 
-def _two_sided_length_always_testing_the_cut(e, tol):
+def _two_sided_length_always_testing_the_cut(e):
     # two_sided_length with the distance to [-2, 2] computed for every
     # input; a modulus past the float range is a DomainError, as there
     e = _as_complex(e)
@@ -208,8 +208,8 @@ def _two_sided_length_always_testing_the_cut(e, tol):
         distance = _segment_distance(e, -2.0, 2.0)
     except OverflowError:
         raise DomainError(f"modulus of {e} out of float range") from None
-    if distance <= tol:
-        raise BranchCutError(f"two-sided trace {e} within {tol:g} of [-2,2]")
+    if distance <= BRANCH_TOL:
+        raise BranchCutError(f"two-sided trace {e} within {BRANCH_TOL:g} of [-2,2]")
     return 2 * cmath.acosh(e / 2)
 
 
@@ -224,13 +224,12 @@ _TRACE_POINTS = [u * r for r in (*around(4.0), *around(2.0)) for u in (1, -1, 1j
 ]
 
 
-@pytest.mark.parametrize("tol", [1e-9, 0.5, 0.99, 1.0, 4.0, 10.0])
-def test_two_sided_length_far_from_the_cut_skips_only_a_test_that_passes(tol):
-    # where |e| > 4 and tol < 1 the distance to [-2, 2] is left out;
-    # every value and error stays the same bit for bit
+def test_two_sided_length_far_from_the_cut_skips_only_a_test_that_passes():
+    # where |e| > 4 the distance to [-2, 2] is left out; every value and
+    # error stays the same bit for bit
     for e in _TRACE_POINTS:
-        assert value_bits_or_error(two_sided_length, e, tol) == \
-            value_bits_or_error(_two_sided_length_always_testing_the_cut, e, tol), e
+        assert value_bits_or_error(two_sided_length, e) == \
+            value_bits_or_error(_two_sided_length_always_testing_the_cut, e), e
 
 
 def test_two_sided_length_h_consistency():

@@ -204,13 +204,17 @@ def test_spectra_degenerate_sink_raise_before_walking(monkeypatch):
         assert one_sided_spectrum(q, 0) == two_sided_spectrum(q, 0) == []
 
 
-def test_two_sided_spectrum_checks_only_the_first_cells_faces_before_walking():
-    # the degenerate face (1, 2) is found by the walk, as before: the
-    # walk ends first and the rows raise, or the budget runs out
+def test_two_sided_spectrum_checks_all_six_sink_faces_before_walking(monkeypatch):
+    # the degenerate face (1, 2), product 1, raises before any walk
+    # instead of spending the budget on the cells it circles
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(spectra, "walk", refuse)
     q = MarkoffQuad.from_values((8, 1, 1, -6 - 8j))
     with pytest.raises(BranchCutError, match=r"two-sided trace \(-1\+0j\)"):
         two_sided_spectrum(q, 2)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BranchCutError, match=r"two-sided trace \(-1\+0j\)"):
         two_sided_spectrum(q, 10, max_cells=2000)
 
 
@@ -245,7 +249,7 @@ def test_systole_quasi_fuchsian_oracle(seed, scale):
     cells = walk(sink, cell_bound=cell_bound, tol=1e-6).values
     assert all(abs(one_sided_length(v)) >= best for v in cells if abs(v) <= cell_bound)
     faces = walk(sink, face_bound=(2 * math.cosh(best / 2) + 2) * (1 + 1e-9), tol=1e-6).faces
-    assert all(abs(two_sided_length(p - 2, tol=1e-6)) >= best for p in faces.values())
+    assert all(abs(two_sided_length(p - 2)) >= best for p in faces.values())
     assert abs(w.length) == best
     if w.kind is CurveKind.ONE_SIDED:
         vals = list(sink.values())
@@ -256,7 +260,7 @@ def test_systole_quasi_fuchsian_oracle(seed, scale):
     else:
         assert w.word is None
         assert w.trace in [p - 2 for p in faces.values()]
-        assert two_sided_length(w.trace, tol=1e-6) == ell
+        assert two_sided_length(w.trace) == ell
 
 
 def test_spectrum_mapping_class_invariance():

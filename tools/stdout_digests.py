@@ -7,8 +7,11 @@ stderr) per workload and format.  The `walks` line is one sha256 over
 every `Walk` those calls make: values by repr, parents, slots, faces in
 insertion order, nodes visited and the budget flag, so a change to the
 walk shows even where stdout does not.  The `total` line is one sha256
-over the workload lines.  Two checkouts whose outputs match print the
-same lines:
+over the workload lines.  The `edge` line digests, the same way and in
+both formats, the fixed calls of EDGE_CALLS: inputs that fail or sit on
+a boundary, which no workload reaches.  They run after the workloads,
+outside `walks` and `total`.  Two checkouts whose outputs match print
+the same lines:
 
     python3 tools/stdout_digests.py > new.txt     # in each checkout's root
     diff old.txt new.txt
@@ -36,6 +39,24 @@ from markoffquads import cli, curvecomplex, mcshane, spectra  # noqa: E402, F401
 
 SEEDS = range(1, 9)
 FORMATS = ("jsonl", "csv")
+_Q = "1,4.3,100,140.4571129984594"  # Fuchsian; its sink's face (0, 1) has trace 2.3
+EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
+    f"systole {_Q} --tol 0.5",
+    f"spectrum {_Q} -L 2 --two-sided --tol 0.5",
+    f"mcshane {_Q} --cutoff 1e6 --tol 0.5",
+    f"bq-check {_Q} -k 10 --tol 0.5",
+    "spectrum 8,1,1,-6-8i -L 10 --two-sided",  # face (1, 2) has product 1
+    "spectrum 8,1,1,-6-8i -L 10",
+    "systole 8,1,1,-6-8i",
+    "mcshane 8,1,1,-6-8i --cutoff 10",
+    "spectrum 0,0,0,0 -L 3",
+    "spectrum 0,0,0,0 -L 3 --two-sided",
+    "mcshane 0,0,0,0 --cutoff 10",
+    "verify 1e200,1e200,1e200,1e200",
+    "spectrum 4,4,4,4 -L 1500",
+    "systole 484,68644,1195914724,39732704840132164",
+    "coords 1,2,x,4 --from horocyclic",
+)]
 
 
 def _run(argv: list[str]) -> bytes:
@@ -94,6 +115,11 @@ def main() -> None:
                 total.update(line.encode())
     print(f"walks {walks.hexdigest()}")
     print(f"total {total.hexdigest()}")
+    edge = hashlib.sha256()
+    for fmt in FORMATS:
+        for argv in EDGE_CALLS:
+            edge.update(_run(["--format", fmt, *argv]))
+    print(f"edge {len(FORMATS) * len(EDGE_CALLS)} calls {edge.hexdigest()}")
 
 
 if __name__ == "__main__":
