@@ -73,7 +73,7 @@ class Face(NamedTuple):
     """An unordered pair of cells meeting at some visited vertex."""
 
     cells: tuple[int, int]
-    product: complex
+    product: complex | float | int
 
 
 class Walk(NamedTuple):
@@ -82,13 +82,15 @@ class Walk(NamedTuple):
     the slot (1..4) flipped there.  A vertex is named by the cell created
     on arrival; the root is named by cell 0, and root cells 0..3 carry
     parent 0 and slot 0.  faces maps each recorded id pair (smaller id
-    first) to its product, in discovery order.  A walk from an
-    IntegerQuad holds int values and products."""
+    first) to its product, in discovery order.  Values and products are
+    in the arithmetic the walk ran in: ints from an IntegerQuad root,
+    floats from a root that `walk` takes on its real path, complex
+    otherwise."""
 
-    values: list[complex]
+    values: list[complex | float | int]
     parents: list[int]
     slots: list[int]
-    faces: dict[tuple[int, int], complex]
+    faces: dict[tuple[int, int], complex | float | int]
     nodes_visited: int
     budget_hit: bool
 
@@ -133,8 +135,7 @@ def walk(
     "raise" or "truncate" (any other value raises DomainError before
     the walk); a truncated walk keeps everything found before the
     budget ran out.  A value or face product whose parts are finite but
-    whose modulus is past the float range raises DomainError.  An
-    IntegerQuad root is walked in exact ints, face products included.
+    whose modulus is past the float range raises DomainError.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
@@ -149,18 +150,13 @@ def walk(
     kept.
 
     A Fuchsian root (four entries with a positive real part and an
-    imaginary part of exactly +0.0) under bounds that are not infinite
-    is walked in real arithmetic on the real parts, and each value and
-    face product is stored as a complex.  That walk is the complex one
-    bit for bit while every stored value stays positive: complex `*`,
-    `+`, `-` and `abs` on such numbers give the real parts that float
-    arithmetic gives and imaginary parts of +0.0, so the same flips are
-    followed and the budget runs out at the same cell; a flip that
-    overflows is infinite or NaN on both paths and is pruned, since
-    every bound is finite.  Rounding can still drive a followed flip to
-    zero or below, and then complex products would carry signed zeros
-    that real ones do not, so such a walk is made again in complex
-    arithmetic.
+    imaginary part of exactly +0.0) under finite bounds is walked in
+    floats on its real parts: while every value stays positive, complex
+    arithmetic gives the same real parts, so the same flips are followed,
+    and a flip that overflows is pruned on both paths.  Rounding can
+    drive a followed flip to zero or below, where complex products would
+    carry signed zeros that decide the branch of a two-sided length at a
+    negative product; such a walk is made again in complex arithmetic.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
@@ -171,24 +167,14 @@ def walk(
     if (cell_bound != math.inf and face_bound != math.inf
             and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0
                     and math.copysign(1.0, v.imag) == 1.0 for v in root)):
-        # an array of floats rather than a list of float objects keeps
-        # the peak memory near the complex walk's; imported here, so a
-        # command that walks no Fuchsian quad never loads the module
-        from array import array
-
-        w = _walk([v.real for v in root], array("d"), cell_bound, face_bound, max_cells)
+        w = _walk([v.real for v in root], cell_bound, face_bound, max_cells)
         # magnitudes, and so the budget, agree with the complex walk's
         # even where the guard below refuses the values
         _check_budget(w, on_budget, max_cells)
         if min(w.values) > 0.0:
-            # 0j + x is complex(x) for every float x but -0.0, and no
-            # value or product of positive values is -0.0
-            faces = w.faces
-            for pair, p in faces.items():
-                faces[pair] = 0j + p
-            return w._replace(values=[0j + x for x in w.values])
+            return w
     try:
-        w = _walk(root, [], cell_bound, face_bound, max_cells)
+        w = _walk(root, cell_bound, face_bound, max_cells)
     except OverflowError:  # abs of finite parts whose modulus is past the float range
         raise DomainError("a cell's or face's modulus is out of float range") from None
     _check_budget(w, on_budget, max_cells)
@@ -201,11 +187,11 @@ def _check_budget(w: Walk, on_budget: str, max_cells: int) -> None:
             f"cell budget {max_cells} exhausted; suspected non-summable input")
 
 
-def _walk(start, values, cell_bound, face_bound, max_cells) -> Walk:
-    """The loop of `walk`, from the four root values `start`, appending
-    each cell's value to the empty sequence `values`.  A walk that runs
-    out of budget returns what it found, with budget_hit set."""
-    values.extend(start)
+def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
+    """The loop of `walk`, from the four root values `start`, in their
+    arithmetic.  A walk that runs out of budget returns what it found,
+    with budget_hit set."""
+    values = list(start)
     parents = [0] * 4
     slots = [0] * 4
     faces = {}

@@ -109,7 +109,8 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
 
     def line(entry):
         _, t, ell, ref, word = entry
-        if type(t) is not complex or type(ell) is not complex:
+        # a trace is complex, or float from a walk on the real path
+        if (type(t) is not complex and type(t) is not float) or type(ell) is not complex:
             return None
         tr, ti, lr, li = t.real, t.imag, ell.real, ell.imag
         # |l| = hypot(lr, li) is lr itself when l is a positive real, so
@@ -163,9 +164,10 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
             cells, p = f
             i, j = cells[0], cells[1]
             # a product is written as its real part when its imaginary
-            # part is zero, as cli._complex_json writes it, and an int
-            # one, from an exact walk, as it is (a bool is not an int here)
-            if type(p) is complex and p.imag == 0.0:
+            # part is zero, as cli._complex_json writes it, and a float or
+            # int one, from a real or exact walk, as it is (a bool is not
+            # an int here)
+            if type(p) is float or (type(p) is complex and p.imag == 0.0):
                 p = p.real
                 total += p
             elif type(p) is not int:

@@ -17,6 +17,7 @@ from .curvecomplex import DEFAULT_MAX_CELLS, Walk, walk
 from .errors import BudgetExceededError, DomainError
 from .quadalgebra import (
     DEFAULT_TOL,
+    IntegerQuad,
     MarkoffQuad,
     one_sided_length,
     reduce_to_sink,
@@ -35,17 +36,22 @@ class SpectrumEntry(NamedTuple):
     discovery word in the reduced tree."""
 
     kind: CurveKind
-    trace: complex
+    trace: complex | float | int
     length: complex
     cell_ref: int | tuple[int, int]
     word: tuple[int, ...] | None
 
 
 def _trace_bound(fn, L: float) -> float:
+    """2 fn(L/2), the trace bound of cutoff L.  A bound that is not
+    finite raises DomainError: no budget would end the walk to it."""
     try:
-        return 2.0 * fn(L / 2)
+        bound = 2.0 * fn(L / 2)
     except OverflowError:
         raise DomainError(f"cutoff L={L!r} is out of range: its trace bound overflows") from None
+    if not math.isfinite(bound):  # an infinite or NaN cutoff
+        raise DomainError(f"cutoff L={L!r} is out of range: its trace bound is {bound!r}")
+    return bound
 
 
 def _sink(q, tol) -> MarkoffQuad:
@@ -102,7 +108,7 @@ def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
 
 
 def one_sided_spectrum(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
@@ -118,7 +124,7 @@ def one_sided_spectrum(
 
 
 def two_sided_spectrum(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
@@ -143,7 +149,7 @@ def two_sided_spectrum(
 
 
 def count_s(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     L: float,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
@@ -153,7 +159,7 @@ def count_s(
 
 
 def systole(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
 ) -> tuple[complex, SpectrumEntry]:
@@ -215,7 +221,7 @@ def fit_power_law(samples) -> tuple[float, float, float]:
 
 
 def growth_exponent(
-    q: MarkoffQuad,
+    q: MarkoffQuad | IntegerQuad,
     lmin: float,
     lmax: float,
     shells: int,

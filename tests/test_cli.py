@@ -606,6 +606,9 @@ INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as fl
     (("spectrum", "4,4,4,4", "-L", "1500"), 4),
     (("spectrum", "4,4,4,4", "-L", "1500", "--two-sided"), 4),
     (("growth", "4,4,4,4", "--lmin", "10", "--lmax", "1e300", "--shells", "7"), 4),
+    # lmax / lmin overflows, so the top cutoffs are infinite: no budget is spent
+    *[((*budget, "growth", "4,4,4,4", "--lmin", "1e-300", "--lmax", "1e300", "--shells", "5"), 4)
+      for budget in ((), ("--max-cells", "100000000"))],
     (("spectrum", f"4,4,4,{BIG_INT}", "-L", "8"), 1),
     (("verify", "1e200,1e200,1e200,1e200"), 4),
     (("spectrum", INT400_FLOATS, "-L", "8"), 4),
@@ -878,7 +881,8 @@ def test_record_set_rows_the_template_cannot_write():
         out = io.StringIO()
         _emit(records, "jsonl", out)
         assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
-    for bad in (complex(4, math.inf), complex(math.nan, 0.0), complex(math.inf, 0.0)):
+    for bad in (complex(4, math.inf), complex(math.nan, 0.0), complex(math.inf, 0.0),
+                math.inf, math.nan):
         for field in ("trace", "length"):
             records = jsonlines.entry_records(head, [ok._replace(**{field: bad})],
                                               cli._JSON.encode)
@@ -934,9 +938,9 @@ def test_bq_check_lines_equal_json_dumps(case):
 
 
 def test_bq_records_the_template_cannot_write():
-    # products that are neither complex nor int, cells that are not ints,
-    # a sum that overflows and violations that are not faces of faces4 go
-    # to the encoder
+    # products that are neither complex, float nor int, cells that are
+    # not ints, a sum that overflows and violations that are not faces of
+    # faces4 go to the encoder; a float product, from a real walk, does not
     head = {"cmd": "bq-check", "quad": "0,0,0,0", "version": "0.1.0"}
     f = Face((0, 1), 2 + 0j)
     g = Face((0, 2), -0.0 + 0j)
@@ -953,13 +957,14 @@ def test_bq_records_the_template_cannot_write():
         BqReport(4, (), (), 0, False),
     ]
     lines = [jsonlines.bq_records(head, [rep], cli._JSON.encode).line(rep) for rep in reports]
-    assert [line is None for line in lines] == [False, False, True, True, True, True, True,
+    assert [line is None for line in lines] == [False, False, False, True, True, True, True,
                                                 True, True, False]
     records = jsonlines.bq_records(head, reports, cli._JSON.encode)
     out = io.StringIO()
     _emit(records, "jsonl", out)
     assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
-    for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, math.inf)):
+    for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, math.inf),
+                math.inf, math.nan):
         records = jsonlines.bq_records(head, [BqReport(4.0, (f, f._replace(product=bad)), (),
                                                        0, False)], cli._JSON.encode)
         with pytest.raises(DomainError, match="not JSON compliant"):
@@ -970,14 +975,30 @@ def test_bq_records_the_template_cannot_write():
         _emit(records, "jsonl", io.StringIO())
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "2.0,5,5,8", "-L", "10"),
+    ("spectrum", "2.0,5,5,8", "-L", "10", "--two-sided"),
+    ("systole", "2.0,5,5,8"),
+])
+def test_template_writes_every_row_of_a_real_walk(argv):
+    # a Fuchsian quad is walked in floats, so its traces are floats: the
+    # template writes every row, byte for byte as the encoder would
+    out, records = _stdout_and_records(argv)
+    assert isinstance(records, jsonlines.RecordSet) and len(records) > 0
+    assert all(type(row.trace) is float for row in records.rows)
+    assert all(records.line(row) is not None for row in records.rows)
+    assert out == "".join(_dumps(rec) + "\n" for rec in records)
+
+
 @pytest.mark.parametrize("field, value", [
     # a positive real length writes one repr as both length and |length|;
     # -0.0, 0.0 and negative real parts take the general path
     ("length", complex(2.5, 0.0)), ("length", complex(2.5, -0.0)),
     ("length", complex(-0.0, 0.0)), ("length", complex(0.0, -0.0)),
     ("length", complex(-2.5, 0.0)), ("length", complex(-2.5, 1.0)),
-    # each entry's length with a real trace, then with a complex one
-    ("trace", complex(4.5, -0.0)), ("trace", complex(4.5, 0.25)),
+    # each entry's length with a real trace, then with a complex one, and
+    # with a float trace, as a walk on the real path gives
+    ("trace", complex(4.5, -0.0)), ("trace", complex(4.5, 0.25)), ("trace", 4.5),
     # word slots outside 1..4 and slots that are not ints
     ("word", ()), ("word", (1, 2, 3, 4, 4, 3, 2, 1)), ("word", (0,)), ("word", (5, 1)),
     ("word", (-1,)), ("word", (2 ** 70,)), ("word", (3, 49)), ("word", (1.0, 2)),

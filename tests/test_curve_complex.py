@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from markoffquads import (
     BudgetExceededError,
     DomainError,
+    IntegerQuad,
     MarkoffQuad,
     VertexKind,
     classify_vertex,
@@ -419,7 +420,9 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget=
     """Assert that walk agrees bit for bit with the reference
     (same ids, values by repr, words, faces in discovery order, node
     count and budget flag), truncated walks included; return the
-    reference's result."""
+    reference's result.  A real walk's floats are compared as the
+    complex numbers they stand for: complex(x) is exact, with an
+    imaginary part of +0.0."""
     q = MarkoffQuad.from_values(vals)
     ref = _reference_walk(q.values(), cell_bound, face_bound, max_cells)
     cells, faces, visited, budget_hit, _ = ref
@@ -431,8 +434,8 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget=
         return ref
     w = walk(q, **kw)
     words = w.words()
-    assert [(k, repr(v), words[k]) for k, v in enumerate(w.values)] == cells
-    assert [(pair, repr(p)) for pair, p in w.faces.items()] == faces
+    assert [(k, repr(complex(v)), words[k]) for k, v in enumerate(w.values)] == cells
+    assert [(pair, repr(complex(p))) for pair, p in w.faces.items()] == faces
     assert (w.nodes_visited, w.budget_hit) == (visited, budget_hit)
     return ref
 
@@ -518,19 +521,31 @@ def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_fa
 ])
 def test_walk_takes_the_real_path_only_where_it_is_exact(
         monkeypatch, vals, cell_bound, face_bound, max_cells, real_walks):
-    # which loop walks ran in floats; the guard's second walk is complex
+    # which loop walks ran in floats; the guard's second walk is complex.
+    # A kept real walk returns its floats, any other walk complex numbers
     loop, seen = curvecomplex._walk, []
 
-    def spy(start, values, *args):
+    def spy(start, cell_bound, face_bound, max_cells):
         seen.append(type(start[0]) is float)
-        return loop(start, values, *args)
+        return loop(start, cell_bound, face_bound, max_cells)
 
     monkeypatch.setattr(curvecomplex, "_walk", spy)
     w = walk(MarkoffQuad.from_values(vals), cell_bound=cell_bound, face_bound=face_bound,
              max_cells=max_cells, on_budget="truncate")
     assert seen == real_walks
-    assert all(type(v) is complex for v in w.values)
-    assert all(type(p) is complex for p in w.faces.values())
+    kind = float if real_walks == [True] else complex
+    assert all(type(v) is kind for v in w.values)
+    assert all(type(p) is kind for p in w.faces.values())
+
+
+def test_walk_returns_values_in_the_arithmetic_it_ran_in():
+    # (4, 4, 4, 4) as a Fuchsian quad and as an integer one: the same
+    # cells and faces, floats from the real walk and ints from the exact
+    kw = dict(cell_bound=1e4, face_bound=1e6)
+    real, exact = walk(Q4, **kw), walk(IntegerQuad(4, 4, 4, 4), **kw)
+    assert {type(x) for x in [*real.values, *real.faces.values()]} == {float}
+    assert {type(x) for x in [*exact.values, *exact.faces.values()]} == {int}
+    assert real == exact
 
 
 @pytest.mark.parametrize("on_budget", ["raise", "truncate"])
@@ -540,9 +555,9 @@ def test_guarded_walk_matches_reference_at_every_budget(monkeypatch, on_budget):
     # "raise" raises after the real walk, with no second walk
     loop, seen = curvecomplex._walk, []
 
-    def spy(start, values, *args):
+    def spy(start, cell_bound, face_bound, max_cells):
         seen.append(type(start[0]) is float)
-        return loop(start, values, *args)
+        return loop(start, cell_bound, face_bound, max_cells)
 
     monkeypatch.setattr(curvecomplex, "_walk", spy)
     for max_cells in range(5, 60):
@@ -565,7 +580,7 @@ def test_walk_rejects_an_unknown_on_budget_mode(on_budget):
 def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face,
                                                   max_cells, on_budget):
     # unperturbed sinks have positive real entries, so these take the
-    # real walk; what it returns must hold complex values only
+    # real walk, and keep it: what it returns holds floats only
     assume(log_cell is not None or log_face is not None)
     sink, _ = reduce_to_sink(sample_fuchsian_quad(random.Random(seed)))
     kw = dict(cell_bound=None if log_cell is None else 10 ** log_cell,
@@ -574,5 +589,5 @@ def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face,
     budget_hit = _check_against_reference(sink.values(), **kw)[3]
     if not (budget_hit and on_budget == "raise"):
         w = walk(sink, **kw)
-        assert all(type(v) is complex for v in w.values)
-        assert all(type(p) is complex for p in w.faces.values())
+        assert all(type(v) is float for v in w.values)
+        assert all(type(p) is float for p in w.faces.values())

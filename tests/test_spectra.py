@@ -218,6 +218,23 @@ def test_two_sided_spectrum_checks_all_six_sink_faces_before_walking(monkeypatch
         two_sided_spectrum(q, 10, max_cells=2000)
 
 
+def test_infinite_cutoffs_raise_before_walking(monkeypatch):
+    # a walk to an infinite trace bound would only end at the budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(spectra, "walk", refuse)
+    for run in (lambda: one_sided_spectrum(Q4, math.inf), lambda: count_s(Q4, math.inf),
+                lambda: two_sided_spectrum(Q4, math.inf),
+                # lmax / lmin overflows, so the top cutoffs are infinite
+                lambda: growth_exponent(Q4, 1e-300, 1e300, 5, max_cells=10 ** 8)):
+        with pytest.raises(DomainError, match="cutoff L=inf is out of range"):
+            run()
+    for fn in (one_sided_spectrum, two_sided_spectrum):
+        with pytest.raises(DomainError, match="cutoff L=nan is out of range"):
+            fn(Q4, math.nan)
+
+
 def test_systole_degenerate_sink_raises_before_walking(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked")

@@ -56,6 +56,7 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "spectrum 4,4,4,4 -L 1500",
     "systole 484,68644,1195914724,39732704840132164",
     "coords 1,2,x,4 --from horocyclic",
+    "growth 4,4,4,4 --lmin 1e-300 --lmax 1e300 --shells 5",  # lmax / lmin overflows
 )]
 
 
