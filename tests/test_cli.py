@@ -606,9 +606,6 @@ INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as fl
     (("spectrum", "4,4,4,4", "-L", "1500"), 4),
     (("spectrum", "4,4,4,4", "-L", "1500", "--two-sided"), 4),
     (("growth", "4,4,4,4", "--lmin", "10", "--lmax", "1e300", "--shells", "7"), 4),
-    # lmax / lmin overflows, so the top cutoffs are infinite: no budget is spent
-    *[((*budget, "growth", "4,4,4,4", "--lmin", "1e-300", "--lmax", "1e300", "--shells", "5"), 4)
-      for budget in ((), ("--max-cells", "100000000"))],
     (("spectrum", f"4,4,4,{BIG_INT}", "-L", "8"), 1),
     (("verify", "1e200,1e200,1e200,1e200"), 4),
     (("spectrum", INT400_FLOATS, "-L", "8"), 4),
@@ -639,6 +636,9 @@ INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as fl
         ("verify", f"{_X77},{_X77},{_X77},{_X77}"),
         ("coords", INT400, "--to", "lambda"),
     )],
+    # lmax / lmin overflows, so the top cutoffs are infinite: no budget is spent
+    *[((*budget, "growth", "4,4,4,4", "--lmin", "1e-300", "--lmax", "1e300", "--shells", "5"), 4)
+      for budget in ((), ("--max-cells", "100000000"))],
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -996,12 +996,13 @@ def test_template_writes_every_row_of_a_real_walk(argv):
     ("length", complex(2.5, 0.0)), ("length", complex(2.5, -0.0)),
     ("length", complex(-0.0, 0.0)), ("length", complex(0.0, -0.0)),
     ("length", complex(-2.5, 0.0)), ("length", complex(-2.5, 1.0)),
-    # each entry's length with a real trace, then with a complex one, and
-    # with a float trace, as a walk on the real path gives
-    ("trace", complex(4.5, -0.0)), ("trace", complex(4.5, 0.25)), ("trace", 4.5),
+    # each entry's length with a real trace, then with a complex one
+    ("trace", complex(4.5, -0.0)), ("trace", complex(4.5, 0.25)),
     # word slots outside 1..4 and slots that are not ints
     ("word", ()), ("word", (1, 2, 3, 4, 4, 3, 2, 1)), ("word", (0,)), ("word", (5, 1)),
     ("word", (-1,)), ("word", (2 ** 70,)), ("word", (3, 49)), ("word", (1.0, 2)),
+    # a float trace, as a walk on the real path gives
+    ("trace", 4.5),
 ])
 def test_entry_record_lines_equal_json_dumps(field, value):
     head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
