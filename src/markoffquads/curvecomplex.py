@@ -12,8 +12,9 @@ summability check.
 `walk` runs that walk and returns its arrays as a `Walk`: per cell id
 the value, the creating vertex and the slot flipped there, plus the
 faces keyed by id pair.  A cell's flip word is rebuilt from those
-arrays only when asked for (`Walk.word`, `Walk.words`), so callers
-build words only for the records that print them.
+arrays only when asked for (`Walk.words`), so callers build words only
+when they print them.  A walk that runs out of its cell budget returns
+what it found, with budget_hit set; each caller decides what that means.
 """
 
 from __future__ import annotations
@@ -94,20 +95,10 @@ class Walk(NamedTuple):
     nodes_visited: int
     budget_hit: bool
 
-    def word(self, k: int) -> tuple[int, ...]:
-        """The flip word of the vertex that created cell k (empty for
-        a root cell), read back along the parent chain."""
-        parents, slots = self.parents, self.slots
-        out = []
-        while k >= 4:
-            out.append(slots[k])
-            k = parents[k]
-        out.reverse()
-        return tuple(out)
-
     def words(self) -> list[tuple[int, ...]]:
-        """Every cell's word, in id order: cheaper than `word` per cell
-        when most cells are wanted, since each extends its parent's."""
+        """Every cell's flip word, in id order: the slots flipped on the
+        way from the root to the vertex that created it (empty for a root
+        cell).  Each extends its parent's."""
         parents, slots = self.parents, self.slots
         words: list[tuple[int, ...]] = [()] * 4
         for k in range(4, len(parents)):
@@ -121,7 +112,6 @@ def walk(
     face_bound: float | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
-    on_budget: str = "raise",
 ) -> Walk:
     """Pruned breadth-first exploration from q, as arrays.
 
@@ -131,11 +121,15 @@ def walk(
     cells in slot order, so ids are canonical.  A flip is followed when
     its magnitude is below the largest of the three magnitudes it leaves
     in place (a descending direction), is within cell_bound, or times
-    the smallest of those three is within face_bound.  on_budget is
-    "raise" or "truncate" (any other value raises DomainError before
-    the walk); a truncated walk keeps everything found before the
-    budget ran out.  A value or face product whose parts are finite but
-    whose modulus is past the float range raises DomainError.
+    the smallest of those three is within face_bound.  A NaN bound
+    raises DomainError before the walk; an infinite one is legal.  A
+    value or face product whose parts are finite but whose modulus is
+    past the float range raises DomainError.
+
+    The budget: a walk holds at most max(max_cells, 4) cells.  A
+    followed flip past that ends the walk, which returns what it found,
+    with budget_hit set; it never raises for a spent budget, and each
+    caller decides what one means.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
@@ -161,36 +155,25 @@ def walk(
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
         raise DomainError("need at least one of cell_bound, face_bound")
-    if on_budget not in ("raise", "truncate"):
-        raise DomainError(f"on_budget must be 'raise' or 'truncate', not {on_budget!r}")
+    if cell_bound != cell_bound or face_bound != face_bound:  # a NaN bound keeps nothing
+        raise DomainError("cell_bound and face_bound must not be NaN")
     root = q.values()
     if (cell_bound != math.inf and face_bound != math.inf
             and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0
                     and math.copysign(1.0, v.imag) == 1.0 for v in root)):
         w = _walk([v.real for v in root], cell_bound, face_bound, max_cells)
-        # magnitudes, and so the budget, agree with the complex walk's
-        # even where the guard below refuses the values
-        _check_budget(w, on_budget, max_cells)
         if min(w.values) > 0.0:
             return w
     try:
         w = _walk(root, cell_bound, face_bound, max_cells)
     except OverflowError:  # abs of finite parts whose modulus is past the float range
         raise DomainError("a cell's or face's modulus is out of float range") from None
-    _check_budget(w, on_budget, max_cells)
     return w
-
-
-def _check_budget(w: Walk, on_budget: str, max_cells: int) -> None:
-    if w.budget_hit and on_budget == "raise":
-        raise BudgetExceededError(
-            f"cell budget {max_cells} exhausted; suspected non-summable input")
 
 
 def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
     """The loop of `walk`, from the four root values `start`, in their
-    arithmetic.  A walk that runs out of budget returns what it found,
-    with budget_hit set."""
+    arithmetic."""
     values = list(start)
     parents = [0] * 4
     slots = [0] * 4

@@ -152,9 +152,9 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
                 "budget_hit": rep.budget_hit, "ok": rep.ok}
 
     def line(rep):
-        # check_bq takes the violations from faces4 in order, so one pass
-        # over faces4 meets each of them, by identity, and each face's
-        # text is made once for both lists
+        # check_bq reuses faces4's Face objects for the violations within
+        # it, in order, so one pass over faces4 meets each of them, by
+        # identity, and each face's text is made once for both lists
         all_text, bad_text = [], []
         add = all_text.append
         violations = iter(rep.violations)
@@ -179,8 +179,8 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
             if f is v:
                 bad_text.append(text)
                 v = next(violations, None)
-        # a violation not met above, a part that is not finite, or a sum
-        # that overflows
+        # a violation not met above (one with |product| > 4, outside
+        # faces4), a part that is not finite, or a sum that overflows
         if v is not None or not math.isfinite(total):
             return None
         return template % (encode(rep.budget_hit), encode(rep.cells_below2),

@@ -84,7 +84,7 @@ class BqReport(NamedTuple):
 
     cutoff: float
     faces4: tuple[Face, ...]          # faces with |product| <= 4
-    violations: tuple[Face, ...]      # faces with product within tol of [0, 4]
+    violations: tuple[Face, ...]      # faces with product within BRANCH_TOL of [0, 4]
     cells_below2: int
     budget_hit: bool
 
@@ -100,25 +100,28 @@ def check_bq(
     tol: float = DEFAULT_TOL,
 ) -> BqReport:
     """Enumerate faces with |product| <= max(k, 4) and report any whose
-    product lies within BRANCH_TOL of the segment [0, 4]; tol is the
-    tolerance of the quad relation check.  An IntegerQuad is walked
-    exactly, so its products are ints.  Finiteness cannot be certified
-    from finite data, only refuted; budget exhaustion sets budget_hit
-    instead of raising."""
+    product lies within BRANCH_TOL of the segment [0, 4], which h
+    rejects; tol is the tolerance of the quad relation check.  A
+    violation with |product| <= 4 is the same Face object as in faces4.
+    An IntegerQuad is walked exactly, so its products are ints.
+    Finiteness cannot be certified from finite data, only refuted; a
+    walk that runs out of budget sets budget_hit."""
     bound = max(k, 4.0)
-    w = walk(q, face_bound=bound, max_cells=max_cells, tol=tol, on_budget="truncate")
+    w = walk(q, face_bound=bound, max_cells=max_cells, tol=tol)
     faces = w.faces
-    faces4 = []
-    add = faces4.append
+    faces4, violations = [], []
     for key in sorted(faces):
         p = faces[key]
-        if abs(p) <= 4.0:
-            add(Face(key, p))
-    faces4 = tuple(faces4)
-    violations = tuple([f for f in faces4
-                        if _segment_distance(f.product, 0.0, 4.0) <= BRANCH_TOL])
+        a = abs(p)
+        if a > 8.0:  # more than 4 from the cut, as in h
+            continue
+        f = Face(key, p)
+        if a <= 4.0:
+            faces4.append(f)
+        if _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:
+            violations.append(f)
     below2 = sum(1 for v in w.values if abs(v) <= 2.0)
-    return BqReport(cutoff=bound, faces4=faces4, violations=violations,
+    return BqReport(cutoff=bound, faces4=tuple(faces4), violations=tuple(violations),
                     cells_below2=below2, budget_hit=w.budget_hit)
 
 
@@ -143,7 +146,7 @@ def _require_summable(q, max_cells, tol):
     q.require_valid(tol)
     vals = q.values()
     for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
-        if abs(p) <= 4.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:
+        if not abs(p) > 8.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:  # as in h
             raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
     bq = check_bq(q, 4.0, max_cells=max_cells, tol=tol)
     if bq.violations:
@@ -155,8 +158,7 @@ def _require_summable(q, max_cells, tol):
 def _partial(q, product_cutoff, max_cells, tol, target_tol):
     """The report, plus the id pairs, products and terms it summed, in
     id-pair order (a reproducible summation order)."""
-    w = walk(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol,
-             on_budget="truncate")
+    w = walk(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol)
     faces = w.faces  # the walk records only faces within the cutoff
     pairs = sorted(faces)
     products = [faces[pair] for pair in pairs]

@@ -54,6 +54,14 @@ def _trace_bound(fn, L: float) -> float:
     return bound
 
 
+def _require_complete(w: Walk, max_cells: int) -> None:
+    """Raise BudgetExceededError if w ran out of cells: a spectrum, a
+    count or a systole read from a cut-short walk could miss classes."""
+    if w.budget_hit:
+        raise BudgetExceededError(
+            f"cell budget {max_cells} exhausted; suspected non-summable input")
+
+
 def _sink(q, tol) -> MarkoffQuad:
     """q's sink, as the MarkoffQuad that the walk starts from.  An exact
     sink is boxed too: walking it in ints would change the spectra's
@@ -104,6 +112,7 @@ def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
         if v == 0:  # a parabolic class within every bound: raise before the walk
             one_sided_length(v)
     w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
+    _require_complete(w, max_cells)
     return _one_sided_rows(w, bound, L, with_words)
 
 
@@ -142,6 +151,7 @@ def two_sided_spectrum(
         if abs(p) <= product_bound:
             two_sided_length(p - 2)
     w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
+    _require_complete(w, max_cells)
     rows = _two_sided_rows(w.faces, L)
     rows.sort()
     kind = CurveKind.TWO_SIDED
@@ -183,12 +193,13 @@ def systole(
     cell_bound = max([_trace_bound(math.sinh, best)] + [m for a, m in cells if a == best])
     face_bound = max([_trace_bound(math.cosh, best) + 2.0] + [m for a, m in faces if a == best])
     w = walk(sink, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells, tol=tol)
+    _require_complete(w, max_cells)
     one = min(_one_sided_rows(w, cell_bound, math.inf, with_words=False),
               key=lambda row: (row[0], row[2]), default=None)  # |l|, then id
     two = min(_two_sided_rows(w.faces, math.inf), default=None)
     if one is not None and (two is None or one[0] <= two[0]):
         _, _, cid, trace, length = one
-        return length, SpectrumEntry(CurveKind.ONE_SIDED, trace, length, cid, w.word(cid))
+        return length, SpectrumEntry(CurveKind.ONE_SIDED, trace, length, cid, w.words()[cid])
     _, pair, trace, length = two
     return length, SpectrumEntry(CurveKind.TWO_SIDED, trace, length, pair, None)
 

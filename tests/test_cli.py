@@ -21,6 +21,9 @@ from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
                           SpectrumEntry, check_bq, complete_quad, flip, reduce_to_sink)
 
+# face (0, 1) has product 4.0000000005: |p| > 4, yet within 1e-9 of the cut [0, 4]
+NEAR_CUT = "2.0,2.00000000025,1.0+1.0i,-1.1796405576775428-3.394736453993022i"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -283,14 +286,26 @@ def test_non_summable_quad_hits_budget(capsys):
     (("mcshane", "0,0,0,0", "--cutoff", "10"), "face product 0 lies in [0,4]; sum undefined"),
     (("mcshane", "0,1,2,-3", "--target-tol", "1e-3"),
      "face product 0j lies in [0,4]; sum undefined"),
+    (("mcshane", NEAR_CUT, "--cutoff", "100"),
+     "face product (4.0000000005+0j) lies in [0,4]; sum undefined"),
 ], ids=["spectrum-0123", "spectrum-0000", "growth", "two-sided", "two-sided-face-12",
-        "mcshane-cutoff", "mcshane-verify"])
+        "mcshane-cutoff", "mcshane-verify", "mcshane-near-cut"])
 def test_degenerate_sink_is_a_precondition_violation(capsys, argv, message):
     # a zero sink entry, or a degenerate face among the six of the sink's
     # cells, raises before the walk instead of spending the budget (exit 3)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == f"mql: precondition violation: {message}\n"
+
+
+def test_bq_check_reports_a_face_just_past_4(capsys):
+    # face (0, 1) has product 4.0000000005: outside faces4, yet within
+    # BRANCH_TOL of the cut, where h rejects it
+    code, out, _ = run_cli(capsys, "bq-check", NEAR_CUT, "-k", "10")
+    rec = lines(out)[0]
+    assert code == 0 and rec["ok"] is False
+    assert rec["violations"] == [[0, 1, 4.0000000005]]
+    assert [f[:2] for f in rec["faces4"]] == [[0, 2], [1, 2]]
 
 
 @pytest.mark.parametrize("argv", [("systole",), ("spectrum", "-L", "2", "--two-sided")],

@@ -120,8 +120,9 @@ def test_walk_cells_examples():
 
 
 def test_walk_cells_budget():
-    with pytest.raises(BudgetExceededError):
-        _cells_within(Q4, 1e12, max_cells=20)
+    # a spent budget is reported, not raised
+    w = walk(Q4, cell_bound=1e12, max_cells=20)
+    assert w.budget_hit and len(w.values) == 20
 
 
 def test_walk_faces_examples():
@@ -298,17 +299,34 @@ def test_walk_fully_pruned_keeps_only_root_cells():
 
 
 def test_walk_truncate_respects_budget():
-    full = walk(Q4, cell_bound=1e12)
-    w = walk(Q4, cell_bound=1e12, max_cells=20, on_budget="truncate")
-    assert w.budget_hit and not full.budget_hit
-    n = len(w.values)
-    assert n <= 20
-    assert w.nodes_visited > 0
-    # the truncated walk is a prefix of the full one, parents, slots and
-    # words included
-    assert w.values == full.values[:n]
-    assert (w.parents, w.slots) == (full.parents[:n], full.slots[:n])
-    assert w.words() == full.words()[:n]
+    # a walk that runs out of cells returns what it found: a prefix of
+    # the walk made without a budget, parents, slots, words and faces
+    # included, for cell-bound, face-bound and both-bound walks from a
+    # real, a complex and an exact root
+    roots = (Q4, MarkoffQuad.from_values(_QUASI_FUCHSIAN), IntegerQuad(4, 4, 4, 4))
+    for q in roots:
+        for cell_bound, face_bound in ((1e12, None), (None, 1e16), (1e8, 1e12)):
+            full = walk(q, cell_bound=cell_bound, face_bound=face_bound)
+            assert not full.budget_hit
+            for max_cells in (20, 57):
+                w = walk(q, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells)
+                assert w.budget_hit
+                n = len(w.values)
+                assert n == max_cells
+                assert 0 < w.nodes_visited <= full.nodes_visited
+                assert repr(w.values) == repr(full.values[:n])
+                assert (w.parents, w.slots) == (full.parents[:n], full.slots[:n])
+                assert w.words() == full.words()[:n]
+                faces = list(w.faces.items())
+                assert repr(faces) == repr(list(full.faces.items())[:len(faces)])
+
+
+@pytest.mark.parametrize("cell_bound, face_bound", [
+    (math.nan, None), (None, math.nan), (1e4, math.nan), (math.nan, 1e6)])
+def test_walk_rejects_a_nan_bound(cell_bound, face_bound):
+    # a NaN bound keeps no cell and no face; it raises before the walk
+    with pytest.raises(DomainError, match="must not be NaN"):
+        walk(Q4, cell_bound=cell_bound, face_bound=face_bound)
 
 
 def test_pruned_matches_unpruned_on_complex_quads():
@@ -416,7 +434,7 @@ def _reference_walk(vals, cell_bound, face_bound, max_cells):
             visited, stop is not None, stop)
 
 
-def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget="truncate"):
+def _check_against_reference(vals, cell_bound, face_bound, max_cells):
     """Assert that walk agrees bit for bit with the reference
     (same ids, values by repr, words, faces in discovery order, node
     count and budget flag), truncated walks included; return the
@@ -426,13 +444,7 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells, on_budget=
     q = MarkoffQuad.from_values(vals)
     ref = _reference_walk(q.values(), cell_bound, face_bound, max_cells)
     cells, faces, visited, budget_hit, _ = ref
-    kw = dict(cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells,
-              on_budget=on_budget)
-    if budget_hit and on_budget == "raise":
-        with pytest.raises(BudgetExceededError, match=f"cell budget {max_cells} exhausted"):
-            walk(q, **kw)
-        return ref
-    w = walk(q, **kw)
+    w = walk(q, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells)
     words = w.words()
     assert [(k, repr(complex(v)), words[k]) for k, v in enumerate(w.values)] == cells
     assert [(pair, repr(complex(p))) for pair, p in w.faces.items()] == faces
@@ -493,17 +505,17 @@ def test_walk_matches_reference_at_every_truncation(vals, cell_bound, face_bound
 
 @given(st.integers(0, 2 ** 32), st.sampled_from([1e-3, 1e-2, 5e-2]),
        st.one_of(st.none(), st.floats(0, 30)), st.one_of(st.none(), st.floats(0, 40)),
-       st.integers(1, 2000), st.sampled_from(["raise", "truncate"]))
+       st.integers(1, 2000))
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_face,
-                                                   max_cells, on_budget):
+                                                   max_cells):
     assume(log_cell is not None or log_face is not None)
     rng = random.Random(seed)
     base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
     vals = perturb_quad(base.values(), rng, scale=scale)
     _check_against_reference(vals, None if log_cell is None else 10 ** log_cell,
                              None if log_face is None else 10 ** log_face,
-                             max_cells, on_budget)
+                             max_cells)
 
 
 @pytest.mark.parametrize("vals, cell_bound, face_bound, max_cells, real_walks", [
@@ -531,7 +543,7 @@ def test_walk_takes_the_real_path_only_where_it_is_exact(
 
     monkeypatch.setattr(curvecomplex, "_walk", spy)
     w = walk(MarkoffQuad.from_values(vals), cell_bound=cell_bound, face_bound=face_bound,
-             max_cells=max_cells, on_budget="truncate")
+             max_cells=max_cells)
     assert seen == real_walks
     kind = float if real_walks == [True] else complex
     assert all(type(v) is kind for v in w.values)
@@ -548,11 +560,10 @@ def test_walk_returns_values_in_the_arithmetic_it_ran_in():
     assert real == exact
 
 
-@pytest.mark.parametrize("on_budget", ["raise", "truncate"])
-def test_guarded_walk_matches_reference_at_every_budget(monkeypatch, on_budget):
+def test_guarded_walk_matches_reference_at_every_budget(monkeypatch):
     # the rounding root's fifth cell is 0.0, so every walk past four
-    # cells is refused by the guard; one that runs out of budget under
-    # "raise" raises after the real walk, with no second walk
+    # cells is refused by the guard and made again in complex, whether
+    # or not it ran out of budget
     loop, seen = curvecomplex._walk, []
 
     def spy(start, cell_bound, face_bound, max_cells):
@@ -562,32 +573,22 @@ def test_guarded_walk_matches_reference_at_every_budget(monkeypatch, on_budget):
     monkeypatch.setattr(curvecomplex, "_walk", spy)
     for max_cells in range(5, 60):
         seen.clear()
-        _check_against_reference(_ROUNDS_BELOW_ZERO, 10.0, 1e30, max_cells, on_budget)
-        assert seen == ([True] if on_budget == "raise" else [True, False])
-
-
-@pytest.mark.parametrize("on_budget", ["Raise", "truncated", "", None])
-def test_walk_rejects_an_unknown_on_budget_mode(on_budget):
-    # before walking: a 4-cell budget would otherwise raise or truncate
-    with pytest.raises(DomainError, match="on_budget"):
-        walk(Q4, cell_bound=1e12, max_cells=4, on_budget=on_budget)
+        _check_against_reference(_ROUNDS_BELOW_ZERO, 10.0, 1e30, max_cells)
+        assert seen == [True, False]
 
 
 @given(st.integers(0, 2 ** 32), st.one_of(st.none(), st.floats(0, 30)),
-       st.one_of(st.none(), st.floats(0, 40)), st.integers(1, 2000),
-       st.sampled_from(["raise", "truncate"]))
+       st.one_of(st.none(), st.floats(0, 40)), st.integers(1, 2000))
 @settings(max_examples=40, derandomize=True, deadline=None)
-def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face,
-                                                  max_cells, on_budget):
+def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face, max_cells):
     # unperturbed sinks have positive real entries, so these take the
     # real walk, and keep it: what it returns holds floats only
     assume(log_cell is not None or log_face is not None)
     sink, _ = reduce_to_sink(sample_fuchsian_quad(random.Random(seed)))
     kw = dict(cell_bound=None if log_cell is None else 10 ** log_cell,
               face_bound=None if log_face is None else 10 ** log_face,
-              max_cells=max_cells, on_budget=on_budget)
-    budget_hit = _check_against_reference(sink.values(), **kw)[3]
-    if not (budget_hit and on_budget == "raise"):
-        w = walk(sink, **kw)
-        assert all(type(v) is float for v in w.values)
-        assert all(type(p) is float for p in w.faces.values())
+              max_cells=max_cells)
+    _check_against_reference(sink.values(), **kw)
+    w = walk(sink, **kw)
+    assert all(type(v) is float for v in w.values)
+    assert all(type(p) is float for p in w.faces.values())

@@ -305,6 +305,29 @@ def test_bq_enumeration_reaches_product_ten_face():
     assert any(abs(p - 10) <= 1e-12 for p in faces.values())
 
 
+def test_nan_bounds_raise_before_walking():
+    # max(nan, 4.0) is nan, and a NaN bound would record no face: 0,0,0,0
+    # would pass the check, and the sum would have no terms
+    for q in (MarkoffQuad(0, 0, 0, 0), Q4):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            check_bq(q, k=math.nan)
+    with pytest.raises(DomainError, match="must not be NaN"):
+        mcshane_partial(Q4, math.nan)
+
+
+def test_check_bq_rejects_what_h_rejects():
+    # face (0, 1) has product 4.0000000005: past faces4, yet within
+    # BRANCH_TOL of the cut, so h rejects it and check_bq reports it
+    q = MarkoffQuad(2.0, 2.00000000025, 1 + 1j, -1.1796405576775428 - 3.394736453993022j)
+    with pytest.raises(BranchCutError):
+        h(4.0000000005)
+    rep = check_bq(q, 10)
+    assert [f.cells for f in rep.faces4] == [(0, 2), (1, 2)]
+    assert rep.violations == (((0, 1), 4.0000000005 + 0j),) and not rep.ok
+    with pytest.raises(BqViolationError, match=r"face product \(4.0000000005\+0j\)"):
+        mcshane_partial(q, 100)
+
+
 def test_check_bq_truncates_on_budget():
     rep = check_bq(MarkoffQuad(0, 0, 0, 0), 4, max_cells=60)
     assert rep.budget_hit

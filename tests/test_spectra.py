@@ -344,6 +344,32 @@ def test_growth_exponent_window():
     assert fit.fit_residual < 0.5
 
 
+# a quad whose systole walk, from its sink, holds six cells
+_SYSTOLE_WALKS_6 = (1.9577730707917596 - 0.2660093910560115j,
+                    -0.46945630853046394 - 2.6657566139526394j,
+                    2.4964160906519455 - 2.803672680184345j,
+                    0.5314750169042117 + 1.733882827408138j)
+
+
+@pytest.mark.parametrize("run, max_cells", [
+    # 8,1,1,-6-8i is not summable: its one-sided walks never end
+    (lambda m: one_sided_spectrum(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100),
+    (lambda m: count_s(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100),
+    (lambda m: growth_exponent(MarkoffQuad(8, 1, 1, -6 - 8j), 1, 10, 5, max_cells=m), 100),
+    # its two-sided spectrum and systole raise at a degenerate sink face
+    # before any walk, so these run out on summable quads
+    (lambda m: two_sided_spectrum(Q4, 30, max_cells=m), 20),
+    (lambda m: systole(MarkoffQuad.from_values(_SYSTOLE_WALKS_6), max_cells=m, tol=1e-6), 5),
+], ids=["one-sided", "count", "growth", "two-sided", "systole"])
+def test_spectra_raise_on_a_spent_budget(run, max_cells):
+    # the walk returns what it found; a spectrum, count or systole read
+    # from it could miss classes, so each raises instead
+    msg = f"cell budget {max_cells} exhausted; suspected non-summable input"
+    with pytest.raises(BudgetExceededError) as err:
+        run(max_cells)
+    assert str(err.value) == msg
+
+
 def test_growth_exponent_validation():
     with pytest.raises(DomainError):
         growth_exponent(Q4, 10.0, 34.0, 3)

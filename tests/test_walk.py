@@ -47,26 +47,23 @@ WALKS = [
 
 @pytest.mark.parametrize("vals, cell_bound, face_bound, max_cells", WALKS)
 def test_explore_is_the_view_over_walk(vals, cell_bound, face_bound, max_cells):
-    # the walk's arrays, and its two ways of reading words back
+    # the walk's arrays, and the words read back from them
     q = MarkoffQuad.from_values(vals)
     w = walk(q, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells,
-             tol=1e-6, on_budget="truncate")
+             tol=1e-6)
     n = len(w.values)
     assert n > 4 and len(w.parents) == len(w.slots) == n
-    # words read back along the parent chain, one cell at a time, agree
-    # with the words built in id order
-    words = w.words()
-    assert len(words) == n
-    assert all(w.word(k) == words[k] for k in range(n))
+    assert len(w.words()) == n
     assert w.budget_hit == (vals == (0, 0, 0, 0))
 
 
 def test_walk_word_follows_the_flips():
     # replaying a cell's word from the root lands on a vertex holding its value
     w = walk(MarkoffQuad(2, 5, 5, 8), cell_bound=1e4)
+    words = w.words()
     for k in range(4, len(w.values)):
         vals = [2.0, 5.0, 5.0, 8.0]
-        for i in w.word(k):
+        for i in words[k]:
             vals[i - 1] = markoffquads.flip_value(vals, i)
         assert vals[w.slots[k] - 1] == w.values[k]
 

@@ -40,6 +40,8 @@ from markoffquads import cli, curvecomplex, mcshane, spectra  # noqa: E402, F401
 SEEDS = range(1, 9)
 FORMATS = ("jsonl", "csv")
 _Q = "1,4.3,100,140.4571129984594"  # Fuchsian; its sink's face (0, 1) has trace 2.3
+# face (0, 1) has product 4.0000000005: |p| > 4, yet within 1e-9 of the cut [0, 4]
+_NEAR_CUT = "2.0,2.00000000025,1.0+1.0i,-1.1796405576775428-3.394736453993022i"
 EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     f"systole {_Q} --tol 0.5",
     f"spectrum {_Q} -L 2 --two-sided --tol 0.5",
@@ -57,6 +59,8 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "systole 484,68644,1195914724,39732704840132164",
     "coords 1,2,x,4 --from horocyclic",
     "growth 4,4,4,4 --lmin 1e-300 --lmax 1e300 --shells 5",  # lmax / lmin overflows
+    f"bq-check {_NEAR_CUT} -k 10",
+    f"mcshane {_NEAR_CUT} --cutoff 100",
 )]
 
 
