@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import stat
 import sys
 
@@ -493,12 +495,16 @@ _COMMANDS = {
 def _build_parser(only: str | None = None) -> _Parser:
     """The `mql` parser with every subcommand, or with the one named
     `only`; the latter leaves top-level errors and help to the former."""
-    p = _Parser(prog="mql", description=__doc__)
+    # the width HelpFormatter computes itself, asked of the terminal once
+    # here and not by each of the formatters argparse makes per argument
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    p = _Parser(prog="mql", description=__doc__, formatter_class=formatter)
     _add_common(p, defaults=True)
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, (help_text, run, add_args) in _COMMANDS.items():
         if only in (None, name):
-            sp = sub.add_parser(name, help=help_text)
+            sp = sub.add_parser(name, help=help_text, formatter_class=formatter)
             add_args(sp)
             sp.set_defaults(run=run)
             _add_common(sp, defaults=False)

@@ -318,7 +318,7 @@ def fibonacci_level_counts(max_value: int) -> dict[int, int]:
     newest of the three it sums, so weights strictly increase outward
     and pruning branches whose new weight exceeds max_value is exact.
     """
-    if max_value < 1:
+    if not max_value >= 1:  # NaN too
         raise DomainError("max_value must be >= 1")
     counts = {1: 3}
     half = {}

@@ -107,9 +107,27 @@ def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
 def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list[IntegerQuad]:
     """Every positive integer quad with max entry <= B, each as an
     IntegerQuad with ascending entries, the list in sorted order; found
-    by breadth-first flip closure from the fundamental roots.  More than
-    max_cells distinct quads raise BudgetExceededError."""
-    if B < 4:
+    by breadth-first closure from the fundamental roots along ascending
+    flips only, those whose new entry exceeds the old.  More than
+    max_cells distinct quads raise BudgetExceededError; B below 4, or
+    NaN, raises DomainError.
+
+    Why ascending flips suffice: take a positive ascending quad
+    (a, b, c, d).  Flipping an entry x other than the last gives
+    x * x' = s^2, where s, the sum of the other three, includes d and so
+    exceeds it; hence x' > d^2 / x >= d.  So those three flips ascend,
+    and their child, the other three entries followed by x', is
+    ascending with no sort.  The flip of d gives d * d' = (a + b + c)^2;
+    it descends where d > a + b + c, and a quad with no descending flip
+    is reduced, a root.  So every quad but a root has exactly one
+    descending flip, to its parent, and the parent's flip back to it
+    ascends: the ascending flips from the roots reach every quad, and a
+    descending flip or a self-flip only finds a quad already found.  The
+    walk keeps `seen`, since two equal entries give the same child.  It
+    adds the quads in the order that a closure along all four flips
+    would, so the budget runs out at the same quad.
+    """
+    if not B >= 4:  # NaN too
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
     seen: set[tuple[int, int, int, int]] = set()
     queue = deque()
@@ -122,16 +140,14 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
         seen.add(canon)
         queue.append(canon)
 
-    for root in _fundamental():
-        v = tuple(sorted(root))
-        if max(v) <= B and v not in seen:
-            add(v)
+    for root in _fundamental():  # ascending, and distinct
+        if root.d <= B:
+            add(tuple(root))
     while queue:
         vals = queue.popleft()
         for i, v in enumerate(flips(*vals)):
-            # the other entries are already within B
-            if v <= B:
-                canon = tuple(sorted(vals[:i] + (v,) + vals[i + 1:]))
-                if canon not in seen:
-                    add(canon)
-    return [IntegerQuad.from_values(v) for v in sorted(seen)]
+            if vals[i] < v <= B:
+                child = vals[:i] + vals[i + 1:] + (v,)
+                if child not in seen:
+                    add(child)
+    return [IntegerQuad(*v) for v in sorted(seen)]

@@ -51,11 +51,12 @@ class RecordSet:
             yield encode(record(row)) + "\n" if text is None else text
 
 
-def _template(encode, head: dict, fields) -> str:
+def _template(encode, head: dict, fields: dict) -> str:
     """A record's JSON line as a %-format: the items of `head` encoded
-    once, a `%s` for the value of each key in `fields`, and the keys in
-    the encoder's sorted order, which is the order the fields fill in."""
-    items = (encode(k) + ":" + ("%s" if k in fields else encode(head[k]).replace("%", "%%"))
+    once, the format of each key in `fields` (`%s` for a value the row
+    writes whole) for its value, and the keys in the encoder's sorted
+    order, which is the order the fields fill in."""
+    items = (encode(k) + ":" + (fields[k] if k in fields else encode(head[k]).replace("%", "%%"))
              for k in sorted([*head, *fields]))
     return "{" + ",".join(items) + "}\n"
 
@@ -86,12 +87,15 @@ def _word(word: tuple) -> str:
 def quad_records(head: dict, quads, encode) -> RecordSet:
     """`head` plus `"result": q` for each IntegerQuad q: a tuple, so JSON
     writes an array and CSV joins it with `;`.  `encode` is the strict
-    encoder, which writes the shared items once."""
-    template = _template(encode, head, ("result",))
+    encoder, which writes the shared items once.  The template holds the
+    result as `[%s,%s,%s,%s]`, so each line is one `%` of the quad:
+    str(int) is the repr the encoder writes, and raises its ValueError
+    past the str digit limit."""
+    template = _template(encode, head, {"result": "[%s,%s,%s,%s]"})
 
     def line(q):
         # IntegerQuad's constructor admits plain ints only
-        return template % _ints(q) if type(q) is IntegerQuad else None
+        return template % q if type(q) is IntegerQuad else None
 
     return RecordSet(quads, lambda q: {**head, "result": q}, line)
 
@@ -99,7 +103,8 @@ def quad_records(head: dict, quads, encode) -> RecordSet:
 def entry_records(head: dict, entries, encode) -> RecordSet:
     """`head` plus the trace, length, |length|, cell id (or id pair) and
     word of each SpectrumEntry; `encode` as for `quad_records`."""
-    template = _template(encode, head, ("abs_length", "cell", "length", "trace", "word"))
+    template = _template(encode, head, dict.fromkeys(
+        ("abs_length", "cell", "length", "trace", "word"), "%s"))
     isfinite = math.isfinite
 
     def record(entry):
@@ -140,8 +145,8 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
     """`head` plus the cutoff, the [i, j, product] list of each face in
     faces4 and in violations, the cell count, the budget flag and the
     verdict of each BqReport; `encode` as for `quad_records`."""
-    template = _template(encode, head, ("budget_hit", "cells_below2", "cutoff", "faces4",
-                                        "ok", "violations"))
+    template = _template(encode, head, dict.fromkeys(
+        ("budget_hit", "cells_below2", "cutoff", "faces4", "ok", "violations"), "%s"))
 
     def faces(fs):
         return [[f.cells[0], f.cells[1], f.product] for f in fs]

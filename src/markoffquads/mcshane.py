@@ -215,7 +215,7 @@ def mcshane_verify(
     exhausted.  Each term is cross-computed in geometric form
     1/(1 + exp(l/2)) with l from the face relation and must agree with
     h to 1e-10."""
-    if target_tol <= 0:
+    if not target_tol > 0:  # NaN too
         raise DomainError("target_tol must be positive")
     _require_summable(q, max_cells, tol)
     report = None

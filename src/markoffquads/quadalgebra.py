@@ -109,7 +109,9 @@ class MarkoffQuad(_MarkoffQuadFields):
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> "MarkoffQuad":
         r = self.residual()
-        if r > tol:
+        if not r <= tol:
+            if tol != tol:
+                raise DomainError("tol must not be NaN")
             raise InvalidQuadError(
                 f"quad relation violated: residual {r:.3e} > tol {tol:.3e} "
                 f"for {self.values()}"
@@ -128,7 +130,8 @@ class _IntegerQuadFields(NamedTuple):
 class IntegerQuad(_IntegerQuadFields):
     """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact.  It
     answers what a MarkoffQuad is asked: the constructor proves the
-    relation, so the residual is 0.0 and every tolerance passes."""
+    relation, so the residual is 0.0 and every tolerance but NaN
+    passes."""
 
     __slots__ = ()
 
@@ -162,6 +165,8 @@ class IntegerQuad(_IntegerQuadFields):
         return 0.0
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> "IntegerQuad":
+        if tol != tol:  # as MarkoffQuad.require_valid rejects it
+            raise DomainError("tol must not be NaN")
         return self
 
 
@@ -173,7 +178,7 @@ def _check_index(i: int) -> int:
 
 def verify_quad(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> float:
     """Relative residual of the quad relation; <= tol means valid."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise DomainError("tol must be positive")
     return q.residual()
 

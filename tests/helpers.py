@@ -181,6 +181,39 @@ def brute_integral_scan(B, a_max=None, b_max=None):
     return out
 
 
+def flip_closure_below(roots, B, max_cells):
+    """All positive integer quads with max entry <= B, as sorted tuples in
+    sorted order, by breadth-first closure from `roots` along all four
+    flips, each child sorted afresh.  More than max_cells quads raise
+    BudgetExceededError."""
+    from markoffquads.errors import BudgetExceededError
+
+    seen = set()
+    queue = deque()
+
+    def add(canon):
+        if len(seen) >= max_cells:
+            raise BudgetExceededError(
+                f"cell budget {max_cells} exhausted before every integer quad below B was found"
+            )
+        seen.add(canon)
+        queue.append(canon)
+
+    for root in roots:
+        v = tuple(sorted(root))
+        if max(v) <= B and v not in seen:
+            add(v)
+    while queue:
+        vals = queue.popleft()
+        for i in range(4):
+            v = brute_flip(vals, i + 1)
+            if v <= B:
+                canon = tuple(sorted(vals[:i] + (v,) + vals[i + 1:]))
+                if canon not in seen:
+                    add(canon)
+    return sorted(seen)
+
+
 def random_complex_quad(rng, box=3.0):
     """Valid complex quad: random (a, b, c) plus a completion root."""
     while True:

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import csv
@@ -905,6 +906,24 @@ def test_record_set_rows_the_template_cannot_write():
                 _emit(records, "jsonl", io.StringIO())
 
 
+@pytest.mark.parametrize("head", [
+    {"cmd": "enumerate-integral", "quad": None, "version": cli.__version__},
+    {"cmd": "fundamental", "quad": "%s,%%s,100%", "version": "%(x)s %d"},
+], ids=["plain", "percent"])
+def test_quad_records_lines_equal_the_encoder(head):
+    # each line is one % of the quad; a % in the head is text
+    encode = cli._JSON.encode
+    records = jsonlines.quad_records(head, integral.enumerate_integral_below(10 ** 12), encode)
+    assert list(records.lines(encode)) == [encode(rec) + "\n" for rec in records]
+    # past the str digit limit the template raises the encoder's ValueError
+    big = jsonlines.quad_records(head, [_integer_quad_past(4400)], encode)
+    with pytest.raises(ValueError) as ours:
+        list(big.lines(encode))
+    with pytest.raises(ValueError) as theirs:
+        encode(next(iter(big)))
+    assert str(ours.value) == str(theirs.value)
+
+
 def _bq_record(quad, k, max_cells):
     # bq-check's record, key for key as the command built it for the
     # encoder before its line came from a template
@@ -1307,6 +1326,29 @@ def test_one_command_call_builds_two_parsers(capsys):
         code, out, _ = run_cli(capsys, "reduce", "4,4,4,36")
     assert code == 0 and lines(out)[0]["root"] == [4, 4, 4, 4]
     assert built == ["mql", "mql reduce"]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_width_is_the_terminal_width(monkeypatch, columns):
+    # the width handed to every formatter is the one argparse's own
+    # HelpFormatter computes, asked of the terminal once per parser build
+    monkeypatch.setenv("COLUMNS", columns)
+    asked = []
+    size = cli.shutil.get_terminal_size
+    monkeypatch.setattr(cli.shutil, "get_terminal_size", lambda: asked.append(1) or size())
+    for argv in [["--help"], *([name, "--help"] for name in cli._COMMANDS)]:
+        # the help of a parser built with argparse's default formatter
+        p = argparse.ArgumentParser(prog="mql", description=cli.__doc__)
+        cli._add_common(p, defaults=True)
+        sub = p.add_subparsers(dest="cmd", required=True)
+        for name, (help_text, _, add_args) in cli._COMMANDS.items():
+            sp = sub.add_parser(name, help=help_text)
+            add_args(sp)
+            cli._add_common(sp, defaults=False)
+        want = (p if argv == ["--help"] else sub.choices[argv[0]]).format_help()
+        asked.clear()
+        assert _run_main(argv) == (("exit", 0), want, ""), argv
+        assert len(asked) == 1, argv  # one parser build, one question
 
 
 def test_top_level_help_lists_every_command():

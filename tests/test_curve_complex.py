@@ -15,13 +15,16 @@ from markoffquads import (
     classify_vertex,
     complete_quad,
     curvecomplex,
+    enumerate_integral_below,
     fibonacci_level_counts,
     flip_value,
     flips,
     growth_exponent,
+    mcshane_verify,
     reduce_to_sink,
     sample_fuchsian_quad,
     spiral_sequence,
+    verify_quad,
     walk,
 )
 from helpers import (
@@ -327,6 +330,22 @@ def test_walk_rejects_a_nan_bound(cell_bound, face_bound):
     # a NaN bound keeps no cell and no face; it raises before the walk
     with pytest.raises(DomainError, match="must not be NaN"):
         walk(Q4, cell_bound=cell_bound, face_bound=face_bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MarkoffQuad(1, 2, 3, 4).require_valid(math.nan),
+    lambda: IntegerQuad(4, 4, 4, 4).require_valid(math.nan),
+    lambda: walk(MarkoffQuad(1, 2, 3, 4), cell_bound=50, tol=math.nan),
+    lambda: verify_quad(Q4, math.nan),
+    lambda: enumerate_integral_below(math.nan),
+    lambda: fibonacci_level_counts(math.nan),
+    lambda: mcshane_verify(Q4, math.nan),
+], ids=["require_valid", "integer-require_valid", "walk-tol", "verify_quad",
+        "enumerate_integral_below", "fibonacci_level_counts", "mcshane_verify"])
+def test_nan_tolerances_and_bounds_raise(call):
+    # no comparison with NaN holds, so each check is written to fail on it
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_pruned_matches_unpruned_on_complex_quads():

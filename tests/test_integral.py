@@ -20,7 +20,7 @@ from markoffquads import (
 from markoffquads import integral
 from markoffquads.quadalgebra import DEFAULT_MAX_STEPS
 from markoffquads.integral import SEARCH_BOUNDS
-from helpers import brute_integral_scan
+from helpers import brute_integral_scan, flip_closure_below
 
 # the bounded exhaustive search provably yields these nine; see the
 # docstring of enumerate_fundamental for the flip-rigid ninth entry
@@ -255,6 +255,41 @@ def test_enumerate_integral_below_budget():
     # a bound this large would otherwise run out of memory, not finish
     with pytest.raises(BudgetExceededError):
         enumerate_integral_below(10 ** 200, max_cells=10)
+
+
+def test_ascending_flips_pass_the_largest_entry():
+    # the lemma behind enumerate_integral_below: a flip that ascends
+    # exceeds the largest entry, the three smaller entries' flips always
+    # ascend, and every quad but a root has one descending flip
+    roots = {q.values() for q in enumerate_fundamental()}
+    quads = enumerate_integral_below(10 ** 40)
+    assert len(quads) == 26_081
+    for q in quads:
+        new = flips(*q)
+        for old, v in zip(q, new):
+            if v > old:
+                assert v > q.d
+        assert all(v > old for old, v in zip(q[:3], new[:3]))
+        assert sum(v < old for old, v in zip(q, new)) == (q.values() not in roots)
+
+
+@pytest.mark.parametrize("B", [10 ** 12, 10 ** 30, 10 ** 60], ids=["1e12", "1e30", "1e60"])
+def test_enumerate_integral_matches_the_all_flip_closure(B):
+    quads = enumerate_integral_below(B)
+    assert [q.values() for q in quads] == flip_closure_below(FUNDAMENTAL, B, 200_000)
+    assert all(type(q) is IntegerQuad for q in quads)
+
+
+def test_enumerate_integral_raises_where_the_all_flip_closure_does():
+    B = 10 ** 20
+    n = len(flip_closure_below(FUNDAMENTAL, B, 200_000))
+    assert [q.values() for q in enumerate_integral_below(B, max_cells=n)] \
+        == flip_closure_below(FUNDAMENTAL, B, n)
+    with pytest.raises(BudgetExceededError) as oracle:
+        flip_closure_below(FUNDAMENTAL, B, n - 1)
+    with pytest.raises(BudgetExceededError) as ours:
+        enumerate_integral_below(B, max_cells=n - 1)
+    assert str(ours.value) == str(oracle.value)
 
 
 def test_enumerate_integral_matches_brute_scan():

@@ -61,6 +61,10 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "growth 4,4,4,4 --lmin 1e-300 --lmax 1e300 --shells 5",  # lmax / lmin overflows
     f"bq-check {_NEAR_CUT} -k 10",
     f"mcshane {_NEAR_CUT} --cutoff 100",
+    "enumerate-integral -B 4",  # (4,4,4,4) alone
+    "enumerate-integral -B 3",  # below the smallest quad
+    f"enumerate-integral -B {10 ** 40}",  # 26,081 quads, past the budget
+    "fundamental",
 )]
 
 
