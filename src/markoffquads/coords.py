@@ -22,7 +22,9 @@ _WALL_MARGIN = 1e-6
 def _positive_real_values(q: MarkoffQuad, tol: float) -> tuple[float, float, float, float]:
     out = []
     for v in map(_as_complex, q.values()):  # an int past the float range raises
-        if abs(v.imag) > tol * max(1.0, abs(v)) or v.real <= 0:
+        if not (abs(v.imag) <= tol * max(1.0, abs(v)) and v.real > 0):
+            if tol != tol:
+                raise DomainError("tol must not be NaN")
             raise DomainError(f"entry {v} is not positive real")
         out.append(v.real)
     return tuple(out)
@@ -93,7 +95,9 @@ def horocyclic_to_quad(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> Markoff
     ha, hb, hc, hd = h.values()
     if min(ha, hb, hc, hd) <= 0:
         raise DomainError("horocyclic coordinates must be positive")
-    if abs(ha + hb + hc + hd - 1.0) > tol:
+    if not abs(ha + hb + hc + hd - 1.0) <= tol:
+        if tol != tol:
+            raise DomainError("tol must not be NaN")
         raise DomainError("horocyclic coordinates must sum to 1")
     return MarkoffQuad(
         a=math.sqrt(ha / (hb * hc * hd)),
@@ -111,6 +115,8 @@ class DomainCheck(NamedTuple):
 def in_fundamental_domain(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> DomainCheck:
     """True iff every coordinate is <= 1/2 + tol; flags coordinates
     within tol of the 1/2 walls."""
+    if tol != tol:  # it would put every point outside
+        raise DomainError("tol must not be NaN")
     vals = h.values()
     return DomainCheck(
         inside=all(v <= 0.5 + tol for v in vals),

@@ -143,14 +143,28 @@ def walk(
     values, and with them lengths, sums and, at a bound, which cells are
     kept.
 
-    A Fuchsian root (four entries with a positive real part and an
+    The arithmetic is chosen before the loop, which runs once.  A
+    Fuchsian root (four entries with a positive real part and an
     imaginary part of exactly +0.0) under finite bounds is walked in
-    floats on its real parts: while every value stays positive, complex
-    arithmetic gives the same real parts, so the same flips are followed,
-    and a flip that overflows is pruned on both paths.  Rounding can
-    drive a followed flip to zero or below, where complex products would
-    carry signed zeros that decide the branch of a two-sided length at a
-    negative product; such a walk is made again in complex arithmetic.
+    floats on its real parts when it is also a sink: no flip of those
+    floats is smaller than the entry it replaces, a test that a NaN
+    fails.  Every other root is walked in its own arithmetic.  From a
+    positive sink every flip the loop computes ascends.  At the sink
+    each entry w is at most the sum s of the other three; at each later
+    vertex the loop flips only entries other than the one just created,
+    which is the largest, so again w <= s.  An exact quad then has
+    w' = s**2 / w >= s, so xyz = w' + 2s + w <= 4w': the flip has no
+    cancellation, and its float rounds within about 7*gamma*w', gamma a
+    few units of 2**-53.  A value therefore stays positive unless the
+    values entering its flip have already drifted from the exact ones by
+    a large relative amount; the float path assumes they have not, and
+    nothing here bounds that drift.  While every value is positive,
+    complex `*`, `+`, `-` and `abs` on imaginary parts +0.0 give the
+    float results as real parts, so both arithmetics follow the same
+    flips, and a flip that overflows is pruned in both.  A non-sink Fuchsian
+    root walks in complex: its descending flips may cancel to a value
+    <= 0, whose complex products carry signed zeros that decide the
+    branch of a two-sided length at a negative product.
     """
     q.require_valid(tol)
     if cell_bound is None and face_bound is None:
@@ -161,14 +175,13 @@ def walk(
     if (cell_bound != math.inf and face_bound != math.inf
             and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0
                     and math.copysign(1.0, v.imag) == 1.0 for v in root)):
-        w = _walk([v.real for v in root], cell_bound, face_bound, max_cells)
-        if min(w.values) > 0.0:
-            return w
+        reals = [v.real for v in root]
+        if all(f >= v for f, v in zip(flips(*reals), reals)):
+            return _walk(reals, cell_bound, face_bound, max_cells)
     try:
-        w = _walk(root, cell_bound, face_bound, max_cells)
+        return _walk(root, cell_bound, face_bound, max_cells)
     except OverflowError:  # abs of finite parts whose modulus is past the float range
         raise DomainError("a cell's or face's modulus is out of float range") from None
-    return w
 
 
 def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
@@ -367,6 +380,8 @@ def spiral_sequence(a, b, c0, c1, n0: int, n1: int,
     """Iterate the face recurrence in both directions over [n0, n1],
     anchored at indices 0 and 1 by c0 and c1."""
     a, b, c0, c1 = complex(a), complex(b), complex(c0), complex(c1)
+    if tol != tol:  # it would drop the closed form
+        raise DomainError("tol must not be NaN")
     if n0 > 0 or n1 < 1:
         raise DomainError("need n0 <= 0 < 1 <= n1 to anchor the seeds")
     ab = a * b

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from typing import NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, walk
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
 from .quadalgebra import (BRANCH_TOL, DEFAULT_TOL, IntegerQuad, MarkoffQuad, _segment_distance,
-                          flip_value)
+                          flip_value, reduce_to_sink)
 
 
 def h(x) -> complex:
@@ -72,7 +73,9 @@ def psi(q: MarkoffQuad, i: int, tol: float = DEFAULT_TOL) -> complex:
     total = sum(values)
     others = [v for j, v in enumerate(values) if j != i - 1]
     second = total / (others[0] * others[1] * others[2])
-    if abs(first - second) > tol * max(1.0, abs(first)):
+    if not abs(first - second) <= tol * max(1.0, abs(first)):
+        if tol != tol:
+            raise DomainError("tol must not be NaN")
         raise InvalidQuadError(
             f"psi forms disagree by {abs(first - second):.3e}; quad relation broken"
         )
@@ -99,15 +102,17 @@ def check_bq(
     max_cells: int = DEFAULT_MAX_CELLS,
     tol: float = DEFAULT_TOL,
 ) -> BqReport:
-    """Enumerate faces with |product| <= max(k, 4) and report any whose
-    product lies within BRANCH_TOL of the segment [0, 4], which h
-    rejects; tol is the tolerance of the quad relation check.  A
-    violation with |product| <= 4 is the same Face object as in faces4.
-    An IntegerQuad is walked exactly, so its products are ints.
-    Finiteness cannot be certified from finite data, only refuted; a
-    walk that runs out of budget sets budget_hit."""
+    """Enumerate faces with |product| <= max(k, 4) + BRANCH_TOL and
+    report any whose product lies within BRANCH_TOL of the segment
+    [0, 4], which h rejects, so a face just past 4 is reported too; tol
+    is the tolerance of the quad relation check.  The report's cutoff is
+    max(k, 4).  A violation with |product| <= 4 is the same Face object
+    as in faces4.  The walk starts at q itself, so cell ids are relative
+    to q, and an IntegerQuad is walked exactly, so its products are
+    ints.  Finiteness cannot be certified from finite data, only
+    refuted; a walk that runs out of budget sets budget_hit."""
     bound = max(k, 4.0)
-    w = walk(q, face_bound=bound, max_cells=max_cells, tol=tol)
+    w = walk(q, face_bound=bound + BRANCH_TOL, max_cells=max_cells, tol=tol)
     faces = w.faces
     faces4, violations = [], []
     for key in sorted(faces):
@@ -155,19 +160,22 @@ def _require_summable(q, max_cells, tol):
         )
 
 
-def _partial(q, product_cutoff, max_cells, tol, target_tol):
+def _partial(sink, product_cutoff, max_cells, tol, target_tol):
     """The report, plus the id pairs, products and terms it summed, in
-    id-pair order (a reproducible summation order)."""
-    w = walk(q, face_bound=product_cutoff, max_cells=max_cells, tol=tol)
+    the walk's discovery order, from a walk from sink.  The real and
+    imaginary parts are summed with math.fsum, correctly rounded, so the
+    sum does not depend on the order of the terms, and every root with
+    this sink gives the same terms."""
+    w = walk(sink, face_bound=product_cutoff, max_cells=max_cells, tol=tol)
     faces = w.faces  # the walk records only faces within the cutoff
-    pairs = sorted(faces)
-    products = [faces[pair] for pair in pairs]
+    pairs = list(faces)
+    products = list(faces.values())
     terms = [h(p) for p in products]
-    total = 0j
+    total = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    shell = product_cutoff / 2
     shell_max = 0.0
     for p, term in zip(products, terms):
-        total += term
-        if abs(p) > product_cutoff / 2:
+        if abs(p) > shell:
             shell_max = max(shell_max, abs(term))
     if w.budget_hit:
         verdict = Verdict.BUDGET_EXCEEDED
@@ -194,10 +202,18 @@ def mcshane_partial(
     shell (cutoff/2, cutoff]: a heuristic tail indicator, since no
     computable tail bound is available.  The verdict is PARTIAL, or
     BUDGET_EXCEEDED when the walk ran out of cells; mcshane_verify
-    decides convergence.  An IntegerQuad is walked exactly.
+    decides convergence.
+
+    The faces are those of a walk from q's sink, after the summability
+    check on q, and the terms are summed with math.fsum: the sum of the
+    whole tree does not depend on the vertex it starts from, and neither
+    does this partial sum.  An IntegerQuad descends and is walked
+    exactly.  A quad with no sink within the descent's step cap raises
+    BudgetExceededError.
     """
     _require_summable(q, max_cells, tol)
-    return _partial(q, product_cutoff, max_cells, tol, None)[0]
+    sink = reduce_to_sink(q, tol=tol)[0]
+    return _partial(sink, product_cutoff, max_cells, tol, None)[0]
 
 
 DEFAULT_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
@@ -212,15 +228,16 @@ def mcshane_verify(
 ) -> tuple[bool, McShaneReport]:
     """Raise the cutoff along DEFAULT_SCHEDULE until the partial sum is
     within target_tol of 1/2 (with a quiet last shell) or the budget is
-    exhausted.  Each term is cross-computed in geometric form
-    1/(1 + exp(l/2)) with l from the face relation and must agree with
-    h to 1e-10."""
+    exhausted.  Each step sums from q's sink, as mcshane_partial does.
+    Each term is cross-computed in geometric form 1/(1 + exp(l/2)) with
+    l from the face relation and must agree with h to 1e-10."""
     if not target_tol > 0:  # NaN too
         raise DomainError("target_tol must be positive")
     _require_summable(q, max_cells, tol)
+    sink = reduce_to_sink(q, tol=tol)[0]
     report = None
     for cutoff in DEFAULT_SCHEDULE:
-        report, pairs, products, terms = _partial(q, cutoff, max_cells, tol, target_tol)
+        report, pairs, products, terms = _partial(sink, cutoff, max_cells, tol, target_tol)
         for pair, p, term in zip(pairs, products, terms):
             ell = 2 * cmath.acosh((p - 2) / 2)
             geom = 1 / (1 + cmath.exp(ell / 2))

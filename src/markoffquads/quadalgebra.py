@@ -460,7 +460,9 @@ def hurwitz_to_quad(a1, a2, a3, a4, tol: float = DEFAULT_TOL) -> MarkoffQuad:
     vals = tuple(_as_complex(v) for v in (a1, a2, a3, a4))
     sq = sum(v * v for v in vals)
     prod = vals[0] * vals[1] * vals[2] * vals[3]
-    if abs(sq - prod) > tol * max(1.0, abs(prod)):
+    if not abs(sq - prod) <= tol * max(1.0, abs(prod)):
+        if tol != tol:
+            raise DomainError("tol must not be NaN")
         raise InvalidQuadError(
             f"not a Markoff-Hurwitz solution: |sum sq - prod| = {abs(sq - prod):.3e}"
         )
@@ -520,6 +522,8 @@ def klein_sequence(A, a0, a1, n: int, tol: float = DEFAULT_TOL) -> KleinSequence
     if not math.isfinite(res):
         raise DomainError(f"seed relation residual is not finite for A={A!r}, seeds {a0!r}, {a1!r}")
     if not (res <= tol * scale):
+        if tol != tol:
+            raise DomainError("tol must not be NaN")
         raise InvalidQuadError(f"seed pair violates the relation: residual {res:.3e}")
     terms = [a0, a1]
     for _ in range(n - 2):

@@ -64,8 +64,9 @@ def _require_complete(w: Walk, max_cells: int) -> None:
 
 def _sink(q, tol) -> MarkoffQuad:
     """q's sink, as the MarkoffQuad that the walk starts from.  An exact
-    sink is boxed too: walking it in ints would change the spectra's
-    output bytes (ROADMAP item 10)."""
+    sink is boxed too: walked in ints, its cells would hold the exact
+    values instead of their float twins, so some traces and lengths
+    would print differently."""
     return MarkoffQuad.from_values(reduce_to_sink(q, tol=tol)[0])
 
 

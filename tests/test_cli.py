@@ -309,6 +309,22 @@ def test_bq_check_reports_a_face_just_past_4(capsys):
     assert [f[:2] for f in rec["faces4"]] == [[0, 2], [1, 2]]
 
 
+def test_bq_check_at_4_reaches_a_face_just_past_4(capsys):
+    # NEAR_CUT flipped at slot 2: its face of product 4.0000000005 is
+    # (0, 4), one flip out, and the walk to 4 goes the width of the cut
+    # past it
+    quad = "2.0+0.0i,-1.2105270922639564-4.3592811153550866i,1.0+1.0i," \
+           "-1.1796405576775428-3.394736453993022i"
+    code, out, _ = run_cli(capsys, "bq-check", quad, "-k", "4")
+    rec = lines(out)[0]
+    assert code == 0 and rec["ok"] is False and rec["cutoff"] == 4.0
+    assert rec["violations"] == [[0, 4, 4.0000000005]]
+    code, out, err = run_cli(capsys, "mcshane", quad, "--cutoff", "4")
+    assert (code, out) == (4, "")
+    assert err == ("mql: precondition violation: face product (4.0000000005+0j) "
+                   "lies in [0,4]; sum undefined\n")
+
+
 @pytest.mark.parametrize("argv", [("systole",), ("spectrum", "-L", "2", "--two-sided")],
                          ids=["systole", "two-sided"])
 def test_relation_tol_leaves_the_branch_cut_alone(capsys, argv):
@@ -500,7 +516,7 @@ GOLDEN = [
         '"trace":[11.689628876178954,0.5957173690124816],"version":"0.1.0","word":null}',
     )),
     (("mcshane", "4,4,4,4", "--target-tol", "1e-3"), _lines(
-        '{"cmd":"mcshane","last_shell_max":0.0,"partial_sum":0.4998282135773119,'
+        '{"cmd":"mcshane","last_shell_max":0.0,"partial_sum":0.49982821357731183,'
         '"passed":true,"product_cutoff":100000.0,"quad":"4,4,4,4","term_count":78,'
         '"verdict":"converged","version":"0.1.0"}',
     )),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from markoffquads import (
     BudgetExceededError,
     DomainError,
+    HorocyclicCoords,
     IntegerQuad,
     MarkoffQuad,
     VertexKind,
@@ -20,7 +21,13 @@ from markoffquads import (
     flip_value,
     flips,
     growth_exponent,
+    horocyclic_to_quad,
+    hurwitz_to_quad,
+    in_fundamental_domain,
+    klein_sequence,
     mcshane_verify,
+    psi,
+    quad_to_lambda,
     reduce_to_sink,
     sample_fuchsian_quad,
     spiral_sequence,
@@ -340,8 +347,17 @@ def test_walk_rejects_a_nan_bound(cell_bound, face_bound):
     lambda: enumerate_integral_below(math.nan),
     lambda: fibonacci_level_counts(math.nan),
     lambda: mcshane_verify(Q4, math.nan),
+    lambda: psi(MarkoffQuad(1, 2, 3, 4), 1, math.nan),
+    lambda: hurwitz_to_quad(1, 1, 1, 1, tol=math.nan),
+    lambda: quad_to_lambda(MarkoffQuad(4 + 1j, 4, 4, 4), tol=math.nan),
+    lambda: horocyclic_to_quad(HorocyclicCoords(0.1, 0.1, 0.1, 0.1), tol=math.nan),
+    lambda: in_fundamental_domain(HorocyclicCoords(0.25, 0.25, 0.25, 0.25), tol=math.nan),
+    lambda: spiral_sequence(4, 4, 4, 36, 0, 40, tol=math.nan),
+    lambda: klein_sequence(3, 1, 2, 5, tol=math.nan),
 ], ids=["require_valid", "integer-require_valid", "walk-tol", "verify_quad",
-        "enumerate_integral_below", "fibonacci_level_counts", "mcshane_verify"])
+        "enumerate_integral_below", "fibonacci_level_counts", "mcshane_verify",
+        "psi", "hurwitz_to_quad", "quad_to_lambda", "horocyclic_to_quad",
+        "in_fundamental_domain", "spiral_sequence", "klein_sequence"])
 def test_nan_tolerances_and_bounds_raise(call):
     # no comparison with NaN holds, so each check is written to fail on it
     with pytest.raises(DomainError):
@@ -473,8 +489,8 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells):
 
 _REAL = (3.0, 4.0, 5.0, complete_quad(3.0, 4.0, 5.0)[1])
 _QUASI_FUCHSIAN = (3 + 0.1j, 4 - 0.2j, 5.0, complete_quad(3 + 0.1j, 4 - 0.2j, 5.0)[1])
-# a positive real root whose first flip rounds to 0.0 and whose next
-# ones are negative: the real walk is refused and made again in complex
+# a positive real root that is not a sink: its first, descending flip
+# rounds to 0.0 and its next ones are negative, so it walks in complex
 _ROUNDS_BELOW_ZERO = (complete_quad(1e5, 1e5, 1e5)[1].real, 1e5, 1e5, 1e5)
 _SIGNED_ZERO = (complex(4, -0.0),) * 4
 # a positive real root whose flips and face products overflow a few
@@ -541,19 +557,23 @@ def test_walk_matches_reference_on_perturbed_quads(seed, scale, log_cell, log_fa
     ((4, 4, 4, 4), 1e5, None, 200_000, [True]),
     ((4, 4, 4, 4), None, 1e7, 200_000, [True]),
     ((2, 5, 5, 8), 1e4, 1e6, 200_000, [True]),
-    (_ROUNDS_BELOW_ZERO, 10.0, 1e30, 500, [True, False]),
+    (_ROUNDS_BELOW_ZERO, 10.0, 1e30, 500, [False]),
     (_SIGNED_ZERO, 1e5, None, 200_000, [False]),
     ((-4, -4, -4, -4), 1e5, None, 200_000, [False]),
     (_QUASI_FUCHSIAN, 1e5, None, 200_000, [False]),
     ((4, 4, 4, 4), math.inf, None, 3_000, [False]),
     ((4, 4, 4, 4), 1e5, math.inf, 3_000, [False]),
-    # completed from real entries, so its last entry is real too
-    (_REAL, 1e4, None, 200_000, [True]),
+    # completed from real entries, so its last entry is real too; it is
+    # the larger completion, whose flip of that entry descends: no sink
+    (_REAL, 1e4, None, 200_000, [False]),
+    # a real sink that runs out of budget, and a walk whose products overflow
+    ((4, 4, 4, 4), 1e12, None, 50, [True]),
+    (_OVERFLOWS, None, math.inf, 300, [False]),
 ])
 def test_walk_takes_the_real_path_only_where_it_is_exact(
         monkeypatch, vals, cell_bound, face_bound, max_cells, real_walks):
-    # which loop walks ran in floats; the guard's second walk is complex.
-    # A kept real walk returns its floats, any other walk complex numbers
+    # one loop call per walk, in floats only from a Fuchsian sink under
+    # finite bounds.  A real walk returns floats, any other complex
     loop, seen = curvecomplex._walk, []
 
     def spy(start, cell_bound, face_bound, max_cells):
@@ -579,10 +599,9 @@ def test_walk_returns_values_in_the_arithmetic_it_ran_in():
     assert real == exact
 
 
-def test_guarded_walk_matches_reference_at_every_budget(monkeypatch):
-    # the rounding root's fifth cell is 0.0, so every walk past four
-    # cells is refused by the guard and made again in complex, whether
-    # or not it ran out of budget
+def test_non_sink_walk_matches_reference_at_every_budget(monkeypatch):
+    # the rounding root is not a sink, so every walk of it is one complex
+    # walk, whether or not it runs out of budget; its fifth cell is 0.0
     loop, seen = curvecomplex._walk, []
 
     def spy(start, cell_bound, face_bound, max_cells):
@@ -593,7 +612,7 @@ def test_guarded_walk_matches_reference_at_every_budget(monkeypatch):
     for max_cells in range(5, 60):
         seen.clear()
         _check_against_reference(_ROUNDS_BELOW_ZERO, 10.0, 1e30, max_cells)
-        assert seen == [True, False]
+        assert seen == [False]
 
 
 @given(st.integers(0, 2 ** 32), st.one_of(st.none(), st.floats(0, 30)),
@@ -601,7 +620,9 @@ def test_guarded_walk_matches_reference_at_every_budget(monkeypatch):
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face, max_cells):
     # unperturbed sinks have positive real entries, so these take the
-    # real walk, and keep it: what it returns holds floats only
+    # real walk: what it returns holds floats only, and the same loop run
+    # on the sink's complex values gives them as real parts, with every
+    # imaginary part +0.0
     assume(log_cell is not None or log_face is not None)
     sink, _ = reduce_to_sink(sample_fuchsian_quad(random.Random(seed)))
     kw = dict(cell_bound=None if log_cell is None else 10 ** log_cell,
@@ -611,3 +632,8 @@ def test_walk_matches_reference_on_fuchsian_sinks(seed, log_cell, log_face, max_
     w = walk(sink, **kw)
     assert all(type(v) is float for v in w.values)
     assert all(type(p) is float for p in w.faces.values())
+    z = curvecomplex._walk(sink.values(), kw["cell_bound"], kw["face_bound"], max_cells)
+    for x, c in [*zip(w.values, z.values), *zip(w.faces.values(), z.faces.values())]:
+        assert repr(c.real) == repr(x) and repr(c.imag) == "0.0"
+    assert (list(w.faces), w.parents, w.slots, w.nodes_visited, w.budget_hit) == (
+        list(z.faces), z.parents, z.slots, z.nodes_visited, z.budget_hit)

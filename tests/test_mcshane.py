@@ -7,7 +7,9 @@ import pytest
 from markoffquads import (
     BqViolationError,
     BranchCutError,
+    BudgetExceededError,
     DomainError,
+    IntegerQuad,
     InvalidQuadError,
     MarkoffQuad,
     Verdict,
@@ -19,6 +21,7 @@ from markoffquads import (
     mcshane_partial,
     mcshane_verify,
     psi,
+    reduce_to_sink,
     sample_fuchsian_quad,
     two_sided_length,
 )
@@ -332,3 +335,75 @@ def test_check_bq_truncates_on_budget():
     rep = check_bq(MarkoffQuad(0, 0, 0, 0), 4, max_cells=60)
     assert rep.budget_hit
     assert not rep.ok
+
+
+# face (0, 4) has product 4.0000000005: NEAR_CUT's face (0, 1), moved to
+# cell 4 by flipping slot 2, so only a walk finds it
+_NEAR_CUT_FLIPPED = MarkoffQuad(2.0, -1.2105270922639564 - 4.3592811153550866j, 1 + 1j,
+                                -1.1796405576775428 - 3.394736453993022j)
+
+
+def test_check_bq_walks_past_4_to_the_width_of_the_cut():
+    rep = check_bq(_NEAR_CUT_FLIPPED, 4)
+    assert rep.cutoff == 4.0
+    assert rep.violations == (((0, 4), 4.0000000005 + 0j),) and not rep.ok
+    assert [f.cells for f in rep.faces4] == [(0, 2), (2, 4)]
+    for cutoff in (4, 100):
+        with pytest.raises(BqViolationError, match=r"face product \(4.0000000005\+0j\)"):
+            mcshane_partial(_NEAR_CUT_FLIPPED, cutoff)
+
+
+def _sink_and_near_it(seed):
+    # a Fuchsian sink, and a quasi-Fuchsian quad near it
+    rng = random.Random(seed)
+    sink, _ = reduce_to_sink(sample_fuchsian_quad(rng))
+    return [sink, MarkoffQuad.from_values(perturb_quad(sink.values(), rng, scale=1e-2))]
+
+
+@pytest.mark.parametrize("q", [*_sink_and_near_it(1), *_sink_and_near_it(2),
+                               IntegerQuad(4, 4, 4, 36)],
+                         ids=["fuchsian-1", "quasi-fuchsian-1", "fuchsian-2",
+                              "quasi-fuchsian-2", "integer"])
+def test_mcshane_does_not_depend_on_the_root(q):
+    # every sum walks from the sink and adds its terms with fsum, so
+    # roots with one sink give one report.  A float flip and the descent
+    # back may round the sink's low bits differently; from such a sink
+    # the faces are the same and the sum agrees to rounding
+    sink = reduce_to_sink(q)[0]
+    for cutoff in (1e2, 1e8):
+        rep = mcshane_partial(q, cutoff)
+        assert mcshane_partial(sink, cutoff) == rep
+        for i in range(1, 5):
+            root = flip(q, i)
+            other = mcshane_partial(root, cutoff)
+            if isinstance(q, IntegerQuad) or reduce_to_sink(root)[0] == sink:
+                assert other == rep
+            else:
+                assert other.term_count == rep.term_count
+                assert abs(other.partial_sum - rep.partial_sum) <= 1e-10
+
+
+def test_fsum_matches_a_high_precision_sum():
+    # the 78 terms of `mcshane 4,4,4,4 --target-tol 1e-3`, summed exactly
+    # in 50 digits and rounded once, are what fsum returns
+    mpmath = pytest.importorskip("mpmath")
+    report, _, _, terms = mcshane._partial(Q4, 1e5, 200_000, 1e-9, 1e-3)
+    assert report.term_count == len(terms) == 78
+    with mpmath.workdps(50):
+        re = mpmath.fsum(mpmath.mpf(t.real) for t in terms)
+        im = mpmath.fsum(mpmath.mpf(t.imag) for t in terms)
+    assert report.partial_sum == complex(float(re), float(im))
+    assert mcshane_verify(Q4, 1e-3)[1] == report
+
+
+def test_a_quad_with_no_sink_raises_before_summing(capsys):
+    # its descent runs past the step cap: the sum raises, as the spectra
+    # do.  A small cell budget keeps the pre-pass short
+    vals = "2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i," \
+           "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i"
+    from markoffquads.cli import main, parse_quad
+    with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
+        mcshane_partial(parse_quad(vals), 100, max_cells=2000)
+    assert main(["mcshane", vals, "--cutoff", "100", "--max-cells", "2000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("mql: budget exhausted: no sink within 10000 flips")

@@ -42,6 +42,12 @@ FORMATS = ("jsonl", "csv")
 _Q = "1,4.3,100,140.4571129984594"  # Fuchsian; its sink's face (0, 1) has trace 2.3
 # face (0, 1) has product 4.0000000005: |p| > 4, yet within 1e-9 of the cut [0, 4]
 _NEAR_CUT = "2.0,2.00000000025,1.0+1.0i,-1.1796405576775428-3.394736453993022i"
+# _NEAR_CUT flipped at slot 2: the face of product 4.0000000005 is (0, 4)
+_NEAR_CUT_FLIPPED = ("2.0+0.0i,-1.2105270922639564-4.3592811153550866i,1.0+1.0i,"
+                     "-1.1796405576775428-3.394736453993022i")
+# no sink within the descent's 10,000 flips
+_NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
+            "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
 EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     f"systole {_Q} --tol 0.5",
     f"spectrum {_Q} -L 2 --two-sided --tol 0.5",
@@ -65,6 +71,9 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "enumerate-integral -B 3",  # below the smallest quad
     f"enumerate-integral -B {10 ** 40}",  # 26,081 quads, past the budget
     "fundamental",
+    f"bq-check {_NEAR_CUT_FLIPPED} -k 4",
+    f"mcshane {_NEAR_CUT_FLIPPED} --cutoff 4",
+    f"mcshane {_NO_SINK} --cutoff 100",
 )]
 
 
