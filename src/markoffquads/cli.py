@@ -5,11 +5,12 @@ Every record carries the subcommand, the input quad text and the tool
 version; JSON output is strict (no NaN or Infinity).  Exit codes:
 0 success, 1 usage or parse error, 2 verification failure, 3 budget
 exhausted (`klein -n`, `growth --shells` and the quads
-`enumerate-integral` finds count against --max-cells too),
-4 precondition violation (branch cut, summability violation, domain
-errors, numbers out of float range, a result strict JSON or CSV cannot
-hold).  A closed stdout pipe ends the run with exit 0; an output that
-cannot be written, exit 1.
+`enumerate-integral` finds count against --max-cells too) or an
+`mcshane --target-tol` whose cutoff schedule ended unconverged (its
+record is written, with `passed` false), 4 precondition violation
+(branch cut, summability violation, domain errors, numbers out of float
+range, a result strict JSON or CSV cannot hold).  A closed stdout pipe
+ends the run with exit 0; an output that cannot be written, exit 1.
 """
 
 from __future__ import annotations

@@ -99,12 +99,16 @@ def horocyclic_to_quad(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> Markoff
         if tol != tol:
             raise DomainError("tol must not be NaN")
         raise DomainError("horocyclic coordinates must sum to 1")
-    return MarkoffQuad(
-        a=math.sqrt(ha / (hb * hc * hd)),
-        b=math.sqrt(hb / (ha * hc * hd)),
-        c=math.sqrt(hc / (ha * hb * hd)),
-        d=math.sqrt(hd / (ha * hb * hc)),
-    )
+    try:
+        return MarkoffQuad(
+            a=math.sqrt(ha / (hb * hc * hd)),
+            b=math.sqrt(hb / (ha * hc * hd)),
+            c=math.sqrt(hc / (ha * hb * hd)),
+            d=math.sqrt(hd / (ha * hb * hc)),
+        )
+    except ZeroDivisionError:  # a product of three coordinates underflows to 0.0
+        raise DomainError("horocyclic coordinates out of range: "
+                          "a product of three underflows") from None
 
 
 class DomainCheck(NamedTuple):

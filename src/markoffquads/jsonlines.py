@@ -114,10 +114,13 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
 
     def line(entry):
         _, t, ell, ref, word = entry
-        # a trace is complex, or float from a walk on the real path
-        if (type(t) is not complex and type(t) is not float) or type(ell) is not complex:
+        # a trace is complex, float from a walk on the real path, or int
+        # from an exact walk, which is never made a float
+        exact = type(t) is int
+        if not (exact or type(t) is complex or type(t) is float) or type(ell) is not complex:
             return None
-        tr, ti, lr, li = t.real, t.imag, ell.real, ell.imag
+        tr, ti = (0.0, 0.0) if exact else (t.real, t.imag)
+        lr, li = ell.real, ell.imag
         # |l| = hypot(lr, li) is lr itself when l is a positive real, so
         # one repr writes both
         real = li == 0.0 and lr > 0.0
@@ -132,7 +135,9 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
             ref, word = _ints(ref), "null"
         else:
             return None
-        trace = repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
+        # str(int) is the repr the encoder writes, and raises its
+        # ValueError past the str digit limit
+        trace = str(t) if exact else repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
         if real:
             length = repr(lr)
             return template % (length, ref, length, trace, word)

@@ -144,20 +144,24 @@ class McShaneReport(NamedTuple):
     verdict: Verdict
 
 
-def _require_summable(q, max_cells, tol):
-    """Raise BqViolationError for a face product within BRANCH_TOL of
+def _summable_sink(q, max_cells, tol):
+    """q's sink, in q's type, from which every walk of a sum starts.
+    Raise BqViolationError for a face product within BRANCH_TOL of
     [0, 4], once per sum, as no cutoff changes them: first the six faces
-    of q's cells in id-pair order, with no walk, then check_bq's."""
-    q.require_valid(tol)
-    vals = q.values()
+    of the sink's cells in id-pair order, with no walk, then check_bq's
+    from the sink.  The descent validates q and runs first, so a quad
+    with no sink raises before any walk."""
+    sink = reduce_to_sink(q, tol=tol)[0]
+    vals = sink.values()
     for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
         if not abs(p) > 8.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:  # as in h
             raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
-    bq = check_bq(q, 4.0, max_cells=max_cells, tol=tol)
+    bq = check_bq(sink, 4.0, max_cells=max_cells, tol=tol)
     if bq.violations:
         raise BqViolationError(
             f"face product {bq.violations[0].product} lies in [0,4]; sum undefined"
         )
+    return sink
 
 
 def _partial(sink, product_cutoff, max_cells, tol, target_tol):
@@ -204,15 +208,14 @@ def mcshane_partial(
     BUDGET_EXCEEDED when the walk ran out of cells; mcshane_verify
     decides convergence.
 
-    The faces are those of a walk from q's sink, after the summability
-    check on q, and the terms are summed with math.fsum: the sum of the
-    whole tree does not depend on the vertex it starts from, and neither
-    does this partial sum.  An IntegerQuad descends and is walked
-    exactly.  A quad with no sink within the descent's step cap raises
-    BudgetExceededError.
+    The summability check and the sum both walk from q's sink, and the
+    terms are summed with math.fsum: the sum of the whole tree does not
+    depend on the vertex it starts from, and neither does this partial
+    sum.  An IntegerQuad descends and is walked exactly.  A quad with no
+    sink within the descent's step cap raises BudgetExceededError before
+    any walk.
     """
-    _require_summable(q, max_cells, tol)
-    sink = reduce_to_sink(q, tol=tol)[0]
+    sink = _summable_sink(q, max_cells, tol)
     return _partial(sink, product_cutoff, max_cells, tol, None)[0]
 
 
@@ -233,8 +236,7 @@ def mcshane_verify(
     l from the face relation and must agree with h to 1e-10."""
     if not target_tol > 0:  # NaN too
         raise DomainError("target_tol must be positive")
-    _require_summable(q, max_cells, tol)
-    sink = reduce_to_sink(q, tol=tol)[0]
+    sink = _summable_sink(q, max_cells, tol)
     report = None
     for cutoff in DEFAULT_SCHEDULE:
         report, pairs, products, terms = _partial(sink, cutoff, max_cells, tol, target_tol)

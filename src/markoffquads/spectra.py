@@ -3,7 +3,8 @@
 One-sided classes come from cells of the quad tree (trace = 2 sinh(l/2)),
 two-sided classes from faces via e = ab - 2 (trace = 2 cosh(l/2)).
 Quasi-Fuchsian ordering and cutoffs use |l|.  Each walk starts from the
-sink, in floats, of a quad of either type; an IntegerQuad descends exactly.
+sink of a quad of either type, in the quad's own arithmetic: an
+IntegerQuad descends and is walked exactly, so its traces are ints.
 """
 
 from __future__ import annotations
@@ -11,18 +12,14 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curvecomplex import DEFAULT_MAX_CELLS, Walk, walk
 from .errors import BudgetExceededError, DomainError
-from .quadalgebra import (
-    DEFAULT_TOL,
-    IntegerQuad,
-    MarkoffQuad,
-    one_sided_length,
-    reduce_to_sink,
-    two_sided_length,
-)
+from .quadalgebra import DEFAULT_TOL, one_sided_length, reduce_to_sink, two_sided_length
+
+if TYPE_CHECKING:  # annotations only: no quad is built here, each walk starts at q's sink
+    from .quadalgebra import IntegerQuad, MarkoffQuad
 
 
 class CurveKind(str, enum.Enum):
@@ -62,14 +59,6 @@ def _require_complete(w: Walk, max_cells: int) -> None:
             f"cell budget {max_cells} exhausted; suspected non-summable input")
 
 
-def _sink(q, tol) -> MarkoffQuad:
-    """q's sink, as the MarkoffQuad that the walk starts from.  An exact
-    sink is boxed too: walked in ints, its cells would hold the exact
-    values instead of their float twins, so some traces and lengths
-    would print differently."""
-    return MarkoffQuad.from_values(reduce_to_sink(q, tol=tol)[0])
-
-
 # The private passes below compute each length once and return, in
 # discovery order, tuples that lead with the spectrum's sort key.  The
 # cell ids and id pairs are unique, so sorting the tuples never compares
@@ -107,7 +96,7 @@ def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
     every one-sided class with |l| < L."""
     if L <= 0:
         return []
-    sink = _sink(q, tol)
+    sink = reduce_to_sink(q, tol=tol)[0]
     bound = _trace_bound(math.sinh, L)
     for v in sink.values():
         if v == 0:  # a parabolic class within every bound: raise before the walk
@@ -144,7 +133,7 @@ def two_sided_spectrum(
     2 cosh(|l|/2) bounds the face product by 2 cosh(L/2) + 2."""
     if L <= 0:
         return []
-    sink = _sink(q, tol)
+    sink = reduce_to_sink(q, tol=tol)[0]
     product_bound = _trace_bound(math.cosh, L) + 2.0
     # the sink's six faces, in id-pair order: a degenerate one raises before the walk
     vals = sink.values()
@@ -185,7 +174,7 @@ def systole(
     sinh and cosh.  Ties go to one-sided classes, then to the lowest cell
     id or id pair.  A degenerate sink class raises before the walk.
     """
-    sink = _sink(q, tol)
+    sink = reduce_to_sink(q, tol=tol)[0]
     vals = sink.values()
     products = [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]
     cells = [(abs(one_sided_length(v)), abs(v)) for v in vals]

@@ -99,6 +99,32 @@ def unpruned_cells_below(vals, bound):
     return out
 
 
+def exact_cells_below(vals, bound):
+    """All cell values <= bound of a reduced positive integer quad, as
+    exact ints, by a depth-first walk over every flip word.
+
+    As in unpruned_cells_below, each new value strictly exceeds the value
+    its branch introduced one level earlier, so a branch whose new value
+    exceeds the bound holds no deeper cell below it: each branch is
+    followed until then, and no other branch is cut.
+    """
+    assert all(type(v) is int for v in vals) and min(vals) > 0
+    out = [v for v in vals if v <= bound]
+    stack = [((), tuple(vals))]
+    while stack:
+        word, vv = stack.pop()
+        for i in range(1, 5):
+            if word and word[-1] == i:
+                continue
+            nv = brute_flip(vv, i)
+            if nv <= bound:
+                out.append(nv)
+                nvals = list(vv)
+                nvals[i - 1] = nv
+                stack.append((word + (i,), tuple(nvals)))
+    return out
+
+
 def unpruned_count_below_length(vals, L):
     """Independent s(L): one-sided classes with length < L for a reduced
     positive quad."""

@@ -193,6 +193,23 @@ def test_budget_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args, want", [
+    (("--cutoff", "1e40", "--max-cells", "100"),
+     {"verdict": "budget-exceeded", "term_count": 99, "product_cutoff": 1e40}),
+    (("--target-tol", "1e-6", "--max-cells", "100"),
+     {"verdict": "budget-exceeded", "term_count": 135, "product_cutoff": 1e8, "passed": False}),
+    # DEFAULT_SCHEDULE ends before the sum is within 1e-12 of 1/2
+    (("--target-tol", "1e-12"),
+     {"verdict": "partial", "term_count": 282, "product_cutoff": 1e8, "passed": False}),
+], ids=["cutoff-budget", "target-tol-budget", "target-tol-unconverged"])
+def test_mcshane_exit_3_writes_its_record(capsys, args, want):
+    code, out, err = run_cli(capsys, "mcshane", "4,4,4,4", *args)
+    assert code == 3 and err == ""
+    [rec] = lines(out)
+    assert {k: rec[k] for k in want} == want
+    assert ("passed" in rec) == ("passed" in want)
+
+
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("MQL_MAX_CELLS", "10")
     code, _, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "20")
@@ -580,13 +597,13 @@ def test_golden_stdout(capsys, argv, expected):
 QF_L = "7.606-0.133i,5.142+0.295i,5.22+0.129i,166.2875265629109+12.695661742082716i"
 GOLDEN_DIGESTS = [
     (("spectrum", "4,4,4,4", "-L", "30"), 80,
-     "9900a9a02327f19894a62b2ad3ed57900adcbe1ab6fbc2a1f16c2a5321ab33bf"),
+     "9e7da40b01f25660f571291769b4c1589b6bf367437ef80ea0e31ef17141a05c"),
     (("spectrum", "4,4,4,4", "-L", "20", "--two-sided"), 54,
-     "cd2a3d749461daa2508b48530a72f2e93163ae57fce2a881bbcdf72ebaaaa81c"),
+     "0eda9954186b476da4f19fc979d559906943890b96a866a3067e632656afb835"),
     (("--format", "csv", "spectrum", "4,4,4,4", "-L", "20"), 33,
      "43ecb2a94f70f172e62ff35d81e65caf1d7b3f1417a3b9cfb6ef4d17d679e756"),
     (("spectrum", "12,4,6,2", "-L", "14"), 15,
-     "28e1173b0e518ea1c4d4ce6f8769d3bb8c1d133e390c6ef7ef69ebf79cce9b65"),
+     "45a4f849dfeae1d66d1bdd5a00decbb5a6e0d5149f0e73acd3f24cc648eafe8d"),
     (("spectrum", QF_L, "-L", "100"), 1601,
      "180ce86a55a21b6e34600abbb12374d3e797692ade768e60bf09a332f192a311"),
     # complex traces, id-pair cells and null words
@@ -671,6 +688,9 @@ INT400_FLOATS = ",".join(f"{v}.0" for v in INT400.split(","))  # the same, as fl
     # lmax / lmin overflows, so the top cutoffs are infinite: no budget is spent
     *[((*budget, "growth", "4,4,4,4", "--lmin", "1e-300", "--lmax", "1e300", "--shells", "5"), 4)
       for budget in ((), ("--max-cells", "100000000"))],
+    # a product of three coordinates underflows to 0.0
+    (("coords", "1e-300,1e-300,1e-300,1", "--from", "horocyclic"), 4),
+    (("coords", "1e-200,1e-200,1e-200,1", "--from", "horocyclic"), 4),
 ])
 def test_out_of_range_input_one_line_error(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -1040,6 +1060,16 @@ def test_template_writes_every_row_of_a_real_walk(argv):
     assert out == "".join(_dumps(rec) + "\n" for rec in records)
 
 
+def test_template_writes_every_row_of_an_exact_walk():
+    # an integer quad is walked in ints: the template writes each trace
+    # as the encoder writes the int, with no float made of it
+    out, records = _stdout_and_records(("spectrum", "4,4,4,4", "-L", "80"))
+    assert all(type(row.trace) is int for row in records.rows)
+    assert max(row.trace for row in records.rows) > 2 ** 53
+    assert all(records.line(row) is not None for row in records.rows)
+    assert out == "".join(_dumps(rec) + "\n" for rec in records)
+
+
 @pytest.mark.parametrize("field, value", [
     # a positive real length writes one repr as both length and |length|;
     # -0.0, 0.0 and negative real parts take the general path
@@ -1053,6 +1083,9 @@ def test_template_writes_every_row_of_a_real_walk(argv):
     ("word", (-1,)), ("word", (2 ** 70,)), ("word", (3, 49)), ("word", (1.0, 2)),
     # a float trace, as a walk on the real path gives
     ("trace", 4.5),
+    # int traces, as an exact walk gives, one past 2**53 and one past the float range
+    ("trace", 36), ("trace", -7), ("trace", 2 ** 53 + 1),
+    pytest.param("trace", 10 ** 400, id="trace-int-past-float-range"),
 ])
 def test_entry_record_lines_equal_json_dumps(field, value):
     head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}

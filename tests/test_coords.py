@@ -58,6 +58,14 @@ def test_quad_to_horocyclic_examples():
     assert q.residual() <= 1e-12
 
 
+@pytest.mark.parametrize("small", [1e-300, 1e-200, 1e-150])
+def test_horocyclic_to_quad_refuses_an_underflowing_product(small):
+    # the coordinates sum to 1 within tol, but a product of three of them
+    # underflows to 0.0, so no quad entry can be computed
+    with pytest.raises(DomainError, match="underflows"):
+        horocyclic_to_quad(HorocyclicCoords(small, small, small, 1.0))
+
+
 def test_horocyclic_two_identities_agree():
     # entry/(sum) and sqrt(entry/(product of others)) coincide on quads
     rng = random.Random(8)

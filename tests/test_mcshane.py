@@ -396,14 +396,68 @@ def test_fsum_matches_a_high_precision_sum():
     assert mcshane_verify(Q4, 1e-3)[1] == report
 
 
-def test_a_quad_with_no_sink_raises_before_summing(capsys):
+_NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
+            "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
+
+
+def test_a_quad_with_no_sink_raises_before_summing(capsys, monkeypatch):
     # its descent runs past the step cap: the sum raises, as the spectra
-    # do.  A small cell budget keeps the pre-pass short
-    vals = "2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i," \
-           "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i"
+    # do, and the descent runs first, so no walk spends the budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(mcshane, "walk", refuse)
     from markoffquads.cli import main, parse_quad
+    q = parse_quad(_NO_SINK)
     with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
-        mcshane_partial(parse_quad(vals), 100, max_cells=2000)
-    assert main(["mcshane", vals, "--cutoff", "100", "--max-cells", "2000"]) == 3
+        mcshane_partial(q, 100)
+    with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
+        mcshane_verify(q, 1e-3)
+    assert main(["mcshane", _NO_SINK, "--cutoff", "100"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("mql: budget exhausted: no sink within 10000 flips")
+
+
+@pytest.mark.parametrize("q", [IntegerQuad(484, 4, 4, 36), MarkoffQuad(484, 4, 4, 36),
+                               *_sink_and_near_it(3)],
+                         ids=["integer", "float", "fuchsian-3", "quasi-fuchsian-3"])
+def test_every_mcshane_walk_starts_at_the_sink(monkeypatch, q):
+    # the descent runs first; the summability check and every sum then
+    # walk from its sink, in q's own type
+    events = []
+    real_reduce, real_walk = mcshane.reduce_to_sink, mcshane.walk
+
+    def spy_reduce(quad, **kwargs):
+        events.append(("descent", quad))
+        return real_reduce(quad, **kwargs)
+
+    def spy_walk(quad, **kwargs):
+        events.append(("walk", quad))
+        return real_walk(quad, **kwargs)
+
+    monkeypatch.setattr(mcshane, "reduce_to_sink", spy_reduce)
+    monkeypatch.setattr(mcshane, "walk", spy_walk)
+    sink = real_reduce(q)[0]
+    for run in (lambda: mcshane_partial(q, 1e4), lambda: mcshane_verify(q, 1e-3)):
+        events.clear()
+        run()
+        assert events[0] == ("descent", q)
+        assert len(events) >= 3 and events[1:] == [("walk", sink)] * (len(events) - 1)
+        assert all(type(quad) is type(q) for _, quad in events)
+
+
+def test_mcshane_reports_a_spent_budget_and_an_unfinished_schedule():
+    # the three ways a sum ends without a verdict of converged
+    q = IntegerQuad(4, 4, 4, 4)
+    rep = mcshane_partial(q, 1e40, max_cells=100)
+    assert (rep.verdict, rep.term_count, rep.product_cutoff) == \
+        (Verdict.BUDGET_EXCEEDED, 99, 1e40)
+    passed, rep = mcshane_verify(q, 1e-6, max_cells=100)
+    assert passed is False
+    assert (rep.verdict, rep.term_count, rep.product_cutoff) == \
+        (Verdict.BUDGET_EXCEEDED, 135, 1e8)
+    # the schedule ends at 1e8 before the sum is within 1e-12 of 1/2
+    passed, rep = mcshane_verify(q, 1e-12)
+    assert passed is False
+    assert (rep.verdict, rep.term_count, rep.product_cutoff) == (Verdict.PARTIAL, 282, 1e8)
+    assert 1e-12 < abs(rep.partial_sum - 0.5) < 1e-6

@@ -11,6 +11,7 @@ from markoffquads import (
     CurveKind,
     DegenerateClassError,
     DomainError,
+    IntegerQuad,
     MarkoffQuad,
     SpectrumEntry,
     count_s,
@@ -29,7 +30,8 @@ from markoffquads import (
     two_sided_spectrum,
     walk,
 )
-from helpers import completion_roots, perturb_quad, unpruned_count_below_length
+from helpers import (completion_roots, exact_cells_below, perturb_quad,
+                     unpruned_count_below_length)
 
 Q4 = MarkoffQuad(4, 4, 4, 4)
 
@@ -97,6 +99,73 @@ def test_two_sided_spectrum_order_matches_walk(q, L):
             want.append(SpectrumEntry(CurveKind.TWO_SIDED, e, ell, pair, None))
     want.sort(key=lambda e: (abs(e.length), e.cell_ref))
     assert two_sided_spectrum(q, L) == want
+
+
+# 24 cells of (4,4,4,4) have the exact trace T_EXACT, just above the
+# trace bound of L_CROSS; a float walk of the same quad rounds each of
+# them to F_TWIN, just below it
+L_CROSS = 137.59186279079202
+T_EXACT = 754559310821298213955372740036
+F_TWIN = 7.545593108212981e+29
+
+
+@pytest.mark.parametrize("L", [8.0, 30.0, 80.0, L_CROSS])
+def test_integer_one_sided_spectrum_walks_exactly(L):
+    # each trace is an int cell value of the exact tree below the bound,
+    # and each length is that trace's; an unreduced start descends first
+    bound = 2.0 * math.sinh(L / 2)
+    want = sorted(v for v in exact_cells_below((4, 4, 4, 4), bound)
+                  if abs(one_sided_length(v)) < L)
+    for q in (IntegerQuad(4, 4, 4, 4), IntegerQuad(484, 4, 4, 36)):
+        entries = one_sided_spectrum(q, L)
+        assert all(type(e.trace) is int and e.length == one_sided_length(e.trace)
+                   for e in entries)
+        assert sorted(e.trace for e in entries) == want
+        assert count_s(q, L) == len(want)
+
+
+def test_integer_spectrum_keeps_the_exact_side_of_the_bound():
+    bound = 2.0 * math.sinh(L_CROSS / 2)
+    assert F_TWIN <= bound < T_EXACT
+    float_cells = walk(Q4, cell_bound=bound).values
+    exact_cells = walk(IntegerQuad(4, 4, 4, 4), cell_bound=bound).values
+    assert float_cells.count(F_TWIN) == 24 and T_EXACT not in exact_cells
+    assert sorted(exact_cells) == sorted(exact_cells_below((4, 4, 4, 4), bound))
+    assert len(float_cells) == len(exact_cells) + 24
+
+
+def test_integer_two_sided_spectrum_and_systole_walk_exactly():
+    q = IntegerQuad(484, 4, 4, 36)
+    entries = two_sided_spectrum(q, 20.0)
+    assert entries and all(type(e.trace) is int and e.length == two_sided_length(e.trace)
+                           for e in entries)
+    # no product here is past 2**53, so the float walk finds the same classes
+    assert [(e.trace, e.cell_ref) for e in entries] == \
+        [(e.trace, e.cell_ref) for e in two_sided_spectrum(Q4, 20.0)]
+    length, witness = systole(IntegerQuad(4, 4, 4, 36))
+    assert type(witness.trace) is int and witness.trace == 4
+    assert length == witness.length == one_sided_length(4)
+
+
+def test_spectra_walk_the_sink_in_the_quads_own_type(monkeypatch):
+    starts = []
+    real_walk = spectra.walk
+
+    def spy(q, **kwargs):
+        starts.append(q)
+        return real_walk(q, **kwargs)
+
+    monkeypatch.setattr(spectra, "walk", spy)
+    for q in (IntegerQuad(484, 4, 4, 36), MarkoffQuad(484, 4, 4, 36), QF):
+        sink = reduce_to_sink(q)[0]
+        for run in (lambda: one_sided_spectrum(q, 8), lambda: count_s(q, 8),
+                    lambda: two_sided_spectrum(q, 8), lambda: systole(q),
+                    lambda: growth_exponent(q, 2, 8, 4)):
+            starts.clear()
+            run()
+            assert starts == [sink] and type(starts[0]) is type(q)
+    # no quad is built here: the sink is walked as the descent returns it
+    assert not hasattr(spectra, "MarkoffQuad") and not hasattr(spectra, "_sink")
 
 
 def test_spectrum_entry_is_an_immutable_named_tuple():

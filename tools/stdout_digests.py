@@ -8,10 +8,10 @@ every `Walk` those calls make: values by repr, parents, slots, faces in
 insertion order, nodes visited and the budget flag, so a change to the
 walk shows even where stdout does not.  The `total` line is one sha256
 over the workload lines.  The `edge` line digests, the same way and in
-both formats, the fixed calls of EDGE_CALLS: inputs that fail or sit on
-a boundary, which no workload reaches.  They run after the workloads,
-outside `walks` and `total`.  Two checkouts whose outputs match print
-the same lines:
+both formats, the fixed calls of EDGE_CALLS: inputs that fail, sit on a
+boundary or take a path that no workload reaches.  They run after the
+workloads, outside `walks` and `total`.  Two checkouts whose outputs
+match print the same lines:
 
     python3 tools/stdout_digests.py > new.txt     # in each checkout's root
     diff old.txt new.txt
@@ -74,6 +74,15 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     f"bq-check {_NEAR_CUT_FLIPPED} -k 4",
     f"mcshane {_NEAR_CUT_FLIPPED} --cutoff 4",
     f"mcshane {_NO_SINK} --cutoff 100",
+    "spectrum 4,4,4,4 -L 20",  # an exact walk: int traces
+    "spectrum 4,4,4,4 -L 20 --two-sided",
+    "systole 4,4,4,36",
+    "coords 1e-300,1e-300,1e-300,1 --from horocyclic",  # a product of three underflows
+)] + [call.split() for call in (
+    # calls that set their own budget; each exits 3 and writes its record
+    "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
+    "mcshane 4,4,4,4 --target-tol 1e-6 --max-cells 100",
+    "mcshane 4,4,4,4 --target-tol 1e-12",  # DEFAULT_SCHEDULE ends unconverged
 )]
 
 
