@@ -447,7 +447,7 @@ def test_every_mcshane_walk_starts_at_the_sink(monkeypatch, q):
 
 
 def test_mcshane_reports_a_spent_budget_and_an_unfinished_schedule():
-    # the three ways a sum ends without a verdict of converged
+    # the reports behind the three exit-3 paths of `mql mcshane`
     q = IntegerQuad(4, 4, 4, 4)
     rep = mcshane_partial(q, 1e40, max_cells=100)
     assert (rep.verdict, rep.term_count, rep.product_cutoff) == \
