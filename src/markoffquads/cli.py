@@ -271,25 +271,13 @@ def _cmd_mcshane(args):
     if (args.cutoff is None) == (args.target_tol is None):
         raise _UsageError("give exactly one of --cutoff or --target-tol")
     q = _quad_arg(args.quad, args)
-    rec = _base(args, "mcshane")
     if args.cutoff is not None:
         rep = mcshane_partial(q, args.cutoff, max_cells=args.max_cells, tol=args.tol)
-        code = 3 if rep.verdict is Verdict.BUDGET_EXCEEDED else 0
-        passed = None
-    else:
-        passed, rep = mcshane_verify(q, args.target_tol, max_cells=args.max_cells,
-                                     tol=args.tol)
-        code = 0 if passed else 3
-    rec.update({
-        "partial_sum": rep.partial_sum,
-        "term_count": rep.term_count,
-        "product_cutoff": rep.product_cutoff,
-        "last_shell_max": rep.last_shell_max,
-        "verdict": rep.verdict,
-    })
-    if passed is not None:
-        rec["passed"] = passed
-    return [rec], code
+        rec = {**_base(args, "mcshane"), **rep._asdict()}
+        return [rec], (3 if rep.verdict is Verdict.BUDGET_EXCEEDED else 0)
+    passed, rep = mcshane_verify(q, args.target_tol, max_cells=args.max_cells, tol=args.tol)
+    rec = {**_base(args, "mcshane"), **rep._asdict(), "passed": passed}
+    return [rec], (0 if passed else 3)
 
 
 def _cmd_bq_check(args):
@@ -317,14 +305,7 @@ def _cmd_growth(args):
     q = _quad_arg(args.quad, args)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
                           max_cells=args.max_cells, tol=args.tol)
-    rec = _base(args, "growth")
-    rec.update({
-        "exponent": fit.exponent,
-        "intercept_log_eta": fit.intercept_log_eta,
-        "fit_residual": fit.fit_residual,
-        "samples": fit.samples,
-    })
-    return [rec], 0
+    return [{**_base(args, "growth"), **fit._asdict()}], 0
 
 
 def _cmd_coords(args):
@@ -383,14 +364,7 @@ def _cmd_klein(args):
     if args.count > args.max_cells:
         raise BudgetExceededError(f"klein -n {args.count} exceeds --max-cells {args.max_cells}")
     seq = klein_sequence(_parse_entry(args.A), a0, a1, args.count, tol=args.tol)
-    rec = _base(args, "klein")
-    rec.update({
-        "A": seq.A,
-        "terms": seq.terms,
-        "lambda_plus": seq.lambda_plus,
-        "lambda_minus": seq.lambda_minus,
-    })
-    return [rec], 0
+    return [{**_base(args, "klein"), **seq._asdict()}], 0
 
 
 def _add_quad(p):

@@ -165,22 +165,34 @@ def _summable_sink(q, max_cells, tol):
 
 
 def _partial(sink, product_cutoff, max_cells, tol, target_tol):
-    """The report, plus the id pairs, products and terms it summed, in
-    the walk's discovery order, from a walk from sink.  The real and
-    imaginary parts are summed with math.fsum, correctly rounded, so the
-    sum does not depend on the order of the terms, and every root with
-    this sink gives the same terms."""
+    """The report of one walk from sink, read in one pass over its faces
+    in discovery order.  Each face's term h(p) is cross-checked, when
+    target_tol is given, against the geometric form 1/(1 + exp(l/2))
+    with l from the face relation, to 1e-10, and then counts towards the
+    last shell's maximum.  The real and imaginary parts are summed with
+    math.fsum, correctly rounded, so the sum does not depend on the
+    order of the terms, and every root with this sink gives the same
+    terms."""
     w = walk(sink, face_bound=product_cutoff, max_cells=max_cells, tol=tol)
-    faces = w.faces  # the walk records only faces within the cutoff
-    pairs = list(faces)
-    products = list(faces.values())
-    terms = [h(p) for p in products]
-    total = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
     shell = product_cutoff / 2
     shell_max = 0.0
-    for p, term in zip(products, terms):
+    reals, imags = [], []
+    # the walk records only faces within the cutoff
+    for pair, p in w.faces.items():
+        term = h(p)
+        if target_tol is not None:
+            ell = 2 * cmath.acosh((p - 2) / 2)
+            geom = 1 / (1 + cmath.exp(ell / 2))
+            if abs(term - geom) > _CROSS_CHECK_TOL:
+                raise InvalidQuadError(
+                    f"h and geometric forms disagree at face {pair}: "
+                    f"{abs(term - geom):.3e}"
+                )
         if abs(p) > shell:
             shell_max = max(shell_max, abs(term))
+        reals.append(term.real)
+        imags.append(term.imag)
+    total = complex(math.fsum(reals), math.fsum(imags))
     if w.budget_hit:
         verdict = Verdict.BUDGET_EXCEEDED
     elif target_tol is not None and abs(total - 0.5) <= target_tol \
@@ -188,10 +200,9 @@ def _partial(sink, product_cutoff, max_cells, tol, target_tol):
         verdict = Verdict.CONVERGED
     else:
         verdict = Verdict.PARTIAL
-    report = McShaneReport(partial_sum=total, term_count=len(pairs),
-                           product_cutoff=product_cutoff,
-                           last_shell_max=shell_max, verdict=verdict)
-    return report, pairs, products, terms
+    return McShaneReport(partial_sum=total, term_count=len(reals),
+                         product_cutoff=product_cutoff,
+                         last_shell_max=shell_max, verdict=verdict)
 
 
 def mcshane_partial(
@@ -216,7 +227,7 @@ def mcshane_partial(
     any walk.
     """
     sink = _summable_sink(q, max_cells, tol)
-    return _partial(sink, product_cutoff, max_cells, tol, None)[0]
+    return _partial(sink, product_cutoff, max_cells, tol, None)
 
 
 DEFAULT_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
@@ -231,28 +242,17 @@ def mcshane_verify(
 ) -> tuple[bool, McShaneReport]:
     """Raise the cutoff along DEFAULT_SCHEDULE until the partial sum is
     within target_tol of 1/2 (with a quiet last shell) or the budget is
-    exhausted.  Each step sums from q's sink, as mcshane_partial does.
-    Each term is cross-computed in geometric form 1/(1 + exp(l/2)) with
-    l from the face relation and must agree with h to 1e-10."""
+    exhausted.  Each step sums from q's sink, as mcshane_partial does,
+    and cross-checks every term against its geometric form
+    1/(1 + exp(l/2)), to 1e-10, in the same pass over the faces."""
     if not target_tol > 0:  # NaN too
         raise DomainError("target_tol must be positive")
     sink = _summable_sink(q, max_cells, tol)
-    report = None
     for cutoff in DEFAULT_SCHEDULE:
-        report, pairs, products, terms = _partial(sink, cutoff, max_cells, tol, target_tol)
-        for pair, p, term in zip(pairs, products, terms):
-            ell = 2 * cmath.acosh((p - 2) / 2)
-            geom = 1 / (1 + cmath.exp(ell / 2))
-            if abs(term - geom) > _CROSS_CHECK_TOL:
-                raise InvalidQuadError(
-                    f"h and geometric forms disagree at face {pair}: "
-                    f"{abs(term - geom):.3e}"
-                )
-        if report.verdict is Verdict.CONVERGED:
-            return True, report
-        if report.verdict is Verdict.BUDGET_EXCEEDED:
-            return False, report
-    return False, report
+        report = _partial(sink, cutoff, max_cells, tol, target_tol)
+        if report.verdict is not Verdict.PARTIAL:
+            break
+    return report.verdict is Verdict.CONVERGED, report
 
 
 def finite_tree_psi_sum(q: MarkoffQuad, tree, tol: float = DEFAULT_TOL) -> complex:

@@ -280,6 +280,10 @@ def test_klein_subcommand(capsys):
     assert rec["lambda_plus"] == pytest.approx((3 + math.sqrt(5)) / 2)
     # bad seed pair is a verification failure
     assert run_cli(capsys, "klein", "-A", "2", "--seed", "1,1", "-n", "5")[0] == 2
+    # one seed is a usage error
+    code, out, err = run_cli(capsys, "klein", "-A", "3", "--seed", "1", "-n", "5")
+    assert (code, out) == (1, "")
+    assert err == "mql: error: --seed needs two comma-separated values\n"
 
 
 def test_non_summable_quad_hits_budget(capsys):
@@ -578,6 +582,23 @@ GOLDEN = [
         "cmd,quad,result,version",
         'flip,"4,4,1847108999736036,25726909536794404",'
         "4;4;358329624515385604;25726909536794404,0.1.0",
+    )),
+    # a --cutoff record has no `passed` key
+    (("mcshane", "4,4,4,4", "--cutoff", "100"), _lines(
+        '{"cmd":"mcshane","last_shell_max":0.0,"partial_sum":0.40192378864668404,'
+        '"product_cutoff":100.0,"quad":"4,4,4,4","term_count":6,"verdict":"partial",'
+        '"version":"0.1.0"}',
+    )),
+    # klein takes no quad argument
+    (("klein", "-A", "3", "--seed", "1,2", "-n", "4"), _lines(
+        '{"A":3.0,"cmd":"klein","lambda_minus":0.3819660112501051,'
+        '"lambda_plus":2.618033988749895,"quad":null,"terms":[1.0,2.0,5.0,13.0],'
+        '"version":"0.1.0"}',
+    )),
+    # CSV writes the verdict by its value
+    (("--format", "csv", "mcshane", "4,4,4,4", "--target-tol", "1e-3"), _lines(
+        "cmd,last_shell_max,partial_sum,passed,product_cutoff,quad,term_count,verdict,version",
+        'mcshane,0,0.499828213577312,true,100000,"4,4,4,4",78,converged,0.1.0',
     )),
 ]
 

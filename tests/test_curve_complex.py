@@ -244,6 +244,9 @@ def test_spiral_sequence_backward():
     assert sp.term(-1) == pytest.approx(4)
     assert sp.term(-2) == pytest.approx(36)
     assert sp.term(-3) == pytest.approx(484)
+    # the seeds sit at n = 0 and 1, so the range must hold both
+    with pytest.raises(DomainError, match="need n0 <= 0 < 1 <= n1"):
+        spiral_sequence(1, 2, 3, 4, 1, 5)
 
 
 def test_spiral_sequence_ab4_quadratic():
@@ -253,6 +256,8 @@ def test_spiral_sequence_ab4_quadratic():
     diffs = [sp.term(n + 1) - 2 * sp.term(n) + sp.term(n - 1) for n in range(1, 8)]
     for d2 in diffs:
         assert d2 == pytest.approx(-8)
+    with pytest.raises(DomainError, match=r"no closed form for ab in \{0, 4\}"):
+        spiral_sequence(2, 2, 1, 1, 0, 3).closed_term(1)
 
 
 def test_spiral_growth_ratio():
@@ -306,6 +311,9 @@ def test_walk_fully_pruned_keeps_only_root_cells():
     w = walk(Q4, cell_bound=3.0)
     assert w.values == [4, 4, 4, 4] and w.words() == [()] * 4
     assert w.nodes_visited == 1
+    # with neither bound nothing would be pruned
+    with pytest.raises(DomainError, match="need at least one of cell_bound, face_bound"):
+        walk(Q4)
 
 
 def test_walk_truncate_respects_budget():

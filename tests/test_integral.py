@@ -39,6 +39,8 @@ def test_integer_quad_validates_exactly():
         IntegerQuad(-4, 4, 4, 4)
     with pytest.raises(DomainError):
         IntegerQuad(4.0, 4, 4, 4)
+    with pytest.raises(DomainError, match="expected 4 entries, got 3"):
+        IntegerQuad.from_values((4, 4, 4))
 
 
 def test_int_flip_examples():

@@ -24,6 +24,7 @@ from markoffquads import (
     reduce_to_sink,
     sample_fuchsian_quad,
     two_sided_length,
+    walk,
 )
 from helpers import around, perturb_quad, value_bits_or_error
 from markoffquads.mcshane import BRANCH_TOL
@@ -130,6 +131,8 @@ def test_psi_edge_and_vertex_relations_random():
 def test_psi_rejects_broken_quad():
     with pytest.raises((InvalidQuadError, DomainError)):
         psi(MarkoffQuad(1, 1, 1, 1), 1)
+    with pytest.raises(DomainError, match="psi undefined: zero entry sum"):
+        psi(MarkoffQuad(0, 0, 0, 0), 1)
 
 
 def test_check_bq_examples():
@@ -173,9 +176,22 @@ def test_relation_tol_reaches_the_summability_pre_pass():
     assert mcshane_verify(q, 1e-2, tol=1e-3)[0]
 
 
+# its descent takes the word [4, 1, 4, 1], so its face of product
+# 19.567... * 0.1536... = 3.0057, inside [0, 4], is not among the sink's
+# six: the summability walk from the sink finds it
+_DEEP_VIOLATION = MarkoffQuad(19.567214491487373, 0.153608857113762,
+                              5.771479429979589 + 1.2959117573731556j,
+                              -19.10292185666132 + 19.911812789801616j)
+
+
 def test_mcshane_partial_rejects_bq_violation():
     with pytest.raises(BqViolationError):
         mcshane_partial(MarkoffQuad(0, 0, 0, 0), 100)
+    message = r"face product \(3\.005697454937217\+0j\) lies in \[0,4\]; sum undefined"
+    with pytest.raises(BqViolationError, match=message):
+        mcshane_partial(_DEEP_VIOLATION, 1e6, max_cells=20000)
+    with pytest.raises(BqViolationError, match=message):
+        mcshane_verify(_DEEP_VIOLATION, 1e-3, max_cells=20000)
 
 
 def test_root_face_violation_raises_before_walking(monkeypatch):
@@ -302,8 +318,6 @@ def test_mcshane_verify_cross_checks_the_summed_terms(monkeypatch):
 
 def test_bq_enumeration_reaches_product_ten_face():
     # at k = 10 the (2,5) pair of (2,5,5,8) is inside the enumerated set
-    from markoffquads import walk
-
     faces = walk(MarkoffQuad(2, 5, 5, 8), face_bound=10).faces
     assert any(abs(p - 10) <= 1e-12 for p in faces.values())
 
@@ -387,7 +401,8 @@ def test_fsum_matches_a_high_precision_sum():
     # the 78 terms of `mcshane 4,4,4,4 --target-tol 1e-3`, summed exactly
     # in 50 digits and rounded once, are what fsum returns
     mpmath = pytest.importorskip("mpmath")
-    report, _, _, terms = mcshane._partial(Q4, 1e5, 200_000, 1e-9, 1e-3)
+    terms = [h(p) for p in walk(Q4, face_bound=1e5).faces.values()]
+    report = mcshane._partial(Q4, 1e5, 200_000, 1e-9, 1e-3)
     assert report.term_count == len(terms) == 78
     with mpmath.workdps(50):
         re = mpmath.fsum(mpmath.mpf(t.real) for t in terms)

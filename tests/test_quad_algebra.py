@@ -48,6 +48,8 @@ def test_quad_rejects_non_finite():
         MarkoffQuad(float("inf"), 1, 1, 1)
     with pytest.raises(DomainError):
         MarkoffQuad(4, 4, 10 ** 400, 10 ** 400)  # int past the float range
+    with pytest.raises(DomainError, match="expected 4 entries, got 3"):
+        MarkoffQuad.from_values((4, 4, 4))
     # finite entries whose relation overflows, to inf or to a finite
     # complex whose modulus is past the float range: never a passing residual
     x = cmath.rect(1.19e77, math.pi / 16)  # x**4 has modulus 2.0e308
@@ -313,6 +315,8 @@ def _random_matrix(rng):
 def test_fricke_residual_identity_matrices():
     i2 = Matrix2.identity()
     assert fricke_residual(i2, i2, i2) <= 1e-15
+    with pytest.raises(DomainError, match="singular matrix"):
+        Matrix2(1, 2, 2, 4).inverse()
 
 
 def test_fricke_residual_random_and_representation():

@@ -403,6 +403,8 @@ def test_fit_power_law():
     assert res <= 1e-3
     with pytest.raises(DomainError):
         fit_power_law([(10, 5)])
+    with pytest.raises(DomainError, match="degenerate fit: all L equal"):
+        fit_power_law([(2, 3), (2, 5)])
 
 
 def test_growth_exponent_window():

@@ -45,6 +45,10 @@ _NEAR_CUT = "2.0,2.00000000025,1.0+1.0i,-1.1796405576775428-3.394736453993022i"
 # _NEAR_CUT flipped at slot 2: the face of product 4.0000000005 is (0, 4)
 _NEAR_CUT_FLIPPED = ("2.0+0.0i,-1.2105270922639564-4.3592811153550866i,1.0+1.0i,"
                      "-1.1796405576775428-3.394736453993022i")
+# its face of product 3.005697454937217, inside [0, 4], is not among its
+# sink's six: the summability walk from the sink finds it
+_DEEP_VIOLATION = ("19.567214491487373,0.153608857113762,5.771479429979589+1.2959117573731556i,"
+                   "-19.10292185666132+19.911812789801616i")
 # no sink within the descent's 10,000 flips
 _NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
             "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
@@ -78,6 +82,9 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "spectrum 4,4,4,4 -L 20 --two-sided",
     "systole 4,4,4,36",
     "coords 1e-300,1e-300,1e-300,1 --from horocyclic",  # a product of three underflows
+    f"mcshane {_DEEP_VIOLATION} --cutoff 1e6",
+    f"mcshane {_DEEP_VIOLATION} --target-tol 1e-3",
+    f"bq-check {_DEEP_VIOLATION} -k 4",
 )] + [call.split() for call in (
     # calls that set their own budget; each exits 3 and writes its record
     "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
