@@ -101,8 +101,10 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_entry(text: str) -> complex:
+    if text.endswith("i"):  # the imaginary unit; the i of "inf" stays
+        text = text[:-1] + "j"
     try:
-        return complex(text.replace("i", "j"))
+        return complex(text)
     except ValueError:
         raise _UsageError(f"cannot parse entry {text!r}")
 

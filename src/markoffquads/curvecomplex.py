@@ -86,7 +86,8 @@ class Walk(NamedTuple):
     first) to its product, in discovery order.  Values and products are
     in the arithmetic the walk ran in: ints from an IntegerQuad root,
     floats from a root that `walk` takes on its real path, complex
-    otherwise."""
+    otherwise.  nodes_visited counts the vertices whose flips were
+    tried, derived after the loop as `walk` says."""
 
     values: list[complex | float | int]
     parents: list[int]
@@ -129,7 +130,10 @@ def walk(
     The budget: a walk holds at most max(max_cells, 4) cells.  A
     followed flip past that ends the walk, which returns what it found,
     with budget_hit set; it never raises for a spent budget, and each
-    caller decides what one means.
+    caller decides what one means.  The vertices are the root and the
+    cells 4 .. n-1 of a walk that made n cells, queued and popped in id
+    order, so nodes_visited is n - 3 less the vertices still queued when
+    the loop ends.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
@@ -171,15 +175,15 @@ def walk(
         raise DomainError("need at least one of cell_bound, face_bound")
     if cell_bound != cell_bound or face_bound != face_bound:  # a NaN bound keeps nothing
         raise DomainError("cell_bound and face_bound must not be NaN")
-    root = q.values()
+    start = q.values()
     if (cell_bound != math.inf and face_bound != math.inf
             and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0
-                    and math.copysign(1.0, v.imag) == 1.0 for v in root)):
-        reals = [v.real for v in root]
+                    and math.copysign(1.0, v.imag) == 1.0 for v in start)):
+        reals = [v.real for v in start]
         if all(f >= v for f, v in zip(flips(*reals), reals)):
-            return _walk(reals, cell_bound, face_bound, max_cells)
+            start = reals
     try:
-        return _walk(root, cell_bound, face_bound, max_cells)
+        return _walk(start, cell_bound, face_bound, max_cells)
     except OverflowError:  # abs of finite parts whose modulus is past the float range
         raise DomainError("a cell's or face's modulus is out of float range") from None
 
@@ -206,12 +210,10 @@ def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
     push, pop = queue.append, queue.popleft
     add_value, add_parent, add_slot = values.append, parents.append, slots.append
     n = 4  # cells so far, and the id of the next
-    visited = 0
     budget_hit = False
     try:
         while queue:
             name, back, ia, ib, ic, id_, a, b, c, d = pop()
-            visited += 1
             if record_faces:
                 # only the faces of the cell created on arrival are new
                 # here: the other three pairs met at the parent.  Each
@@ -310,7 +312,9 @@ def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
                     n += 1
     except BudgetExceededError:  # raised above only to leave the loop
         budget_hit = True
-    return Walk(values, parents, slots, faces, visited, budget_hit)
+    # the vertices are the root and cells 4 .. n-1, popped in that order;
+    # those still queued were never visited
+    return Walk(values, parents, slots, faces, n - 3 - len(queue), budget_hit)
 
 
 def fibonacci_level_counts(max_value: int) -> dict[int, int]:

@@ -33,7 +33,7 @@ DEFAULT_TOL = 1e-9
 # the cell budget of a walk or an enumeration; it lives here, with the
 # other default, so that integer quads need not load the walker
 DEFAULT_MAX_CELLS = 200_000
-DEFAULT_MAX_STEPS = 10_000
+DEFAULT_MAX_STEPS = 10_000  # the step cap of a float descent to the sink
 
 
 def _as_complex(x) -> complex:
@@ -66,7 +66,7 @@ def _value_type(cls):
     return cls
 
 
-class _MarkoffQuadFields(NamedTuple):
+class _QuadFields(NamedTuple):
     a: complex
     b: complex
     c: complex
@@ -74,17 +74,14 @@ class _MarkoffQuadFields(NamedTuple):
 
 
 @_value_type
-class MarkoffQuad(_MarkoffQuadFields):
-    """Ordered 4-tuple of complex traces.  Entries are kept verbatim;
-    validity against the quad relation is checked by residual()."""
+class _Quad(_QuadFields):
+    """The record under both quad types: four entries a..d, built only
+    through the subclass's checking constructor."""
 
     __slots__ = ()
 
-    def __new__(cls, a, b, c, d):
-        return tuple.__new__(cls, (_as_complex(a), _as_complex(b), _as_complex(c), _as_complex(d)))
-
     @classmethod
-    def from_values(cls, values) -> "MarkoffQuad":
+    def from_values(cls, values):
         vals = tuple(values)
         if len(vals) != 4:
             raise DomainError(f"expected 4 entries, got {len(vals)}")
@@ -92,8 +89,18 @@ class MarkoffQuad(_MarkoffQuadFields):
 
     _make = from_values  # so that _replace and flip validate too
 
-    def values(self) -> tuple[complex, complex, complex, complex]:
+    def values(self) -> tuple:
         return tuple(self)
+
+
+class MarkoffQuad(_Quad):
+    """Ordered 4-tuple of complex traces.  Entries are kept verbatim;
+    validity against the quad relation is checked by residual()."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        return tuple.__new__(cls, (_as_complex(a), _as_complex(b), _as_complex(c), _as_complex(d)))
 
     def residual(self) -> float:
         a, b, c, d = self.values()
@@ -119,15 +126,7 @@ class MarkoffQuad(_MarkoffQuadFields):
         return self
 
 
-class _IntegerQuadFields(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-@_value_type
-class IntegerQuad(_IntegerQuadFields):
+class IntegerQuad(_Quad):
     """Nonnegative integer solution of (a+b+c+d)^2 = abcd, exact.  It
     answers what a MarkoffQuad is asked: the constructor proves the
     relation, so the residual is 0.0 and every tolerance but NaN
@@ -149,18 +148,6 @@ class IntegerQuad(_IntegerQuadFields):
             raise InvalidQuadError(f"({a},{b},{c},{d}) fails (a+b+c+d)^2 = abcd")
         return tuple.__new__(cls, vals)
 
-    @classmethod
-    def from_values(cls, values) -> "IntegerQuad":
-        vals = tuple(values)
-        if len(vals) != 4:
-            raise DomainError(f"expected 4 entries, got {len(vals)}")
-        return cls(*vals)
-
-    _make = from_values  # so that _replace and flip validate too
-
-    def values(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     def residual(self) -> float:
         return 0.0
 
@@ -168,12 +155,6 @@ class IntegerQuad(_IntegerQuadFields):
         if tol != tol:  # as MarkoffQuad.require_valid rejects it
             raise DomainError("tol must not be NaN")
         return self
-
-
-def _check_index(i: int) -> int:
-    if i not in (1, 2, 3, 4):
-        raise DomainError(f"entry index must be 1..4, got {i}")
-    return i
 
 
 def verify_quad(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> float:
@@ -197,7 +178,8 @@ def flips(a, b, c, d):
 
 def flip_value(values, i: int):
     """New value replacing entry i (1-based) of the four values."""
-    _check_index(i)
+    if i not in (1, 2, 3, 4):
+        raise DomainError(f"entry index must be 1..4, got {i}")
     return flips(*values)[i - 1]
 
 
@@ -210,7 +192,7 @@ def flip(q: MarkoffQuad | IntegerQuad, i: int) -> MarkoffQuad | IntegerQuad:
     return q._make(vals)
 
 
-def reduce_to_sink(q: MarkoffQuad | IntegerQuad, max_steps: int = DEFAULT_MAX_STEPS,
+def reduce_to_sink(q: MarkoffQuad | IntegerQuad, *,
                    tol: float = DEFAULT_TOL) -> tuple[MarkoffQuad | IntegerQuad, list[int]]:
     """Flip strictly-decreasing directions until none remains; returns
     the sink, in q's type, and the flip word (1-based slots).
@@ -220,15 +202,15 @@ def reduce_to_sink(q: MarkoffQuad | IntegerQuad, max_steps: int = DEFAULT_MAX_ST
     index).  Ties |d'| = |d| are terminal moves, never taken.  An
     IntegerQuad descends exactly and with no step cap, since each step
     lowers a nonnegative int entry.  A MarkoffQuad raises
-    BudgetExceededError after max_steps flips, and DomainError at a
-    flip whose modulus is past the float range.
+    BudgetExceededError after DEFAULT_MAX_STEPS flips, and DomainError
+    at a flip whose modulus is past the float range.
     """
     q.require_valid(tol)
     exact = isinstance(q, IntegerQuad)
     vals = list(q)
     path: list[int] = []
     try:
-        while exact or len(path) < max_steps:
+        while exact or len(path) < DEFAULT_MAX_STEPS:
             new = flips(*vals)
             best = None
             for i in range(4):
@@ -241,7 +223,7 @@ def reduce_to_sink(q: MarkoffQuad | IntegerQuad, max_steps: int = DEFAULT_MAX_ST
             path.append(best + 1)
     except OverflowError:  # abs of finite parts whose modulus is past the float range
         raise DomainError("a flip's modulus is out of float range") from None
-    raise BudgetExceededError(f"no sink within {max_steps} flips; "
+    raise BudgetExceededError(f"no sink within {DEFAULT_MAX_STEPS} flips; "
                               "input may cycle among ties or be non-summable")
 
 

@@ -11,6 +11,12 @@ import struct
 from collections import deque
 
 
+# a valid complex quad (as `mql` argv) whose descent finds no sink: it
+# runs past the float step cap
+NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
+           "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
+
+
 def quad_residual(vals):
     a, b, c, d = [complex(v) for v in vals]
     return abs((a + b + c + d) ** 2 - a * b * c * d)

@@ -362,6 +362,14 @@ def test_domain_error_exit_4(capsys):
     code, _, err = run_cli(capsys, "coords", "0.5,0.5,0.25,-0.25",
                            "--from", "horocyclic")
     assert code == 4
+    # a non-finite entry: only a trailing i is the imaginary unit, so
+    # "inf" parses as "nan" does
+    for entry in ("inf", "nan"):
+        for argv in (("verify", f"{entry},4,4,4"),
+                     ("klein", "-A", entry, "--seed", "1,2", "-n", "5")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 4 and out == "", argv
+            assert err.startswith("mql: precondition violation:") and err.count("\n") == 1
 
 
 def test_deterministic_output(capsys):

@@ -151,6 +151,7 @@ def test_mcg_relations_check_report():
     assert rep.ok
     assert rep.max_deviation <= 1e-9
     assert len(rep.deviations) == 11
+    assert mcg_relations_check(3).ok  # the default rng
     with pytest.raises(DomainError, match="sample_count must be >= 1"):
         mcg_relations_check(0)
 

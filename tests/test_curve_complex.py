@@ -35,6 +35,7 @@ from markoffquads import (
     walk,
 )
 from helpers import (
+    NO_SINK,
     brute_flip,
     jordan_totient2,
     perturb_quad,
@@ -110,8 +111,13 @@ def test_reduce_to_sink_examples():
 
 
 def test_reduce_to_sink_budget():
-    with pytest.raises(BudgetExceededError):
-        reduce_to_sink(MarkoffQuad(484, 4, 4, 36), max_steps=1)
+    # a float descent stops at the fixed step cap; tol is keyword-only,
+    # so a step cap passed by position fails rather than become a tolerance
+    from markoffquads.cli import parse_quad
+    with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
+        reduce_to_sink(parse_quad(NO_SINK))
+    with pytest.raises(TypeError):
+        reduce_to_sink(MarkoffQuad(484, 4, 4, 36), 5)
 
 
 def _cells_within(q, bound, **kw):

@@ -70,3 +70,26 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(markoffquads, "_no_such_private")
     with pytest.raises(ImportError):
         from markoffquads import no_such_name  # noqa: F401
+
+
+# names the benchmark harness reaches by module attribute: flip_value
+# times the flip kernel (quadalgebra.flip_ns), _build_parser is part of
+# the timed start-up (setup_s), and the rest are the functions its
+# tracer wraps in spans (the per-layer self_s, calls and emit figures).
+# A renamed one reads as zero, with no error, so a change that renames
+# one updates this list and names the per-layer figure that moves.
+BENCHMARKED = {
+    "quadalgebra": ["flip_value"],
+    "cli": ["_build_parser", "_emit"],
+    "spectra": ["reduce_to_sink", "one_sided_length", "two_sided_length", "count_s",
+                "one_sided_spectrum", "fit_power_law"],
+    "mcshane": ["h", "check_bq", "_partial"],
+}
+
+
+def test_the_names_the_benchmark_reaches_are_callable():
+    import importlib
+    for module, names in BENCHMARKED.items():
+        home = importlib.import_module(f"markoffquads.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"

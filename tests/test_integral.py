@@ -121,7 +121,7 @@ def test_exact_descent_has_no_step_cap():
         vals[i] = flips(*vals)[i]
     sink, word = reduce_to_sink(IntegerQuad.from_values(vals))
     assert sink == IntegerQuad(1, 5, 24, 30) and len(word) == steps
-    sink, word = reduce_to_sink(IntegerQuad(484, 4, 4, 36), max_steps=1)
+    sink, word = reduce_to_sink(IntegerQuad(484, 4, 4, 36))
     assert sink == IntegerQuad(4, 4, 4, 4) and word == [1, 4]
 
 

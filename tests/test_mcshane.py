@@ -26,7 +26,7 @@ from markoffquads import (
     two_sided_length,
     walk,
 )
-from helpers import around, perturb_quad, value_bits_or_error
+from helpers import NO_SINK, around, perturb_quad, value_bits_or_error
 from markoffquads.mcshane import BRANCH_TOL
 from markoffquads.quadalgebra import _segment_distance
 
@@ -411,10 +411,6 @@ def test_fsum_matches_a_high_precision_sum():
     assert mcshane_verify(Q4, 1e-3)[1] == report
 
 
-_NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
-            "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
-
-
 def test_a_quad_with_no_sink_raises_before_summing(capsys, monkeypatch):
     # its descent runs past the step cap: the sum raises, as the spectra
     # do, and the descent runs first, so no walk spends the budget
@@ -423,12 +419,12 @@ def test_a_quad_with_no_sink_raises_before_summing(capsys, monkeypatch):
 
     monkeypatch.setattr(mcshane, "walk", refuse)
     from markoffquads.cli import main, parse_quad
-    q = parse_quad(_NO_SINK)
+    q = parse_quad(NO_SINK)
     with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
         mcshane_partial(q, 100)
     with pytest.raises(BudgetExceededError, match="no sink within 10000 flips"):
         mcshane_verify(q, 1e-3)
-    assert main(["mcshane", _NO_SINK, "--cutoff", "100"]) == 3
+    assert main(["mcshane", NO_SINK, "--cutoff", "100"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("mql: budget exhausted: no sink within 10000 flips")
 

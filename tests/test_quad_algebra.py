@@ -132,6 +132,16 @@ def test_complete_quad_examples():
     d, dp = complete_quad(1, 5, 24)
     assert d == pytest.approx(30)
     assert dp == pytest.approx(30)
+    # conjugate roots: (2, 2, 1.5) swaps them after the Vieta refinement,
+    # and (3, 1, 0.5) ties on modulus exactly and orders them by (re, im)
+    for abc in [(2, 2, 1.5), (3, 1, 0.5)]:
+        d, dp = complete_quad(*abc)
+        assert d == pytest.approx(dp.conjugate(), rel=1e-15)
+        for root in (d, dp):
+            assert MarkoffQuad(*abc, root).residual() <= 1e-15
+        assert abs(d) < abs(dp) or (abs(d) == abs(dp) and (d.real, d.imag) <= (dp.real, dp.imag))
+    d, dp = complete_quad(3, 1, 0.5)
+    assert abs(d) == abs(dp) and d.real == -3.75 and d.imag > 0
 
 
 @pytest.mark.parametrize("a, b, c", [
@@ -362,6 +372,11 @@ def test_klein_sequence_example():
     assert seq.lambda_plus + seq.lambda_minus == pytest.approx(3, abs=1e-12)
     for i in range(5):
         assert seq.relation_residual(i) == 0  # exact ints
+    # for A < -2 the root of larger modulus is the one with the minus sign
+    seq = klein_sequence(-3, 1, -1, 5)
+    assert seq.terms == (1, -1, 2, -5, 13)
+    assert seq.lambda_plus == pytest.approx(-(3 + math.sqrt(5)) / 2, abs=1e-12)
+    assert abs(seq.lambda_plus) > abs(seq.lambda_minus)
 
 
 def test_klein_sequence_bad_seed():
