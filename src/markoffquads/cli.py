@@ -27,15 +27,7 @@ import stat
 import sys
 
 from . import __version__
-from .errors import (
-    BqViolationError,
-    BranchCutError,
-    BudgetExceededError,
-    DegenerateClassError,
-    DomainError,
-    InvalidQuadError,
-    MarkoffError,
-)
+from .errors import BudgetExceededError, DomainError, InvalidQuadError, MarkoffError
 # parsing a quad needs errors and quadalgebra, the home of both quad
 # types, and no more.  Each command imports the rest of what it uses, so
 # that a fresh call compiles only those modules, and imports them before
@@ -543,11 +535,8 @@ def main(argv=None) -> int:
     except InvalidQuadError as e:
         print(f"mql: verification failure: {e}", file=sys.stderr)
         return 2
-    except (BranchCutError, BqViolationError, DegenerateClassError, DomainError) as e:
-        print(f"mql: precondition violation: {e}", file=sys.stderr)
-        return 4
     except MarkoffError as e:
-        print(f"mql: error: {e}", file=sys.stderr)
+        print(f"mql: precondition violation: {e}", file=sys.stderr)
         return 4
 
 

@@ -135,6 +135,15 @@ def walk(
     order, so nodes_visited is n - 3 less the vertices still queued when
     the loop ends.
 
+    A walk cut by its budget is a prefix of the walk at any larger one:
+    the arithmetic is chosen before the loop, and the loop reads
+    max_cells only in the budget test, which ends it or changes nothing.
+    So at budgets 4 <= n < N both walks run alike until the first
+    follows a flip past its n-th cell.  Its values, parents and slots
+    are then the second's first n, and its faces, recorded as each
+    vertex is popped, the second's first in insertion order.  A walk
+    with no budget_hit is complete: every larger budget gives it too.
+
     Each queued vertex is one flat tuple (its name, arrival slot, four
     cell ids and four values), and the loop body is written out once per
     slot: the arrival cell's faces in one branch per arrival slot, then

@@ -53,26 +53,23 @@ def h(x) -> complex:
     return (1 - s) / 2
 
 
-def _psi_values(values, i: int) -> complex:
-    num = values[i - 1]
+def _psi_values(values, i: int) -> tuple[complex, complex]:
     total = values[0] + values[1] + values[2] + values[3]
-    others = [v for j, v in enumerate(values) if j != i - 1]
-    prod = others[0] * others[1] * others[2]
+    x, y, z = (v for j, v in enumerate(values) if j != i - 1)
+    prod = x * y * z
     if total == 0 or prod == 0:
         raise DomainError("psi undefined: zero entry sum or zero slot product")
-    return num / total
+    return values[i - 1] / total, total / prod
 
 
 def psi(q: MarkoffQuad, i: int, tol: float = DEFAULT_TOL) -> complex:
-    """Weight of the oriented edge pointing into entry i:
+    """Weight of the oriented edge pointing into entry i (1..4):
     q_i / (a+b+c+d), equal to (a+b+c+d) / (product of the others) by the
     vertex relation.  Disagreement of the two forms beyond tol means the
     input is not a quad."""
-    values = q.values()
-    first = _psi_values(values, i)
-    total = sum(values)
-    others = [v for j, v in enumerate(values) if j != i - 1]
-    second = total / (others[0] * others[1] * others[2])
+    if i not in (1, 2, 3, 4):
+        raise DomainError(f"entry index must be 1..4, got {i}")
+    first, second = _psi_values(q.values(), i)
     if not abs(first - second) <= tol * max(1.0, abs(first)):
         if tol != tol:
             raise DomainError("tol must not be NaN")
@@ -110,7 +107,8 @@ def check_bq(
     as in faces4.  The walk starts at q itself, so cell ids are relative
     to q, and an IntegerQuad is walked exactly, so its products are
     ints.  Finiteness cannot be certified from finite data, only
-    refuted; a walk that runs out of budget sets budget_hit."""
+    refuted, and a violation found at one max_cells stands at every
+    larger one (`walk`); a walk that runs out of budget sets budget_hit."""
     bound = max(k, 4.0)
     w = walk(q, face_bound=bound + BRANCH_TOL, max_cells=max_cells, tol=tol)
     faces = w.faces
@@ -146,22 +144,25 @@ class McShaneReport(NamedTuple):
 
 def _summable_sink(q, max_cells, tol):
     """q's sink, in q's type, from which every walk of a sum starts.
-    Raise BqViolationError for a face product within BRANCH_TOL of
-    [0, 4], once per sum, as no cutoff changes them: first the six faces
-    of the sink's cells in id-pair order, with no walk, then check_bq's
-    from the sink.  The descent validates q and runs first, so a quad
-    with no sink raises before any walk."""
+    The descent validates q and runs first, so a quad with no sink
+    raises before any walk.  Then raise BqViolationError, once per sum
+    as no cutoff changes it, if check_bq(sink, 4.0, max_cells) has a
+    violation, walked at budgets 4, 16, ... (at most max_cells / 4) and
+    max_cells up to the first walk with one or that is complete.  By
+    `walk`'s prefix property that is the full walk's decision; only a
+    deep violation's message may name a face other than its lowest.
+    The 4-cell walk holds the sink's six faces, in id-pair order.  With
+    no witness the shorter walks cost at most a third of the full one."""
     sink = reduce_to_sink(q, tol=tol)[0]
-    vals = sink.values()
-    for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
-        if not abs(p) > 8.0 and _segment_distance(p, 0.0, 4.0) <= BRANCH_TOL:  # as in h
+    n = 4
+    while True:
+        bq = check_bq(sink, 4.0, max_cells=n, tol=tol)
+        if bq.violations:
+            p = bq.violations[0].product
             raise BqViolationError(f"face product {p} lies in [0,4]; sum undefined")
-    bq = check_bq(sink, 4.0, max_cells=max_cells, tol=tol)
-    if bq.violations:
-        raise BqViolationError(
-            f"face product {bq.violations[0].product} lies in [0,4]; sum undefined"
-        )
-    return sink
+        if not bq.budget_hit or n >= max_cells:
+            return sink
+        n = 4 * n if 16 * n <= max_cells else max_cells
 
 
 def _partial(sink, product_cutoff, max_cells, tol, target_tol):
@@ -224,7 +225,7 @@ def mcshane_partial(
     depend on the vertex it starts from, and neither does this partial
     sum.  An IntegerQuad descends and is walked exactly.  A quad with no
     sink within the descent's step cap raises BudgetExceededError before
-    any walk.
+    any walk.  The summability check stops at its first witness.
     """
     sink = _summable_sink(q, max_cells, tol)
     return _partial(sink, product_cutoff, max_cells, tol, None)
@@ -285,5 +286,5 @@ def finite_tree_psi_sum(q: MarkoffQuad, tree, tol: float = DEFAULT_TOL) -> compl
         for i in range(1, 5):
             neighbor = w[:-1] if (w and w[-1] == i) else w + (i,)
             if neighbor not in words:
-                total += _psi_values(values[w], i)
+                total += _psi_values(values[w], i)[0]
     return total

@@ -16,6 +16,14 @@ from collections import deque
 NO_SINK = ("2.82994373389295-0.624969029583311i,-0.5916790927937914+2.680782038789358i,"
            "1.3487919938052917-1.979978040168627i,0.5682813189003814-0.734440080060708i")
 
+# the values of a complex quad whose descent takes the word [4, 1, 4, 1],
+# so its face of product 19.567... * 0.1536... = 3.0057, inside [0, 4], is
+# not among the sink's six: a walk from the sink finds it among its first
+# 16 cells, and spends every budget tried, 200,000 cells included
+DEEP_VIOLATION = (19.567214491487373, 0.153608857113762,
+                  5.771479429979589 + 1.2959117573731556j,
+                  -19.10292185666132 + 19.911812789801616j)
+
 
 def quad_residual(vals):
     a, b, c, d = [complex(v) for v in vals]

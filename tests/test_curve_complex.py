@@ -34,7 +34,9 @@ from markoffquads import (
     verify_quad,
     walk,
 )
+from markoffquads.quadalgebra import BRANCH_TOL
 from helpers import (
+    DEEP_VIOLATION,
     NO_SINK,
     brute_flip,
     jordan_totient2,
@@ -343,6 +345,24 @@ def test_walk_truncate_respects_budget():
                 assert w.words() == full.words()[:n]
                 faces = list(w.faces.items())
                 assert repr(faces) == repr(list(full.faces.items())[:len(faces)])
+
+
+@pytest.mark.parametrize("q", [MarkoffQuad(0, 0, 0, 0),
+                               reduce_to_sink(MarkoffQuad(*DEEP_VIOLATION))[0]],
+                         ids=["zero", "deep-violation-sink"])
+def test_a_cut_walk_is_a_prefix_of_a_longer_cut_walk(q):
+    # from a root that is not summable, the summability check's walk is
+    # cut at every budget, and a shorter one is still a prefix of a
+    # longer one: values, parents, slots, and faces in insertion order
+    walks = [walk(q, face_bound=4 + BRANCH_TOL, max_cells=n) for n in (4, 16, 64, 2000)]
+    assert [(len(w.values), w.budget_hit) for w in walks] == [(n, True) for n in (4, 16, 64, 2000)]
+    for i, short in enumerate(walks):
+        for long in walks[i + 1:]:
+            n = len(short.values)
+            assert repr(short.values) == repr(long.values[:n])
+            assert (short.parents, short.slots) == (long.parents[:n], long.slots[:n])
+            faces = list(short.faces.items())
+            assert repr(faces) == repr(list(long.faces.items())[:len(faces)])
 
 
 @pytest.mark.parametrize("cell_bound, face_bound", [

@@ -259,6 +259,15 @@ def test_enumerate_integral_below_budget():
         enumerate_integral_below(10 ** 200, max_cells=10)
 
 
+def test_integer_quad_count_grows_by_between_4_and_8_when_b_is_squared():
+    # a count N(B) ~ (log B)^beta of integer quads with largest entry <= B
+    # gives N(B^2) / N(B) ~ 2^beta: exact counts at B = 1e10 .. 1e80 keep
+    # the ratio strictly between 4 and 8, so 2 < beta < 3 at these B
+    counts = [len(enumerate_integral_below(10 ** e)) for e in (10, 20, 40, 80)]
+    for n, n_squared in zip(counts, counts[1:]):
+        assert 4 * n < n_squared < 8 * n
+
+
 def test_ascending_flips_pass_the_largest_entry():
     # the lemma behind enumerate_integral_below: a flip that ascends
     # exceeds the largest entry, the three smaller entries' flips always

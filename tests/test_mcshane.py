@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -26,8 +27,8 @@ from markoffquads import (
     two_sided_length,
     walk,
 )
-from helpers import NO_SINK, around, perturb_quad, value_bits_or_error
-from markoffquads.mcshane import BRANCH_TOL
+from helpers import DEEP_VIOLATION, NO_SINK, around, perturb_quad, value_bits_or_error
+from markoffquads.mcshane import BRANCH_TOL, DEFAULT_MAX_CELLS, DEFAULT_TOL
 from markoffquads.quadalgebra import _segment_distance
 
 Q4 = MarkoffQuad(4, 4, 4, 4)
@@ -133,6 +134,10 @@ def test_psi_rejects_broken_quad():
         psi(MarkoffQuad(1, 1, 1, 1), 1)
     with pytest.raises(DomainError, match="psi undefined: zero entry sum"):
         psi(MarkoffQuad(0, 0, 0, 0), 1)
+    # an index outside 1..4 picks no entry; 0 once read slot 4's weight
+    for i in (0, 5):
+        with pytest.raises(DomainError, match=f"entry index must be 1..4, got {i}"):
+            psi(MarkoffQuad(4, 4, 4, 36), i)
 
 
 def test_check_bq_examples():
@@ -176,12 +181,7 @@ def test_relation_tol_reaches_the_summability_pre_pass():
     assert mcshane_verify(q, 1e-2, tol=1e-3)[0]
 
 
-# its descent takes the word [4, 1, 4, 1], so its face of product
-# 19.567... * 0.1536... = 3.0057, inside [0, 4], is not among the sink's
-# six: the summability walk from the sink finds it
-_DEEP_VIOLATION = MarkoffQuad(19.567214491487373, 0.153608857113762,
-                              5.771479429979589 + 1.2959117573731556j,
-                              -19.10292185666132 + 19.911812789801616j)
+_DEEP_VIOLATION = MarkoffQuad(*DEEP_VIOLATION)
 
 
 def test_mcshane_partial_rejects_bq_violation():
@@ -194,28 +194,40 @@ def test_mcshane_partial_rejects_bq_violation():
         mcshane_verify(_DEEP_VIOLATION, 1e-3, max_cells=20000)
 
 
-def test_root_face_violation_raises_before_walking(monkeypatch):
-    walks = []
+def _check_budgets(monkeypatch):
+    # the max_cells of each walk mcshane makes from here on, in order
+    budgets = []
     real_walk = mcshane.walk
 
     def counting_walk(*args, **kwargs):
-        walks.append(kwargs)
+        budgets.append(kwargs["max_cells"])
         return real_walk(*args, **kwargs)
 
     monkeypatch.setattr(mcshane, "walk", counting_walk)
+    return budgets
+
+
+def test_root_face_violation_raises_in_the_walk_of_the_root_cells(monkeypatch):
+    # the sink's six faces are the check's first walk, of the root's four
+    # cells: a violation among them raises there, and no budget is spent
+    budgets = _check_budgets(monkeypatch)
+
+    def raises_in_one_walk(call, message):
+        budgets.clear()
+        with pytest.raises(BqViolationError, match=message):
+            call()
+        assert budgets == [4]
+
     for vals in ((0, 0, 0, 0), (0, 1, 2, -3), (0.0, 1, 2, -3)):
         q = MarkoffQuad.from_values(vals)
-        with pytest.raises(BqViolationError, match=r"face product 0j lies in \[0,4\]"):
-            mcshane_partial(q, 10)
-        with pytest.raises(BqViolationError, match=r"face product 0j lies in \[0,4\]"):
-            mcshane_verify(q, 1e-3)
-    # a violating face away from cell 0, (1, 2), is among the six tested first
+        message = r"face product 0j lies in \[0,4\]"
+        raises_in_one_walk(lambda: mcshane_partial(q, 10), message)
+        raises_in_one_walk(lambda: mcshane_verify(q, 1e-3), message)
+    # a violating face away from cell 0, (1, 2), is among the six
     q = MarkoffQuad.from_values((8, 1, 1, -6 - 8j))
-    with pytest.raises(BqViolationError, match=r"face product \(1\+0j\) lies in \[0,4\]"):
-        mcshane_partial(q, 10, max_cells=2000)
-    with pytest.raises(BqViolationError, match=r"face product \(1\+0j\) lies in \[0,4\]"):
-        mcshane_verify(q, 1e-3)
-    assert walks == []
+    message = r"face product \(1\+0j\) lies in \[0,4\]"
+    raises_in_one_walk(lambda: mcshane_partial(q, 10, max_cells=2000), message)
+    raises_in_one_walk(lambda: mcshane_verify(q, 1e-3), message)
     # an invalid quad is still reported as invalid first
     with pytest.raises(InvalidQuadError):
         mcshane_partial(MarkoffQuad(0, 0, 0, 1), 10)
@@ -395,6 +407,51 @@ def test_mcshane_does_not_depend_on_the_root(q):
             else:
                 assert other.term_count == rep.term_count
                 assert abs(other.partial_sum - rep.partial_sum) <= 1e-10
+
+
+# a complex quad whose check walks from the sink find no face product in
+# [0, 4] and are all cut, at 2,000 cells and at the default budget
+_NO_WITNESS = MarkoffQuad(-1.5722122374486518 + 0.26537535177571137j,
+                          -0.7802690007115247 + 0.6235202315771669j,
+                          0.7543218246483239 - 2.6068268445611213j,
+                          2.213108155548852 - 1.7000553554124749j)
+# a positive sink, walked in floats, whose face (0, 1) has product
+# 4.0000000005, within BRANCH_TOL of the cut; its flip of slot 4 ties
+_TIED_NEAR_CUT = MarkoffQuad(2.0, 2.00000000025, 31999997354.308346, 31999997358.308346)
+
+
+@pytest.mark.parametrize("q, max_cells, budgets, product", [
+    (MarkoffQuad(0, 0, 0, 0), 2000, [4], "0j"),
+    (MarkoffQuad(0, 1, 2, -3), 2000, [4], "0j"),
+    (MarkoffQuad.from_values((0.0, 1, 2, -3)), 2000, [4], "0j"),
+    (MarkoffQuad(8, 1, 1, -6 - 8j), 2000, [4], "(1+0j)"),
+    (_DEEP_VIOLATION, DEFAULT_MAX_CELLS, [4, 16], "(3.005697454937217+0j)"),
+    (_DEEP_VIOLATION, 2000, [4, 16], "(3.005697454937217+0j)"),
+    (_TIED_NEAR_CUT, 2000, [4], "4.0000000005"),
+    *[(q, DEFAULT_MAX_CELLS, [4], None) for seed in (1, 2, 5) for q in _sink_and_near_it(seed)],
+    (_NO_WITNESS, 2000, [4, 16, 64, 256, 2000], None),
+], ids=["zero", "zero-entries", "zero-entries-float", "root-face-1-2", "deep-default",
+        "deep-2000", "tied-near-cut", "fuchsian-1", "quasi-fuchsian-1", "fuchsian-2",
+        "quasi-fuchsian-2", "fuchsian-5", "quasi-fuchsian-5", "no-witness"])
+def test_the_check_stops_at_its_first_witness_with_the_full_checks_decision(
+        monkeypatch, q, max_cells, budgets, product):
+    # the check walks at budgets 4, 16, ... and max_cells, and stops at
+    # the first walk with a violation or that is complete; it raises
+    # exactly when one check_bq at max_cells has a violation
+    sink = reduce_to_sink(q)[0]
+    full = check_bq(sink, 4.0, max_cells=max_cells)
+    walked = _check_budgets(monkeypatch)
+    if product is None:
+        assert mcshane._summable_sink(q, max_cells, DEFAULT_TOL) == sink
+        assert not full.violations
+        # the last walk is complete, or it is the full one
+        assert full.budget_hit == (budgets[-1] == max_cells)
+    else:
+        message = f"face product {product} lies in [0,4]; sum undefined"
+        with pytest.raises(BqViolationError, match=re.escape(message)):
+            mcshane._summable_sink(q, max_cells, DEFAULT_TOL)
+        assert product in [str(f.product) for f in full.violations]
+    assert walked == budgets
 
 
 def test_fsum_matches_a_high_precision_sum():

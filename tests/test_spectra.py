@@ -15,6 +15,7 @@ from markoffquads import (
     MarkoffQuad,
     SpectrumEntry,
     count_s,
+    enumerate_fundamental,
     fit_power_law,
     flip_value,
     growth_exponent,
@@ -318,18 +319,24 @@ def test_systole_degenerate_sink_raises_before_walking(monkeypatch):
         systole(MarkoffQuad(2, -2, 2, d))
 
 
-@given(st.integers(0, 2 ** 32), st.sampled_from([1e-3, 1e-2, 5e-2, 0.2]))
-@example(2, 1e-2)  # two-sided witnesses, which random draws seldom give
-@example(62, 1e-3)
+@given(st.integers(0, 2 ** 32), st.sampled_from([1e-3, 1e-2, 5e-2, 0.2]), st.booleans())
+@example(2, 1e-2, False)  # two-sided witnesses, which random draws seldom give
+@example(62, 1e-3, False)
 @settings(max_examples=60, derandomize=True, deadline=None)
-def test_systole_quasi_fuchsian_oracle(seed, scale):
+def test_systole_quasi_fuchsian_oracle(seed, scale, integer_root):
     # a second walk, to the bounds that the returned |length| implies (with
-    # room for rounding), finds no shorter class; the witness replays
+    # room for rounding), finds no shorter class; the witness replays.  The
+    # base is a sampled Fuchsian sink or one of the nine integer roots, and
+    # the systole keeps the Fuchsian bound 2 asinh(2) of criterion 2
     rng = random.Random(seed)
-    base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
+    if integer_root:
+        base = MarkoffQuad.from_values(rng.choice(enumerate_fundamental()).values())
+    else:
+        base, _ = reduce_to_sink(sample_fuchsian_quad(rng))
     q = MarkoffQuad.from_values(perturb_quad(base.values(), rng, scale=scale))
     ell, w = systole(q, tol=1e-6)
     best = abs(ell)
+    assert best <= 2 * math.asinh(2) + 1e-9 and ell.real <= 2 * math.asinh(2) + 1e-9
     sink, _ = reduce_to_sink(q, tol=1e-6)
     cell_bound = 2 * math.sinh(best / 2) * (1 + 1e-9)
     cells = walk(sink, cell_bound=cell_bound, tol=1e-6).values
