@@ -195,12 +195,12 @@ _RELATIONS = (
 def mcg_relations_check(
     sample_count: int,
     rng: random.Random | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> McgRelationsReport:
     """Verify the presentation relations as equalities of induced maps
     on random positive quads; reports the max relative deviation per
-    relation.  phi1 and phi2 are involutions, so the conjugation
-    relations need no explicit inverses."""
+    relation, and `ok` means every deviation is at most 1e-9.  phi1 and
+    phi2 are involutions, so the conjugation relations need no explicit
+    inverses."""
     if sample_count < 1:
         raise DomainError("sample_count must be >= 1")
     if rng is None:

@@ -19,9 +19,10 @@ from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, flips, reduce_to_sink
 
 
 # Search box from the reduction argument: after sorting, the largest
-# entry is at most the sum of the others, forcing a <= 4 and
-# 5 <= ab <= 36; bounding (a+b+2d)^2 >= ab_min (d - a - b_max) d then
-# caps d per value of a.  Per a: (b_min, b_max, d_max).
+# entry is at most the sum of the others, forcing a <= 4 (proved in
+# spectra.systole's docstring) and 5 <= ab <= 36; bounding
+# (a+b+2d)^2 >= ab_min (d - a - b_max) d then caps d per value of a.
+# Per a: (b_min, b_max, d_max).
 SEARCH_BOUNDS = {
     1: (5, 36, 337),
     2: (3, 18, 101),

@@ -6,8 +6,11 @@ quads), and `bq-check` (a summability report).
 Each line comes from a template made once per call.  The keys and the
 values that every record of the call shares are encoded once, and each
 row adds only its own numbers, written exactly as the strict JSON
-encoder writes them.  A row the template cannot write as it is goes to
-the encoder as its dict, so its bytes, or its error, are the encoder's.
+encoder writes them.  The templates take the rows the library makes.
+A row goes to the encoder as its dict, so that its bytes, or its error,
+are the encoder's, where a number in it is not finite or finite parts
+sum past the float range, where a bq-check product is complex off the
+real line, or where a violation lies outside faces4.
 
 `markoffquads.cli` imports this module, like every library module,
 only in the commands that use it, here those five: a fresh `mql` call
@@ -20,8 +23,6 @@ resident in a process that goes on calling `cli.main`.
 from __future__ import annotations
 
 import math
-
-from .quadalgebra import IntegerQuad
 
 
 class RecordSet:
@@ -66,22 +67,15 @@ def _ints(values) -> str:
     return "[" + ",".join(map(str, values)) + "]"
 
 
-# byte k to the digit of slot k for k in 1..4, and every other byte to
-# "x", which no JSON number contains
-_SLOT_DIGITS = bytes(b"x1234"[k] if k < 5 else ord("x") for k in range(256))
+# byte k to the digit of slot k, for the slots 1..4 a walk takes
+_SLOT_DIGITS = bytes.maketrans(bytes(range(1, 5)), b"1234")
 
 
 def _word(word: tuple) -> str:
     """A flip word's JSON array: one table lookup per slot instead of
-    one str per slot.  A word with a slot outside 1..4, or one that is
-    not an int, is written by `_ints`."""
-    try:
-        digits = bytes(word).translate(_SLOT_DIGITS).decode()
-    except (TypeError, ValueError):  # not an int, or outside 0..255
-        return _ints(word)
-    if "x" in digits:
-        return _ints(word)
-    return "[" + ",".join(digits) + "]"
+    one str per slot.  A walk's words hold only the slots 1..4, and a
+    root cell's word is ()."""
+    return "[" + ",".join(bytes(word).translate(_SLOT_DIGITS).decode()) + "]"
 
 
 def quad_records(head: dict, quads, encode) -> RecordSet:
@@ -92,12 +86,7 @@ def quad_records(head: dict, quads, encode) -> RecordSet:
     str(int) is the repr the encoder writes, and raises its ValueError
     past the str digit limit."""
     template = _template(encode, head, {"result": "[%s,%s,%s,%s]"})
-
-    def line(q):
-        # IntegerQuad's constructor admits plain ints only
-        return template % q if type(q) is IntegerQuad else None
-
-    return RecordSet(quads, lambda q: {**head, "result": q}, line)
+    return RecordSet(quads, lambda q: {**head, "result": q}, template.__mod__)
 
 
 def entry_records(head: dict, entries, encode) -> RecordSet:
@@ -117,8 +106,6 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
         # a trace is complex, float from a walk on the real path, or int
         # from an exact walk, which is never made a float
         exact = type(t) is int
-        if not (exact or type(t) is complex or type(t) is float) or type(ell) is not complex:
-            return None
         tr, ti = (0.0, 0.0) if exact else (t.real, t.imag)
         lr, li = ell.real, ell.imag
         # |l| = hypot(lr, li) is lr itself when l is a positive real, so
@@ -127,14 +114,12 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
         a = lr if real else abs(ell)
         if not isfinite(a + tr + ti + lr + li):  # a part is not finite, or the sum overflows
             return None
-        # a complex is x or [x,y], as cli._complex_json writes it; words
-        # and id pairs hold the walk's int slots and ids
-        if type(ref) is int and type(word) is tuple:
-            word = _word(word)
-        elif type(ref) is tuple and word is None:
+        # a complex is x or [x,y], as cli._complex_json writes it; a
+        # two-sided row has an id pair and no word
+        if word is None:
             ref, word = _ints(ref), "null"
         else:
-            return None
+            word = _word(word)
         # str(int) is the repr the encoder writes, and raises its
         # ValueError past the str digit limit
         trace = str(t) if exact else repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
@@ -171,18 +156,14 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
         v = next(violations, None)
         total = 0.0
         for f in rep.faces4:
-            cells, p = f
-            i, j = cells[0], cells[1]
+            (i, j), p = f
             # a product is written as its real part when its imaginary
             # part is zero, as cli._complex_json writes it, and a float or
-            # int one, from a real or exact walk, as it is (a bool is not
-            # an int here)
+            # int one, from a real or exact walk, as it is
             if type(p) is float or (type(p) is complex and p.imag == 0.0):
                 p = p.real
                 total += p
             elif type(p) is not int:
-                return None
-            if type(i) is not int or type(j) is not int:
                 return None
             text = f"[{i},{j},{p!r}]"
             add(text)

@@ -173,6 +173,14 @@ def systole(
     |product| of a sink class of length l*, whatever the rounding of
     sinh and cosh.  Ties go to one-sided classes, then to the lowest cell
     id or id pair.  A degenerate sink class raises before the walk.
+
+    On a Fuchsian quad the systole is at most 2 asinh(2), the length of
+    a cell of trace 4.  Sort a positive sink as a <= b <= c <= d and let
+    s = a + b + c.  The flip of d is s^2/d, so d <= s, and the relation
+    (s + d)^2 = abcd gives d + s^2/d = abc - 2s.  As x + s^2/x falls
+    strictly on [c, s], abc - 2s <= c + s^2/c: a*b*c^2 <= (a + b + 2c)^2,
+    with equality exactly when d = c.  With a + b <= 2c, ab <= 16, so the
+    smallest entry a is at most 4, and is 4 only at (4,4,4,4).
     """
     sink = reduce_to_sink(q, tol=tol)[0]
     vals = sink.values()
@@ -205,8 +213,15 @@ class GrowthFit(NamedTuple):
 
 def fit_power_law(samples) -> tuple[float, float, float]:
     """Slope, intercept and RMS residual of a log-log least-squares line
-    through (L, count) samples; zero-count samples are skipped."""
-    pts = [(math.log(L), math.log(s)) for L, s in samples if s > 0]
+    through (L, count) samples; a count <= 0 is skipped.  An L that is
+    not finite and positive, or a float count that is not finite, raises
+    DomainError; an int count is never made a float."""
+    pts = []
+    for L, s in samples:
+        if not 0 < L < math.inf or isinstance(s, float) and not math.isfinite(s):
+            raise DomainError(f"cannot fit the sample {(L, s)!r}: need a finite L > 0 and count")
+        if s > 0:
+            pts.append((math.log(L), math.log(s)))
     if len(pts) < 2:
         raise DomainError("need at least two nonzero counts to fit")
     n = len(pts)

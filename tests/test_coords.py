@@ -154,6 +154,9 @@ def test_mcg_relations_check_report():
     assert mcg_relations_check(3).ok  # the default rng
     with pytest.raises(DomainError, match="sample_count must be >= 1"):
         mcg_relations_check(0)
+    # `ok` compares with a fixed 1e-9: there is no tolerance to pass
+    with pytest.raises(TypeError):
+        mcg_relations_check(3, tol=1e-3)
 
 
 def test_mcg_preserves_relation_long_words():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -356,6 +357,32 @@ def test_systole_quasi_fuchsian_oracle(seed, scale, integer_root):
         assert two_sided_length(w.trace) == ell
 
 
+def test_positive_sink_smallest_entry_is_at_most_4():
+    # systole's docstring proves that a positive sink sorted a <= b <= c <= d
+    # has a*b*c^2 <= (a + b + 2c)^2, with equality exactly when d == c, and
+    # so a <= 4.  Exact on the nine integer roots
+    ties = []
+    for q in enumerate_fundamental():
+        a, b, c, d = sorted(q)
+        assert a * b * c * c <= (a + b + 2 * c) ** 2
+        if a * b * c * c == (a + b + 2 * c) ** 2:
+            ties.append((a, b, c, d))
+        else:
+            assert c < d
+    assert ties == [(1, 9, 10, 10), (3, 3, 6, 6), (4, 4, 4, 4)]
+
+    # and in floats, with relative slack, on the sinks of sampled Fuchsian quads
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def on_sampled_sinks(seed):
+        sink, _ = reduce_to_sink(sample_fuchsian_quad(random.Random(seed)))
+        a, b, c, d = sorted(v.real for v in sink.values())
+        assert a * b * c * c <= (a + b + 2 * c) ** 2 * (1 + 1e-9)
+        assert a <= 4 * (1 + 1e-9)
+
+    on_sampled_sinks()
+
+
 def test_spectrum_mapping_class_invariance():
     # applying mapping classes moves the basepoint, not the surface, so
     # the spectrum is unchanged.  Words are built with a value cap:
@@ -412,6 +439,17 @@ def test_fit_power_law():
         fit_power_law([(10, 5)])
     with pytest.raises(DomainError, match="degenerate fit: all L equal"):
         fit_power_law([(2, 3), (2, 5)])
+    # an L that is not finite and positive, or a float count that is not
+    # finite, is named; a count <= 0 is skipped, and an int count past
+    # the float range is fitted as it is
+    for bad in [(0, 3), (-2.0, 5), (math.nan, 5), (math.inf, 7), (3, math.inf),
+                (3, math.nan), (3, -math.inf)]:
+        pts = [(2, 5), (3, 7), (5, 11)] + [bad]
+        with pytest.raises(DomainError, match=re.escape(f"cannot fit the sample {bad!r}: ")):
+            fit_power_law(pts)
+    assert fit_power_law([(2, 5), (3, 0), (4, -1), (5, 11)]) == fit_power_law([(2, 5), (5, 11)])
+    m, _, _ = fit_power_law([(2, 10 ** 400), (4, 4 * 10 ** 400)])
+    assert m == pytest.approx(2.0)
 
 
 def test_growth_exponent_window():
