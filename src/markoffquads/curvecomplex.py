@@ -25,7 +25,7 @@ import math
 from collections import deque
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, DomainError, InvalidQuadError
+from .errors import DomainError, InvalidQuadError
 from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, IntegerQuad, MarkoffQuad, flips
 
 
@@ -219,108 +219,107 @@ def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
     push, pop = queue.append, queue.popleft
     add_value, add_parent, add_slot = values.append, parents.append, slots.append
     n = 4  # cells so far, and the id of the next
-    budget_hit = False
-    try:
-        while queue:
-            name, back, ia, ib, ic, id_, a, b, c, d = pop()
-            if record_faces:
-                # only the faces of the cell created on arrival are new
-                # here: the other three pairs met at the parent.  Each
-                # product takes the lower slot first.
-                if back == 0:
-                    p = a * b
-                    if abs(p) <= face_bound:
-                        faces[(ib, name)] = p
-                    p = a * c
-                    if abs(p) <= face_bound:
-                        faces[(ic, name)] = p
-                    p = a * d
-                    if abs(p) <= face_bound:
-                        faces[(id_, name)] = p
-                elif back == 1:
-                    p = a * b
-                    if abs(p) <= face_bound:
-                        faces[(ia, name)] = p
-                    p = b * c
-                    if abs(p) <= face_bound:
-                        faces[(ic, name)] = p
-                    p = b * d
-                    if abs(p) <= face_bound:
-                        faces[(id_, name)] = p
-                elif back == 2:
-                    p = a * c
-                    if abs(p) <= face_bound:
-                        faces[(ia, name)] = p
-                    p = b * c
-                    if abs(p) <= face_bound:
-                        faces[(ib, name)] = p
-                    p = c * d
-                    if abs(p) <= face_bound:
-                        faces[(id_, name)] = p
-                elif back == 3:
-                    p = a * d
-                    if abs(p) <= face_bound:
-                        faces[(ia, name)] = p
-                    p = b * d
-                    if abs(p) <= face_bound:
-                        faces[(ib, name)] = p
-                    p = c * d
-                    if abs(p) <= face_bound:
-                        faces[(ic, name)] = p
-            ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
-            # per slot, never prune a strictly descending direction (below
-            # one of the three magnitudes the flip leaves in place);
-            # otherwise extend only while the new value can still matter
-            if back != 0:
-                fa = b * c * d - 2 * (b + c + d) - a
-                m = abs(fa)
-                if (m < mb or m < mc or m < md or m <= cbound
-                        or (record_faces and m * min(mb, mc, md) <= face_bound)):
-                    if n >= max_cells:
-                        raise BudgetExceededError
-                    add_value(fa)
-                    add_parent(name)
-                    add_slot(1)
-                    push((n, 0, n, ib, ic, id_, fa, b, c, d))
-                    n += 1
-            if back != 1:
-                fb = a * c * d - 2 * (a + c + d) - b
-                m = abs(fb)
-                if (m < ma or m < mc or m < md or m <= cbound
-                        or (record_faces and m * min(ma, mc, md) <= face_bound)):
-                    if n >= max_cells:
-                        raise BudgetExceededError
-                    add_value(fb)
-                    add_parent(name)
-                    add_slot(2)
-                    push((n, 1, ia, n, ic, id_, a, fb, c, d))
-                    n += 1
-            if back != 2:
-                fc = a * b * d - 2 * (a + b + d) - c
-                m = abs(fc)
-                if (m < ma or m < mb or m < md or m <= cbound
-                        or (record_faces and m * min(ma, mb, md) <= face_bound)):
-                    if n >= max_cells:
-                        raise BudgetExceededError
-                    add_value(fc)
-                    add_parent(name)
-                    add_slot(3)
-                    push((n, 2, ia, ib, n, id_, a, b, fc, d))
-                    n += 1
-            if back != 3:
-                fd = a * b * c - 2 * (a + b + c) - d
-                m = abs(fd)
-                if (m < ma or m < mb or m < mc or m <= cbound
-                        or (record_faces and m * min(ma, mb, mc) <= face_bound)):
-                    if n >= max_cells:
-                        raise BudgetExceededError
-                    add_value(fd)
-                    add_parent(name)
-                    add_slot(4)
-                    push((n, 3, ia, ib, ic, n, a, b, c, fd))
-                    n += 1
-    except BudgetExceededError:  # raised above only to leave the loop
-        budget_hit = True
+    budget_hit = True  # unless the queue empties
+    while queue:
+        name, back, ia, ib, ic, id_, a, b, c, d = pop()
+        if record_faces:
+            # only the faces of the cell created on arrival are new
+            # here: the other three pairs met at the parent.  Each
+            # product takes the lower slot first.
+            if back == 0:
+                p = a * b
+                if abs(p) <= face_bound:
+                    faces[(ib, name)] = p
+                p = a * c
+                if abs(p) <= face_bound:
+                    faces[(ic, name)] = p
+                p = a * d
+                if abs(p) <= face_bound:
+                    faces[(id_, name)] = p
+            elif back == 1:
+                p = a * b
+                if abs(p) <= face_bound:
+                    faces[(ia, name)] = p
+                p = b * c
+                if abs(p) <= face_bound:
+                    faces[(ic, name)] = p
+                p = b * d
+                if abs(p) <= face_bound:
+                    faces[(id_, name)] = p
+            elif back == 2:
+                p = a * c
+                if abs(p) <= face_bound:
+                    faces[(ia, name)] = p
+                p = b * c
+                if abs(p) <= face_bound:
+                    faces[(ib, name)] = p
+                p = c * d
+                if abs(p) <= face_bound:
+                    faces[(id_, name)] = p
+            elif back == 3:
+                p = a * d
+                if abs(p) <= face_bound:
+                    faces[(ia, name)] = p
+                p = b * d
+                if abs(p) <= face_bound:
+                    faces[(ib, name)] = p
+                p = c * d
+                if abs(p) <= face_bound:
+                    faces[(ic, name)] = p
+        ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
+        # per slot, never prune a strictly descending direction (below
+        # one of the three magnitudes the flip leaves in place);
+        # otherwise extend only while the new value can still matter
+        if back != 0:
+            fa = b * c * d - 2 * (b + c + d) - a
+            m = abs(fa)
+            if (m < mb or m < mc or m < md or m <= cbound
+                    or (record_faces and m * min(mb, mc, md) <= face_bound)):
+                if n >= max_cells:
+                    break
+                add_value(fa)
+                add_parent(name)
+                add_slot(1)
+                push((n, 0, n, ib, ic, id_, fa, b, c, d))
+                n += 1
+        if back != 1:
+            fb = a * c * d - 2 * (a + c + d) - b
+            m = abs(fb)
+            if (m < ma or m < mc or m < md or m <= cbound
+                    or (record_faces and m * min(ma, mc, md) <= face_bound)):
+                if n >= max_cells:
+                    break
+                add_value(fb)
+                add_parent(name)
+                add_slot(2)
+                push((n, 1, ia, n, ic, id_, a, fb, c, d))
+                n += 1
+        if back != 2:
+            fc = a * b * d - 2 * (a + b + d) - c
+            m = abs(fc)
+            if (m < ma or m < mb or m < md or m <= cbound
+                    or (record_faces and m * min(ma, mb, md) <= face_bound)):
+                if n >= max_cells:
+                    break
+                add_value(fc)
+                add_parent(name)
+                add_slot(3)
+                push((n, 2, ia, ib, n, id_, a, b, fc, d))
+                n += 1
+        if back != 3:
+            fd = a * b * c - 2 * (a + b + c) - d
+            m = abs(fd)
+            if (m < ma or m < mb or m < mc or m <= cbound
+                    or (record_faces and m * min(ma, mb, mc) <= face_bound)):
+                if n >= max_cells:
+                    break
+                add_value(fd)
+                add_parent(name)
+                add_slot(4)
+                push((n, 3, ia, ib, ic, n, a, b, c, fd))
+                n += 1
+    else:
+        budget_hit = False
     # the vertices are the root and cells 4 .. n-1, popped in that order;
     # those still queued were never visited
     return Walk(values, parents, slots, faces, n - 3 - len(queue), budget_hit)

@@ -6,11 +6,10 @@ quads), and `bq-check` (a summability report).
 Each line comes from a template made once per call.  The keys and the
 values that every record of the call shares are encoded once, and each
 row adds only its own numbers, written exactly as the strict JSON
-encoder writes them.  The templates take the rows the library makes.
-A row goes to the encoder as its dict, so that its bytes, or its error,
-are the encoder's, where a number in it is not finite or finite parts
-sum past the float range, where a bq-check product is complex off the
-real line, or where a violation lies outside faces4.
+encoder writes them: the repr of each part of an int, float or complex.
+The templates take the rows the library makes.  The only row that goes
+to the encoder, as its dict, is one holding a number that strict JSON
+cannot hold, infinite or NaN, so that its error is the encoder's.
 
 `markoffquads.cli` imports this module, like every library module,
 only in the commands that use it, here those five: a fresh `mql` call
@@ -21,8 +20,6 @@ resident in a process that goes on calling `cli.main`.
 """
 
 from __future__ import annotations
-
-import math
 
 
 class RecordSet:
@@ -78,6 +75,15 @@ def _word(word: tuple) -> str:
     return "[" + ",".join(bytes(word).translate(_SLOT_DIGITS).decode()) + "]"
 
 
+def _faces(faces) -> str:
+    """The JSON array of [i, j, product] of each Face: a product is an
+    int, float or complex, and a complex is x or [x,y], as
+    cli._complex_json writes it."""
+    return "[" + ",".join([f"[{i},{j},{p.real!r}]" if p.imag == 0.0
+                           else f"[{i},{j},[{p.real!r},{p.imag!r}]]"
+                           for (i, j), p in faces]) + "]"
+
+
 def quad_records(head: dict, quads, encode) -> RecordSet:
     """`head` plus `"result": q` for each IntegerQuad q: a tuple, so JSON
     writes an array and CSV joins it with `;`.  `encode` is the strict
@@ -94,7 +100,6 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
     word of each SpectrumEntry; `encode` as for `quad_records`."""
     template = _template(encode, head, dict.fromkeys(
         ("abs_length", "cell", "length", "trace", "word"), "%s"))
-    isfinite = math.isfinite
 
     def record(entry):
         _, trace, ell, cell_ref, word = entry
@@ -103,30 +108,27 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
 
     def line(entry):
         _, t, ell, ref, word = entry
-        # a trace is complex, float from a walk on the real path, or int
-        # from an exact walk, which is never made a float
-        exact = type(t) is int
-        tr, ti = (0.0, 0.0) if exact else (t.real, t.imag)
+        # an int trace from an exact walk, a float from a Fuchsian one, or
+        # a complex, written x or [x,y] as cli._complex_json writes it
+        tr, ti = t.real, t.imag
+        trace = repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
         lr, li = ell.real, ell.imag
-        # |l| = hypot(lr, li) is lr itself when l is a positive real, so
-        # one repr writes both
-        real = li == 0.0 and lr > 0.0
-        a = lr if real else abs(ell)
-        if not isfinite(a + tr + ti + lr + li):  # a part is not finite, or the sum overflows
+        if li == 0.0:
+            length = repr(lr)
+            # |l| = hypot(lr, li) is lr itself when l is a positive real,
+            # so one repr writes both
+            a = length if lr > 0.0 else repr(abs(ell))
+        else:
+            length, a = f"[{lr!r},{li!r}]", repr(abs(ell))
+        # a repr holds an n only in inf or nan
+        if "n" in trace or "n" in length:
             return None
-        # a complex is x or [x,y], as cli._complex_json writes it; a
-        # two-sided row has an id pair and no word
+        # a two-sided row has an id pair and no word
         if word is None:
             ref, word = _ints(ref), "null"
         else:
             word = _word(word)
-        # str(int) is the repr the encoder writes, and raises its
-        # ValueError past the str digit limit
-        trace = str(t) if exact else repr(tr) if ti == 0.0 else f"[{tr!r},{ti!r}]"
-        if real:
-            length = repr(lr)
-            return template % (length, ref, length, trace, word)
-        return template % (a, ref, repr(lr) if li == 0.0 else f"[{lr!r},{li!r}]", trace, word)
+        return template % (a, ref, length, trace, word)
 
     return RecordSet(entries, record, line)
 
@@ -147,35 +149,12 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
                 "budget_hit": rep.budget_hit, "ok": rep.ok}
 
     def line(rep):
-        # check_bq reuses faces4's Face objects for the violations within
-        # it, in order, so one pass over faces4 meets each of them, by
-        # identity, and each face's text is made once for both lists
-        all_text, bad_text = [], []
-        add = all_text.append
-        violations = iter(rep.violations)
-        v = next(violations, None)
-        total = 0.0
-        for f in rep.faces4:
-            (i, j), p = f
-            # a product is written as its real part when its imaginary
-            # part is zero, as cli._complex_json writes it, and a float or
-            # int one, from a real or exact walk, as it is
-            if type(p) is float or (type(p) is complex and p.imag == 0.0):
-                p = p.real
-                total += p
-            elif type(p) is not int:
-                return None
-            text = f"[{i},{j},{p!r}]"
-            add(text)
-            if f is v:
-                bad_text.append(text)
-                v = next(violations, None)
-        # a violation not met above (one with |product| > 4, outside
-        # faces4), a part that is not finite, or a sum that overflows
-        if v is not None or not math.isfinite(total):
+        all_text = _faces(rep.faces4)
+        # one text for both when every small face lies on the cut, as for 0,0,0,0
+        bad_text = all_text if rep.violations == rep.faces4 else _faces(rep.violations)
+        if "n" in all_text or "n" in bad_text:  # inf or nan, as in entry_records
             return None
         return template % (encode(rep.budget_hit), encode(rep.cells_below2),
-                           encode(rep.cutoff), "[" + ",".join(all_text) + "]",
-                           encode(rep.ok), "[" + ",".join(bad_text) + "]")
+                           encode(rep.cutoff), all_text, encode(rep.ok), bad_text)
 
     return RecordSet(reports, record, line)

@@ -22,8 +22,13 @@ from markoffquads.cli import _emit, main, parse_quad
 from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
                           SpectrumEntry, check_bq, complete_quad, flip, reduce_to_sink)
 
+from helpers import DEEP_VIOLATION
+
 # face (0, 1) has product 4.0000000005: |p| > 4, yet within 1e-9 of the cut [0, 4]
 NEAR_CUT = "2.0,2.00000000025,1.0+1.0i,-1.1796405576775428-3.394736453993022i"
+# a positive sink whose systole is two-sided: its face (0, 1), of product
+# 4.5294874004991144, is shorter than its smallest cell
+TWO_SIDED_SYSTOLE = "1.7050967273722715,2.6564401466417205,34.15550190027589,33.86599007816797"
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +171,12 @@ def test_systole_record(capsys):
     rec = lines(out)[0]
     assert rec["length"] == pytest.approx(2.887270950357621)
     assert rec["cmd"] == "systole"
+    code, out, _ = run_cli(capsys, "systole", TWO_SIDED_SYSTOLE)
+    [rec] = lines(out)
+    assert code == 0
+    assert (rec["kind"], rec["cell"], rec["word"]) == ("two-sided", [0, 1], None)
+    assert rec["trace"] == 2.5294874004991144
+    assert rec["length"] == rec["abs_length"] == 1.4249847352923568
 
 
 def test_mcshane_modes(capsys):
@@ -950,14 +961,15 @@ def test_main_stdout_equals_json_dumps(monkeypatch, c_encoder):
 
 
 def test_record_set_rows_the_template_cannot_write():
-    # finite parts whose sum overflows go to the encoder; a float length
-    # and a list word are written by the template, byte for byte
+    # a float length, a list word and a trace whose finite parts sum past
+    # the float range are written by the template, byte for byte; a row
+    # holding an infinite or NaN part goes to the encoder, which raises
     head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
     ok = SpectrumEntry(CurveKind.ONE_SIDED, 4 + 0j, 2.2 + 0.5j, 0, (1, 2))
     entries = [ok, ok._replace(length=2.5), ok._replace(word=[1, 2]),
                ok._replace(trace=complex(1e308, 1e308)), ok]
     records = jsonlines.entry_records(head, entries, cli._JSON.encode)
-    assert [records.line(row) is None for row in entries] == [False, False, False, True, False]
+    assert [records.line(row) is None for row in entries] == [False] * 5
     out = io.StringIO()
     _emit(records, "jsonl", out)
     assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
@@ -999,7 +1011,7 @@ def _bq_record(quad, k, max_cells):
             "budget_hit": rep.budget_hit, "ok": rep.ok}
 
 
-# complex face products: the whole record goes to the encoder
+# complex face products, written [i,j,[x,y]]
 _BQ_COMPLEX = ",".join(map(str, (1 + 1j, 1 + 0.5j, 2 - 1j,
                                   complete_quad(1 + 1j, 1 + 0.5j, 2 - 1j)[1])))
 _BQ_CASES = {
@@ -1011,6 +1023,11 @@ _BQ_CASES = {
     "empty": [("2,5,5,8", "10", 1000)],
     # violations a strict subset of faces4, and -0.0 real parts
     "subset": [("0,1,-3,2", "4", 60)],
+    # a tied float sink whose face (0, 1) has the real product 4.0000000005:
+    # a violation outside faces4
+    "tied": [("2,2.00000000025,31999997354.308346,31999997358.308346", "4", 20000)],
+    # complex products in faces4, with the violation off the sink's faces
+    "deep": [(",".join(map(str, DEEP_VIOLATION)), "4", n) for n in (16, 64, 2000)],
 }
 
 
@@ -1022,11 +1039,15 @@ def test_bq_check_lines_equal_json_dumps(case):
         rec = _bq_record(quad, k, max_cells)
         assert isinstance(records, jsonlines.RecordSet) and list(records) == [rec]
         assert out == _dumps(rec) + "\n"
-        # the template writes every record but the one with complex products
+        # the template writes every record
         [rep] = records.rows
-        assert (records.line(rep) is None) == (case == "complex")
+        assert records.line(rep) == _dumps(rec) + "\n"
         if case == "subset":
             assert 0 < len(rep.violations) < len(rep.faces4)
+        if case == "tied":
+            assert rep.violations and not set(rep.violations) & set(rep.faces4)
+        if case in ("complex", "deep"):
+            assert any(f.product.imag != 0.0 for f in rep.faces4)
         # CSV comes from the same dict
         csv_out, expected = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(csv_out):
@@ -1036,9 +1057,10 @@ def test_bq_check_lines_equal_json_dumps(case):
 
 
 def test_bq_records_the_template_cannot_write():
-    # products that are neither complex, float nor int, a sum that
-    # overflows and violations that are not faces of faces4 go to the
-    # encoder; a float product, from a real walk, does not
+    # the template writes int, float and complex products, finite products
+    # that sum past the float range and violations that are not faces of
+    # faces4, byte for byte; a report holding an infinite or NaN part goes
+    # to the encoder, which raises
     head = {"cmd": "bq-check", "quad": "0,0,0,0", "version": "0.1.0"}
     f = Face((0, 1), 2 + 0j)
     g = Face((0, 2), -0.0 + 0j)
@@ -1046,7 +1068,6 @@ def test_bq_records_the_template_cannot_write():
         BqReport(4.0, (f, g), (f,), 3, False),
         BqReport(4.0, (f, f._replace(product=2)), (), 0, False),
         BqReport(4.0, (f, f._replace(product=2.5)), (), 0, False),
-        BqReport(4.0, (f, f._replace(product=True)), (), 0, False),
         BqReport(4.0, (f._replace(product=1e308 + 0j),) * 2, (), 0, False),
         BqReport(4.0, (f, g), (Face((0, 1), 2 + 0j),), 0, False),
         BqReport(4.0, (f, g), (g, f), 0, False),
@@ -1054,18 +1075,19 @@ def test_bq_records_the_template_cannot_write():
         BqReport(4, (), (), 0, False),
     ]
     lines = [jsonlines.bq_records(head, [rep], cli._JSON.encode).line(rep) for rep in reports]
-    assert [line is None for line in lines] == [False, False, False, True, True, True, True,
-                                                True, False]
+    assert None not in lines
     records = jsonlines.bq_records(head, reports, cli._JSON.encode)
     out = io.StringIO()
     _emit(records, "jsonl", out)
     assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
     for bad in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, math.inf),
                 math.inf, math.nan):
-        records = jsonlines.bq_records(head, [BqReport(4.0, (f, f._replace(product=bad)), (),
-                                                       0, False)], cli._JSON.encode)
-        with pytest.raises(DomainError, match="not JSON compliant"):
-            _emit(records, "jsonl", io.StringIO())
+        # in faces4, and in violations alone
+        for rep in (BqReport(4.0, (f, f._replace(product=bad)), (), 0, False),
+                    BqReport(4.0, (f,), (f._replace(product=bad),), 0, False)):
+            records = jsonlines.bq_records(head, [rep], cli._JSON.encode)
+            with pytest.raises(DomainError, match="not JSON compliant"):
+                _emit(records, "jsonl", io.StringIO())
     records = jsonlines.bq_records(head, [BqReport(math.nan, (f,), (), 0, False)],
                                    cli._JSON.encode)
     with pytest.raises(DomainError, match="not JSON compliant"):
@@ -1076,6 +1098,7 @@ def test_bq_records_the_template_cannot_write():
     ("spectrum", "2.0,5,5,8", "-L", "10"),
     ("spectrum", "2.0,5,5,8", "-L", "10", "--two-sided"),
     ("systole", "2.0,5,5,8"),
+    ("systole", TWO_SIDED_SYSTOLE),
 ])
 def test_template_writes_every_row_of_a_real_walk(argv):
     # a Fuchsian quad is walked in floats, so its traces are floats: the

@@ -86,8 +86,11 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     f"mcshane {_DEEP_VIOLATION} --target-tol 1e-3",
     f"bq-check {_DEEP_VIOLATION} -k 4",
     # a tied float sink whose face (0, 1) has the real product 4.0000000005:
-    # a violation outside faces4, so the record goes to the encoder
+    # a violation outside faces4
     "bq-check 2,2.00000000025,31999997354.308346,31999997358.308346 -k 4",
+    # a positive sink whose systole is two-sided: its face (0, 1), of product
+    # 4.5294874004991144, is shorter than its smallest cell
+    "systole 1.7050967273722715,2.6564401466417205,34.15550190027589,33.86599007816797",
 )] + [call.split() for call in (
     # calls that set their own budget; each exits 3 and writes its record
     "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
