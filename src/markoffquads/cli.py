@@ -203,15 +203,15 @@ def _emit(records, fmt: str, out) -> None:
             sink.close()  # one flush of whole lines, on every exit path
 
 
-def _base(args, cmd: str) -> dict:
-    return {"cmd": cmd, "quad": getattr(args, "quad", None), "version": __version__}
+def _base(args) -> dict:
+    return {"cmd": args.cmd, "quad": getattr(args, "quad", None), "version": __version__}
 
 
 def _cmd_verify(args):
     from .quadalgebra import verify_quad
     residual = verify_quad(parse_quad(args.quad, args.exact), args.tol)
     valid = residual <= args.tol
-    rec = _base(args, "verify")
+    rec = _base(args)
     rec.update({"residual": residual, "valid": valid})
     return [rec], (0 if valid else 2)
 
@@ -219,23 +219,20 @@ def _cmd_verify(args):
 def _cmd_flip(args):
     from .quadalgebra import flip
     result = flip(_quad_arg(args.quad, args), args.index)
-    rec = _base(args, "flip")
+    rec = _base(args)
     rec["result"] = list(result.values())
     return [rec], 0
 
 
 def _cmd_reduce(args):
     q = _quad_arg(args.quad, args)
-    rec = _base(args, "reduce")
     if isinstance(q, IntegerQuad):
         from .integral import classify
-        root, word = classify(q)
-        rec.update({"root": list(root.values()), "word": word, "path": "integer"})
+        (root, word), path = classify(q), "integer"
     else:
         from .quadalgebra import reduce_to_sink
-        sink, word = reduce_to_sink(q, tol=args.tol)
-        rec.update({"root": list(sink.values()), "word": word, "path": "complex"})
-    return [rec], 0
+        (root, word), path = reduce_to_sink(q, tol=args.tol), "complex"
+    return [{**_base(args), "root": list(root.values()), "word": word, "path": path}], 0
 
 
 def _cmd_spectrum(args):
@@ -247,7 +244,7 @@ def _cmd_spectrum(args):
     else:
         fn, kind = one_sided_spectrum, CurveKind.ONE_SIDED
     entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
-    head = {**_base(args, "spectrum"), "kind": kind.value}
+    head = {**_base(args), "kind": kind.value}
     return entry_records(head, entries, _JSON.encode), 0
 
 
@@ -256,7 +253,7 @@ def _cmd_systole(args):
     from .spectra import systole
     q = _quad_arg(args.quad, args)
     length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
-    head = {**_base(args, "systole"), "kind": witness.kind.value}
+    head = {**_base(args), "kind": witness.kind.value}
     return entry_records(head, [witness], _JSON.encode), 0
 
 
@@ -267,10 +264,10 @@ def _cmd_mcshane(args):
     q = _quad_arg(args.quad, args)
     if args.cutoff is not None:
         rep = mcshane_partial(q, args.cutoff, max_cells=args.max_cells, tol=args.tol)
-        rec = {**_base(args, "mcshane"), **rep._asdict()}
+        rec = {**_base(args), **rep._asdict()}
         return [rec], (3 if rep.verdict is Verdict.BUDGET_EXCEEDED else 0)
     passed, rep = mcshane_verify(q, args.target_tol, max_cells=args.max_cells, tol=args.tol)
-    rec = {**_base(args, "mcshane"), **rep._asdict(), "passed": passed}
+    rec = {**_base(args), **rep._asdict(), "passed": passed}
     return [rec], (0 if passed else 3)
 
 
@@ -278,20 +275,20 @@ def _cmd_bq_check(args):
     from .jsonlines import bq_records
     from .mcshane import check_bq
     rep = check_bq(_quad_arg(args.quad, args), args.k, max_cells=args.max_cells, tol=args.tol)
-    return bq_records(_base(args, "bq-check"), [rep], _JSON.encode), 0
+    return bq_records(_base(args), [rep], _JSON.encode), 0
 
 
 def _cmd_fundamental(args):
     from .integral import enumerate_fundamental
     from .jsonlines import quad_records
-    return quad_records(_base(args, "fundamental"), enumerate_fundamental(), _JSON.encode), 0
+    return quad_records(_base(args), enumerate_fundamental(), _JSON.encode), 0
 
 
 def _cmd_enumerate_integral(args):
     from .integral import enumerate_integral_below
     from .jsonlines import quad_records
     quads = enumerate_integral_below(args.bound, max_cells=args.max_cells)
-    return quad_records(_base(args, "enumerate-integral"), quads, _JSON.encode), 0
+    return quad_records(_base(args), quads, _JSON.encode), 0
 
 
 def _cmd_growth(args):
@@ -299,7 +296,7 @@ def _cmd_growth(args):
     q = _quad_arg(args.quad, args)
     fit = growth_exponent(q, args.lmin, args.lmax, args.shells,
                           max_cells=args.max_cells, tol=args.tol)
-    return [{**_base(args, "growth"), **fit._asdict()}], 0
+    return [{**_base(args), **fit._asdict()}], 0
 
 
 def _cmd_coords(args):
@@ -312,10 +309,9 @@ def _cmd_coords(args):
         quad_to_horocyclic,
         quad_to_lambda,
     )
-    rec = _base(args, "coords")
-    rec["quad"] = args.values
+    rec = _base(args)
     if args.to is not None:
-        q = _quad_arg(args.values, args)
+        q = _quad_arg(args.quad, args)
         if args.to == "lambda":
             lc = quad_to_lambda(q, tol=args.tol)
             rec["lambda"] = list(lc.values())
@@ -327,7 +323,7 @@ def _cmd_coords(args):
             rec["in_domain"] = chk.inside
             rec["walls"] = list(chk.walls)
     else:
-        parts = [_finite_float(p) for p in args.values.split(",")]
+        parts = [_finite_float(p) for p in args.quad.split(",")]
         if args.source == "lambda":
             if len(parts) != 6:
                 raise _UsageError("lambda coordinates need 6 entries")
@@ -344,7 +340,7 @@ def _cmd_mcg(args):
     from .coords import mcg_apply
     word = [w for w in re.split(r"[,\s]+", args.word.strip()) if w]
     result = mcg_apply(word, _quad_arg(args.quad, args))
-    rec = _base(args, "mcg")
+    rec = _base(args)
     rec.update({"word": word, "result": list(result.values())})
     return [rec], 0
 
@@ -358,7 +354,7 @@ def _cmd_klein(args):
     if args.count > args.max_cells:
         raise BudgetExceededError(f"klein -n {args.count} exceeds --max-cells {args.max_cells}")
     seq = klein_sequence(_parse_entry(args.A), a0, a1, args.count, tol=args.tol)
-    return [{**_base(args, "klein"), **seq._asdict()}], 0
+    return [{**_base(args), **seq._asdict()}], 0
 
 
 def _add_quad(p):
@@ -380,8 +376,7 @@ def _add_common(p, defaults: bool):
                    help=f"cell budget for enumerations (env {ENV_MAX_CELLS})",
                    **kw(env_cells or DEFAULT_MAX_CELLS))
     p.add_argument("--exact", action="store_true",
-                   help="reject non-integer and negative entries",
-                   **({} if defaults else {"default": argparse.SUPPRESS}))
+                   help="reject non-integer and negative entries", **kw(False))
 
 
 def _flip_args(p):
@@ -422,7 +417,8 @@ def _growth_args(p):
 
 
 def _coords_args(p):
-    p.add_argument("values", help="quad 'a,b,c,d' (--to) or coordinate list (--from)")
+    p.add_argument("quad", metavar="values",
+                   help="quad 'a,b,c,d' (--to) or coordinate list (--from)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--to", choices=("lambda", "horocyclic"), default=None)
     g.add_argument("--from", dest="source", choices=("lambda", "horocyclic"),
@@ -486,17 +482,13 @@ def main(argv=None) -> int:
     # build only the subcommand argv names; top-level errors and help, whose
     # text names every subcommand, come from the full parser
     name = next((a for a in argv if a in _COMMANDS), None)
+    out = sys.stdout
+    close = False
     try:
         try:
             args = _build_parser(name).parse_args(argv)
         except _NeedFullParser:
             args = _build_parser().parse_args(argv)
-    except _UsageError as e:
-        print(f"mql: error: {e}", file=sys.stderr)
-        return 1
-    out = sys.stdout
-    close = False
-    try:
         if args.out:
             try:
                 # no O_TRUNC: a command that fails leaves an existing file as it was

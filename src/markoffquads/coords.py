@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _as_complex, _value_type, flip
+from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _as_complex, _tol, _value_type, flip
 
 _WALL_MARGIN = 1e-6
 
@@ -22,9 +22,7 @@ _WALL_MARGIN = 1e-6
 def _positive_real_values(q: MarkoffQuad, tol: float) -> tuple[float, float, float, float]:
     out = []
     for v in map(_as_complex, q.values()):  # an int past the float range raises
-        if not (abs(v.imag) <= tol * max(1.0, abs(v)) and v.real > 0):
-            if tol != tol:
-                raise DomainError("tol must not be NaN")
+        if not (abs(v.imag) <= max(1.0, abs(v)) * _tol(tol) and v.real > 0):
             raise DomainError(f"entry {v} is not positive real")
         out.append(v.real)
     return tuple(out)
@@ -95,9 +93,7 @@ def horocyclic_to_quad(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> Markoff
     ha, hb, hc, hd = h.values()
     if min(ha, hb, hc, hd) <= 0:
         raise DomainError("horocyclic coordinates must be positive")
-    if not abs(ha + hb + hc + hd - 1.0) <= tol:
-        if tol != tol:
-            raise DomainError("tol must not be NaN")
+    if not abs(ha + hb + hc + hd - 1.0) <= _tol(tol):
         raise DomainError("horocyclic coordinates must sum to 1")
     try:
         return MarkoffQuad(
@@ -119,8 +115,7 @@ class DomainCheck(NamedTuple):
 def in_fundamental_domain(h: HorocyclicCoords, tol: float = DEFAULT_TOL) -> DomainCheck:
     """True iff every coordinate is <= 1/2 + tol; flags coordinates
     within tol of the 1/2 walls."""
-    if tol != tol:  # it would put every point outside
-        raise DomainError("tol must not be NaN")
+    _tol(tol)  # a NaN would put every point outside
     vals = h.values()
     return DomainCheck(
         inside=all(v <= 0.5 + tol for v in vals),

@@ -26,7 +26,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, IntegerQuad, MarkoffQuad, flips
+from .quadalgebra import DEFAULT_MAX_CELLS, DEFAULT_TOL, IntegerQuad, MarkoffQuad, _tol, flips
 
 
 class VertexKind(enum.Enum):
@@ -392,8 +392,7 @@ def spiral_sequence(a, b, c0, c1, n0: int, n1: int,
     """Iterate the face recurrence in both directions over [n0, n1],
     anchored at indices 0 and 1 by c0 and c1."""
     a, b, c0, c1 = complex(a), complex(b), complex(c0), complex(c1)
-    if tol != tol:  # it would drop the closed form
-        raise DomainError("tol must not be NaN")
+    _tol(tol)  # a NaN would drop the closed form
     if n0 > 0 or n1 < 1:
         raise DomainError("need n0 <= 0 < 1 <= n1 to anchor the seeds")
     ab = a * b

@@ -11,7 +11,6 @@ integer quads.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
@@ -42,8 +41,21 @@ def _in_search_box(a: int, b: int, c: int, d: int) -> bool:
     return max(a, blo) <= b <= bhi and b <= d <= dmax and max(b, d - a - b) <= c <= d
 
 
-@lru_cache(maxsize=1)
-def _fundamental() -> tuple[IntegerQuad, ...]:
+def enumerate_fundamental() -> list[IntegerQuad]:
+    """All reduced positive integer quads, by exhaustive search over the
+    reduction bounds.
+
+    The search walks every a <= b <= d of the SEARCH_BOUNDS box and
+    solves the relation, a quadratic in c, exactly: an integer square
+    root of its discriminant gives its smaller root, the only candidate,
+    kept when it lies in the box's range max(b, d - a - b) <= c <= d.
+
+    It returns nine quads.  Besides the classical eight it finds
+    (2, 4, 6, 12): a valid solution (24^2 = 576 = 2*4*6*12) that is
+    flip-rigid (the largest entry's flip is a self-flip, every other
+    flip increases), hence reduced, and whose flip orbit is disjoint
+    from the other roots'.
+    """
     # For fixed (a, b, d), with s = a+b+d and p = abd, the relation is
     # c^2 - (p - 2s)c + s^2 = 0 with discriminant p(p - 4s), so every
     # integer c of the box is a root (p - 2s -+ r)/2.  The roots multiply
@@ -65,25 +77,7 @@ def _fundamental() -> tuple[IntegerQuad, ...]:
                 c = (p - 2 * s - r) // 2
                 if _in_search_box(a, b, c, d):
                     found.append((a, b, c, d))
-    return tuple(IntegerQuad.from_values(v) for v in sorted(found))
-
-
-def enumerate_fundamental() -> list[IntegerQuad]:
-    """All reduced positive integer quads, by exhaustive search over the
-    reduction bounds.
-
-    The search walks every a <= b <= d of the SEARCH_BOUNDS box and
-    solves the relation, a quadratic in c, exactly: an integer square
-    root of its discriminant gives its smaller root, the only candidate,
-    kept when it lies in the box's range max(b, d - a - b) <= c <= d.
-
-    It returns nine quads.  Besides the classical eight it finds
-    (2, 4, 6, 12): a valid solution (24^2 = 576 = 2*4*6*12) that is
-    flip-rigid (the largest entry's flip is a self-flip, every other
-    flip increases), hence reduced, and whose flip orbit is disjoint
-    from the other roots'.
-    """
-    return list(_fundamental())
+    return [IntegerQuad.from_values(v) for v in sorted(found)]
 
 
 def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
@@ -141,7 +135,7 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
         seen.add(canon)
         queue.append(canon)
 
-    for root in _fundamental():  # ascending, and distinct
+    for root in enumerate_fundamental():  # ascending, and distinct
         if root.d <= B:
             add(tuple(root))
     while queue:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .curvecomplex import DEFAULT_MAX_CELLS, Face, walk
 from .errors import BqViolationError, BranchCutError, DomainError, InvalidQuadError
 from .quadalgebra import (BRANCH_TOL, DEFAULT_TOL, IntegerQuad, MarkoffQuad, _segment_distance,
-                          flip_value, reduce_to_sink)
+                          _tol, flip_value, reduce_to_sink)
 
 
 def h(x) -> complex:
@@ -70,9 +70,7 @@ def psi(q: MarkoffQuad, i: int, tol: float = DEFAULT_TOL) -> complex:
     if i not in (1, 2, 3, 4):
         raise DomainError(f"entry index must be 1..4, got {i}")
     first, second = _psi_values(q.values(), i)
-    if not abs(first - second) <= tol * max(1.0, abs(first)):
-        if tol != tol:
-            raise DomainError("tol must not be NaN")
+    if not abs(first - second) <= max(1.0, abs(first)) * _tol(tol):
         raise InvalidQuadError(
             f"psi forms disagree by {abs(first - second):.3e}; quad relation broken"
         )

@@ -46,6 +46,13 @@ def _as_complex(x) -> complex:
     return z
 
 
+def _tol(tol: float) -> float:
+    """tol itself, or DomainError for a NaN, which every check would fail."""
+    if tol != tol:
+        raise DomainError("tol must not be NaN")
+    return tol
+
+
 def _value_eq(self, other):
     if other.__class__ is self.__class__:
         return tuple.__eq__(self, other)
@@ -116,9 +123,7 @@ class MarkoffQuad(_Quad):
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> "MarkoffQuad":
         r = self.residual()
-        if not r <= tol:
-            if tol != tol:
-                raise DomainError("tol must not be NaN")
+        if not r <= _tol(tol):
             raise InvalidQuadError(
                 f"quad relation violated: residual {r:.3e} > tol {tol:.3e} "
                 f"for {self.values()}"
@@ -152,8 +157,7 @@ class IntegerQuad(_Quad):
         return 0.0
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> "IntegerQuad":
-        if tol != tol:  # as MarkoffQuad.require_valid rejects it
-            raise DomainError("tol must not be NaN")
+        _tol(tol)  # as MarkoffQuad.require_valid rejects it
         return self
 
 
@@ -442,9 +446,7 @@ def hurwitz_to_quad(a1, a2, a3, a4, tol: float = DEFAULT_TOL) -> MarkoffQuad:
     vals = tuple(_as_complex(v) for v in (a1, a2, a3, a4))
     sq = sum(v * v for v in vals)
     prod = vals[0] * vals[1] * vals[2] * vals[3]
-    if not abs(sq - prod) <= tol * max(1.0, abs(prod)):
-        if tol != tol:
-            raise DomainError("tol must not be NaN")
+    if not abs(sq - prod) <= max(1.0, abs(prod)) * _tol(tol):
         raise InvalidQuadError(
             f"not a Markoff-Hurwitz solution: |sum sq - prod| = {abs(sq - prod):.3e}"
         )
@@ -503,9 +505,7 @@ def klein_sequence(A, a0, a1, n: int, tol: float = DEFAULT_TOL) -> KleinSequence
         raise DomainError("seed relation out of float range") from None
     if not math.isfinite(res):
         raise DomainError(f"seed relation residual is not finite for A={A!r}, seeds {a0!r}, {a1!r}")
-    if not (res <= tol * scale):
-        if tol != tol:
-            raise DomainError("tol must not be NaN")
+    if not res <= scale * _tol(tol):
         raise InvalidQuadError(f"seed pair violates the relation: residual {res:.3e}")
     terms = [a0, a1]
     for _ in range(n - 2):

@@ -136,6 +136,10 @@ def test_usage_error_exit_1(capsys):
     assert run_cli(capsys, "flip", "4,4,4,4")[0] == 1  # missing -i
     assert run_cli(capsys, "verify", "4,4,4")[0] == 1  # short quad
     assert run_cli(capsys, "verify", "a,b,c,d")[0] == 1
+    # the coords positional keeps the name `values` in usage errors
+    code, out, err = run_cli(capsys, "coords", "--to", "lambda")
+    assert (code, out) == (1, "")
+    assert err == "mql: error: the following arguments are required: values\n"
 
 
 @pytest.mark.parametrize("argv, env", [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -373,28 +374,38 @@ def test_walk_rejects_a_nan_bound(cell_bound, face_bound):
         walk(Q4, cell_bound=cell_bound, face_bound=face_bound)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: MarkoffQuad(1, 2, 3, 4).require_valid(math.nan),
-    lambda: IntegerQuad(4, 4, 4, 4).require_valid(math.nan),
-    lambda: walk(MarkoffQuad(1, 2, 3, 4), cell_bound=50, tol=math.nan),
-    lambda: verify_quad(Q4, math.nan),
-    lambda: enumerate_integral_below(math.nan),
-    lambda: fibonacci_level_counts(math.nan),
-    lambda: mcshane_verify(Q4, math.nan),
-    lambda: psi(MarkoffQuad(1, 2, 3, 4), 1, math.nan),
-    lambda: hurwitz_to_quad(1, 1, 1, 1, tol=math.nan),
-    lambda: quad_to_lambda(MarkoffQuad(4 + 1j, 4, 4, 4), tol=math.nan),
-    lambda: horocyclic_to_quad(HorocyclicCoords(0.1, 0.1, 0.1, 0.1), tol=math.nan),
-    lambda: in_fundamental_domain(HorocyclicCoords(0.25, 0.25, 0.25, 0.25), tol=math.nan),
-    lambda: spiral_sequence(4, 4, 4, 36, 0, 40, tol=math.nan),
-    lambda: klein_sequence(3, 1, 2, 5, tol=math.nan),
+_NAN_TOL = "tol must not be NaN"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MarkoffQuad(1, 2, 3, 4).require_valid(math.nan), _NAN_TOL),
+    (lambda: IntegerQuad(4, 4, 4, 4).require_valid(math.nan), _NAN_TOL),
+    (lambda: walk(MarkoffQuad(1, 2, 3, 4), cell_bound=50, tol=math.nan), _NAN_TOL),
+    (lambda: verify_quad(Q4, math.nan), "tol must be positive"),
+    (lambda: enumerate_integral_below(math.nan), "need B >= 4"),
+    (lambda: fibonacci_level_counts(math.nan), "max_value must be >= 1"),
+    (lambda: mcshane_verify(Q4, math.nan), "target_tol must be positive"),
+    (lambda: psi(MarkoffQuad(1, 2, 3, 4), 1, math.nan), _NAN_TOL),
+    (lambda: hurwitz_to_quad(1, 1, 1, 1, tol=math.nan), _NAN_TOL),
+    (lambda: quad_to_lambda(MarkoffQuad(4 + 1j, 4, 4, 4), tol=math.nan), _NAN_TOL),
+    (lambda: horocyclic_to_quad(HorocyclicCoords(0.1, 0.1, 0.1, 0.1), tol=math.nan), _NAN_TOL),
+    (lambda: in_fundamental_domain(HorocyclicCoords(0.25, 0.25, 0.25, 0.25), tol=math.nan),
+     _NAN_TOL),
+    (lambda: spiral_sequence(4, 4, 4, 36, 0, 40, tol=math.nan), _NAN_TOL),
+    (lambda: klein_sequence(3, 1, 2, 5, tol=math.nan), _NAN_TOL),
+    # an earlier check of the input still comes first
+    (lambda: horocyclic_to_quad(HorocyclicCoords(0.0, 0.5, 0.25, 0.25), tol=math.nan),
+     "horocyclic coordinates must be positive"),
+    (lambda: psi(MarkoffQuad(0, 0, 0, 0), 1, math.nan),
+     "psi undefined: zero entry sum or zero slot product"),
 ], ids=["require_valid", "integer-require_valid", "walk-tol", "verify_quad",
         "enumerate_integral_below", "fibonacci_level_counts", "mcshane_verify",
         "psi", "hurwitz_to_quad", "quad_to_lambda", "horocyclic_to_quad",
-        "in_fundamental_domain", "spiral_sequence", "klein_sequence"])
-def test_nan_tolerances_and_bounds_raise(call):
+        "in_fundamental_domain", "spiral_sequence", "klein_sequence",
+        "horocyclic_to_quad-nonpositive", "psi-zero-sum"])
+def test_nan_tolerances_and_bounds_raise(call, message):
     # no comparison with NaN holds, so each check is written to fail on it
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(message)):
         call()
 
 

@@ -166,14 +166,8 @@ def test_fundamental_search_matches_box_scan(monkeypatch):
     assert [q.values() for q in enumerate_fundamental()] == _box_scan(SEARCH_BOUNDS)
     widened = {a: (blo, bhi + 10, 3 * dmax)
                for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items()}
-    integral._fundamental.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(integral, "SEARCH_BOUNDS", widened)
-            got = [q.values() for q in enumerate_fundamental()]
-    finally:
-        integral._fundamental.cache_clear()
-    assert got == _box_scan(widened)
+    monkeypatch.setattr(integral, "SEARCH_BOUNDS", widened)
+    assert [q.values() for q in enumerate_fundamental()] == _box_scan(widened)
 
 
 def test_search_bounds_rederivation():
@@ -211,7 +205,7 @@ def test_search_box_predicate_matches_search():
     # positive ones and (0, 0, 0, 0), which IntegerQuad admits
     quads = sorted(brute_integral_scan(399, a_max=7, b_max=59)) + [(0, 0, 0, 0)]
     assert len(quads) == 42
-    table = {r.values() for r in integral._fundamental()}
+    table = {r.values() for r in enumerate_fundamental()}
     assert table <= set(quads)
     for v in quads:
         IntegerQuad.from_values(v)
@@ -222,7 +216,7 @@ def test_classify_does_not_run_the_search(monkeypatch):
     def no_search():
         raise AssertionError("classify ran the fundamental-quad search")
 
-    monkeypatch.setattr(integral, "_fundamental", no_search)
+    monkeypatch.setattr(integral, "enumerate_fundamental", no_search)
     for root in FUNDAMENTAL:
         for i in (1, 2, 3, 4):
             q = flip(flip(IntegerQuad.from_values(root), i), 5 - i)

@@ -96,6 +96,11 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-6 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-12",  # DEFAULT_SCHEDULE ends unconverged
+    # usage errors, each exits 1 from the parse
+    "flip 4,4,4,4",  # a missing option
+    "coords --to lambda",  # a missing positional, named by its metavar
+    "verify 4,4,4,4 --tol nan",  # a value that its type function rejects
+    "nosuchcommand",  # the full parser's error
 )]
 
 
