@@ -164,34 +164,26 @@ def _display(v) -> str:
     return str(v)
 
 
-def _buffered(out):
-    """out, or a buffered writer on its descriptor when out is the real
-    stdout and writes every record straight through (PYTHONUNBUFFERED,
-    `python -u`), where one `write` call per record would be one system
-    call.  Closing the writer flushes it and leaves the descriptor open."""
-    if out is not sys.__stdout__ or not getattr(out, "write_through", False):
-        return out
-    out.flush()
-    return open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
-                closefd=False)
-
-
 def _emit(records, fmt: str, out) -> None:
-    sink = _buffered(out)
+    # a stdout that writes straight through (PYTHONUNBUFFERED, `python -u`)
+    # makes a system call per record: buffer it meanwhile.  Turning that back
+    # on flushes the whole lines written, on every exit path
+    through = getattr(out, "write_through", False)
+    if through:
+        out.reconfigure(write_through=False)
     try:
         if fmt == "jsonl":
-            encode, write = _JSON.encode, sink.write
-            if hasattr(records, "lines"):  # a jsonlines.RecordSet: lines from a template
-                for line in records.lines(encode):
-                    write(line)
-            else:
-                for rec in records:
-                    write(encode(rec) + "\n")
+            encode, write = _JSON.encode, out.write
+            # a jsonlines.RecordSet makes its lines from a template
+            lines = (records.lines(encode) if hasattr(records, "lines")
+                     else (encode(rec) + "\n" for rec in records))
+            for line in lines:
+                write(line)
         elif records:
             import csv  # only --format csv needs it; keeps it out of start-up
             records = list(records)  # a record set builds its dicts on every pass
             keys = sorted({k for rec in records for k in rec})
-            w = csv.writer(sink, lineterminator="\n")
+            w = csv.writer(out, lineterminator="\n")
             w.writerow(keys)
             for rec in records:
                 w.writerow([_display(rec.get(k, "")) for k in keys])
@@ -199,8 +191,8 @@ def _emit(records, fmt: str, out) -> None:
         # a non-finite float or an int past the str digit limit; lines written stay whole
         raise DomainError(f"result cannot be written: {e}") from None
     finally:
-        if sink is not out:
-            sink.close()  # one flush of whole lines, on every exit path
+        if through:
+            out.reconfigure(write_through=True)
 
 
 def _base(args) -> dict:
@@ -259,8 +251,6 @@ def _cmd_systole(args):
 
 def _cmd_mcshane(args):
     from .mcshane import Verdict, mcshane_partial, mcshane_verify
-    if (args.cutoff is None) == (args.target_tol is None):
-        raise _UsageError("give exactly one of --cutoff or --target-tol")
     q = _quad_arg(args.quad, args)
     if args.cutoff is not None:
         rep = mcshane_partial(q, args.cutoff, max_cells=args.max_cells, tol=args.tol)
@@ -392,8 +382,9 @@ def _spectrum_args(p):
 
 def _mcshane_args(p):
     _add_quad(p)
-    p.add_argument("--cutoff", type=_finite_float, default=None)
-    p.add_argument("--target-tol", type=_positive_float, default=None)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--cutoff", type=_finite_float, default=None)
+    g.add_argument("--target-tol", type=_positive_float, default=None)
 
 
 def _bq_check_args(p):

@@ -132,7 +132,7 @@ def test_exact_flag(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_1(capsys):
+def test_usage_error_exit_1(capsys, tmp_path):
     assert run_cli(capsys, "flip", "4,4,4,4")[0] == 1  # missing -i
     assert run_cli(capsys, "verify", "4,4,4")[0] == 1  # short quad
     assert run_cli(capsys, "verify", "a,b,c,d")[0] == 1
@@ -140,6 +140,18 @@ def test_usage_error_exit_1(capsys):
     code, out, err = run_cli(capsys, "coords", "--to", "lambda")
     assert (code, out) == (1, "")
     assert err == "mql: error: the following arguments are required: values\n"
+    # mcshane takes exactly one of --cutoff and --target-tol
+    for args, message in (
+        ((), "one of the arguments --cutoff --target-tol is required"),
+        (("--cutoff", "10", "--target-tol", "1e-3"),
+         "argument --target-tol: not allowed with argument --cutoff"),
+    ):
+        assert run_cli(capsys, "mcshane", "4,4,4,4", *args) == (
+            1, "", f"mql: error: {message}\n")
+        # the parse fails before --out is opened, so no file is made
+        out_file = tmp_path / "out.jsonl"
+        code, out, _ = run_cli(capsys, "--out", str(out_file), "mcshane", "4,4,4,4", *args)
+        assert (code, out, out_file.exists()) == (1, "", False)
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -1212,44 +1224,54 @@ def test_record_set_failure_at_row_600(capsys, monkeypatch, c_encoder, argv, hom
     assert err == _CANNOT_WRITE + reason + "\n"
 
 
+def _env(unbuffered):
+    """The environment of a fresh `mql`, with PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_closed_stdout_pipe_exits_quietly():
-    # `mql spectrum ... | head -1`: the reader leaves after one line
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "markoffquads.cli", "spectrum", "4,4,4,4", "-L", "40"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert json.loads(proc.stdout.readline())["cmd"] == "spectrum"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 0 and err == b""
+    # `mql spectrum ... | head -1`: the reader leaves after one line, with
+    # about 300 kB still to come, far more than a pipe holds
+    for unbuffered in (False, True):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "markoffquads.cli", "spectrum", "4,4,4,4", "-L", "100"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered),
+        )
+        assert json.loads(proc.stdout.readline())["cmd"] == "spectrum"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b""), unbuffered
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize("argv, stdout", [
     (("--out", "/dev/full", "verify", "4,4,4,4"), os.devnull),
-    (("spectrum", "4,4,4,4", "-L", "30"), "/dev/full"),
+    (("spectrum", "4,4,4,4", "-L", "30"), "/dev/full"),  # fails in a write
+    (("verify", "4,4,4,4"), "/dev/full"),  # fails in the one flush at the end
 ])
 def test_failed_write_is_one_line_with_exit_1(argv, stdout):
-    # every write to /dev/full fails with ENOSPC
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    with open(stdout, "wb") as out:
-        proc = subprocess.run([sys.executable, "-m", "markoffquads.cli", *argv],
-                              stdout=out, stderr=subprocess.PIPE, env=env)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(b"mql: error: cannot write output: ")
-    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+    # every write to /dev/full fails with ENOSPC, whether stdout is
+    # buffered or writes straight through
+    for unbuffered in (False, True):
+        with open(stdout, "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "markoffquads.cli", *argv],
+                                  stdout=out, stderr=subprocess.PIPE, env=_env(unbuffered))
+        assert proc.returncode == 1, unbuffered
+        assert proc.stderr.startswith(b"mql: error: cannot write output: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 def _fresh(args, unbuffered, code=None):
     """A fresh interpreter with PYTHONUNBUFFERED set or unset: `mql args`,
     or the given `-c` code with args as its argv."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     head = ["-m", "markoffquads.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, *head, *args], capture_output=True,
+                          env=_env(unbuffered))
 
 
 @pytest.mark.parametrize("argv", [
@@ -1258,7 +1280,7 @@ def _fresh(args, unbuffered, code=None):
     ("--max-cells", "10", "spectrum", "4,4,4,4", "-L", "30"),
 ])
 def test_unbuffered_stdout_is_byte_identical(capsys, argv):
-    # with PYTHONUNBUFFERED=1 the records go through one buffered writer
+    # with PYTHONUNBUFFERED=1 stdout is buffered while the records are written
     code, out, err = run_cli(capsys, *argv)
     for unbuffered in (True, False):
         proc = _fresh(argv, unbuffered)
@@ -1269,10 +1291,11 @@ def test_unbuffered_stdout_is_byte_identical(capsys, argv):
 _EMIT_INF = """if True:
     import math, sys
     from markoffquads.cli import _emit
+    through = sys.stdout.write_through
     try:
         _emit([{"x": 1.5}, {"x": math.inf}, {"x": 2.5}], sys.argv[1], sys.stdout)
     except Exception as e:
-        print(type(e).__name__, file=sys.stderr)
+        print(type(e).__name__, sys.stdout.write_through == through, file=sys.stderr)
 """
 
 
@@ -1281,14 +1304,14 @@ _EMIT_INF = """if True:
 def test_unbuffered_stdout_keeps_written_lines_whole(fmt, lines_before):
     for unbuffered in (True, False):
         proc = _fresh([fmt], unbuffered, code=_EMIT_INF)
-        assert (proc.stdout, proc.stderr) == (lines_before.encode(), b"DomainError\n")
+        assert (proc.stdout, proc.stderr) == (lines_before.encode(), b"DomainError True\n")
 
 
-def test_unbuffered_stdout_writes_once_at_the_end(tmp_path, monkeypatch):
-    # a write-through stdout sees nothing until _emit has every record
+def test_unbuffered_stdout_writes_once_at_the_end(tmp_path):
+    # a write-through stdout sees nothing until _emit has every record,
+    # and writes straight through again afterwards
     raw = open(tmp_path / "out", "wb", buffering=0)
     stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
-    monkeypatch.setattr(sys, "__stdout__", stdout)
     sizes = []
 
     def records():
@@ -1299,7 +1322,7 @@ def test_unbuffered_stdout_writes_once_at_the_end(tmp_path, monkeypatch):
     _emit(records(), "jsonl", stdout)
     assert sizes == [0, 0, 0]
     assert (tmp_path / "out").read_text() == '{"i":0}\n{"i":1}\n{"i":2}\n'
-    assert not stdout.closed
+    assert not stdout.closed and stdout.write_through
     stdout.write("after\n")
     assert (tmp_path / "out").read_text().endswith("after\n")
     raw.close()

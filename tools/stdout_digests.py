@@ -101,6 +101,8 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "coords --to lambda",  # a missing positional, named by its metavar
     "verify 4,4,4,4 --tol nan",  # a value that its type function rejects
     "nosuchcommand",  # the full parser's error
+    "mcshane 4,4,4,4",  # neither of an exclusive pair that is required
+    "mcshane 4,4,4,4 --cutoff 10 --target-tol 1e-3",  # both of that pair
 )]
 
 
