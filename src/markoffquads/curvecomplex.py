@@ -50,9 +50,11 @@ class VertexClass(NamedTuple):
 
 def classify_vertex(q: MarkoffQuad, tol: float = DEFAULT_TOL) -> VertexClass:
     """Classify a vertex by its count of strictly magnitude-decreasing
-    flips.  Four outgoing edges cannot occur at a valid quad (there are
-    no sources); such input is rejected as numerically invalid.  A flip
-    whose modulus is past the float range raises DomainError."""
+    flips.  Four outgoing edges (a source) raise InvalidQuadError, on
+    the claim that no valid quad has them.  The claim is unproven: 400,000
+    random complex quads had none, but no argument here rules one out.
+    A loose tol lets an invalid quad with four through.  A flip whose
+    modulus is past the float range raises DomainError."""
     q.require_valid(tol)
     vals = q.values()
     orient = []

@@ -14,20 +14,34 @@ from collections import deque
 from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
-from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, flips, reduce_to_sink
+from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, reduce_to_sink
 
 
 # Search box from the reduction argument: after sorting, the largest
 # entry is at most the sum of the others, forcing a <= 4 (proved in
 # spectra.systole's docstring) and 5 <= ab <= 36; bounding
 # (a+b+2d)^2 >= ab_min (d - a - b_max) d then caps d per value of a.
-# Per a: (b_min, b_max, d_max).
+# Per a: (b_min, b_max, d_max).  The search caps d again per (a, b), at
+# a + b + _c_max(a, b): a box quad has c <= d <= a + b + c, so
+# ab c^2 <= abcd = (a+b+c+d)^2 <= 4(a+b+c)^2.
 SEARCH_BOUNDS = {
     1: (5, 36, 337),
     2: (3, 18, 101),
     3: (3, 12, 40),
     4: (4, 9, 26),
 }
+
+
+def _c_max(a: int, b: int) -> int:
+    """The largest integer c with ab c^2 <= 4(a+b+c)^2, for ab > 4.
+
+    With s = a + b the condition is c (sqrt(ab) - 2) <= 2s, so c is at
+    most 2s / (sqrt(ab) - 2) = (4s + 2s sqrt(ab)) / (ab - 4).  Its floor
+    is exact in ints: 2s sqrt(ab) may be replaced by its floor
+    isqrt(4 s^2 ab), since 4s is an integer and ab - 4 a positive one."""
+    s = a + b
+    ab = a * b
+    return (4 * s + isqrt(4 * s * s * ab)) // (ab - 4)
 
 
 def _in_search_box(a: int, b: int, c: int, d: int) -> bool:
@@ -50,6 +64,12 @@ def enumerate_fundamental() -> list[IntegerQuad]:
     root of its discriminant gives its smaller root, the only candidate,
     kept when it lies in the box's range max(b, d - a - b) <= c <= d.
 
+    Each (a, b) row stops d at a + b + c_max, c_max the largest integer
+    c with ab c^2 <= 4(a+b+c)^2 (no cap when ab <= 4, where every c
+    passes).  The cap loses no box quad: one has c <= d <= a + b + c,
+    so ab c^2 <= abcd = (a+b+c+d)^2 <= 4(a+b+c)^2, hence c <= c_max and
+    d <= a + b + c_max.
+
     It returns nine quads.  Besides the classical eight it finds
     (2, 4, 6, 12): a valid solution (24^2 = 576 = 2*4*6*12) that is
     flip-rigid (the largest entry's flip is a self-flip, every other
@@ -65,7 +85,8 @@ def enumerate_fundamental() -> list[IntegerQuad]:
     found = []
     for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items():
         for b in range(max(a, blo), bhi + 1):
-            for d in range(b, dmax + 1):
+            dtop = dmax if a * b <= 4 else min(dmax, a + b + _c_max(a, b))
+            for d in range(b, dtop + 1):
                 s = a + b + d
                 p = a * b * d
                 disc = p * (p - 4 * s)
@@ -120,29 +141,53 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
     descending flip or a self-flip only finds a quad already found.  The
     walk keeps `seen`, since two equal entries give the same child.  It
     adds the quads in the order that a closure along all four flips
-    would, so the budget runs out at the same quad.
+    would, so the budget runs out at the same quad; the test before each
+    pop sees it spent at the vertex that added the quad past it.
+
+    The loop writes the flips out with shared products: with
+    t2 = 2(a+b+c+d), the flip of a, bcd - 2(b+c+d) - a, is
+    b*cd - t2 + a, and likewise for the others.  Int arithmetic is exact
+    and associative, so these are `flips`' values; a float walk would
+    have to keep `flips`' operation order.  The first three flips ascend
+    (above), so only the last is tested against its old entry.
     """
     if not B >= 4:  # NaN too
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
     seen: set[tuple[int, int, int, int]] = set()
-    queue = deque()
-
-    def add(canon):
-        if len(seen) >= max_cells:
+    queue = deque(tuple(root) for root in enumerate_fundamental() if root.d <= B)
+    seen.update(queue)  # the roots are ascending, and distinct
+    push, pop = queue.append, queue.popleft
+    while queue:
+        if len(seen) > max_cells:
             raise BudgetExceededError(
                 f"cell budget {max_cells} exhausted before every integer quad below B was found"
             )
-        seen.add(canon)
-        queue.append(canon)
-
-    for root in enumerate_fundamental():  # ascending, and distinct
-        if root.d <= B:
-            add(tuple(root))
-    while queue:
-        vals = queue.popleft()
-        for i, v in enumerate(flips(*vals)):
-            if vals[i] < v <= B:
-                child = vals[:i] + vals[i + 1:] + (v,)
-                if child not in seen:
-                    add(child)
+        a, b, c, d = pop()
+        ab = a * b
+        cd = c * d
+        t2 = 2 * (a + b + c + d)
+        v = b * cd - t2 + a
+        if v <= B:
+            child = (b, c, d, v)
+            if child not in seen:
+                seen.add(child)
+                push(child)
+        v = a * cd - t2 + b
+        if v <= B:
+            child = (a, c, d, v)
+            if child not in seen:
+                seen.add(child)
+                push(child)
+        v = ab * d - t2 + c
+        if v <= B:
+            child = (a, b, d, v)
+            if child not in seen:
+                seen.add(child)
+                push(child)
+        v = ab * c - t2 + d
+        if d < v <= B:
+            child = (a, b, c, v)
+            if child not in seen:
+                seen.add(child)
+                push(child)
     return [IntegerQuad(*v) for v in sorted(seen)]

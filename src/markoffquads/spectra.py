@@ -53,10 +53,22 @@ def _trace_bound(fn, L: float) -> float:
 
 def _require_complete(w: Walk, max_cells: int) -> None:
     """Raise BudgetExceededError if w ran out of cells: a spectrum, a
-    count or a systole read from a cut-short walk could miss classes."""
+    count or a systole read from a cut-short walk could miss classes.
+
+    The message says what the cut means.  Each walk here starts at a
+    sink, under finite bounds.  A walk in ints (an exact walk) or in
+    floats (the Fuchsian-sink path) starts at a positive sink, from which
+    every flip ascends (`walk`'s docstring), so it is finite at every
+    bound and only the budget was too small; the message gives the cells
+    made and the vertices still queued.  A complex walk may never end."""
     if w.budget_hit:
+        if type(w.values[0]) is complex:
+            raise BudgetExceededError(
+                f"cell budget {max_cells} exhausted; suspected non-summable input")
+        cells = len(w.values)
         raise BudgetExceededError(
-            f"cell budget {max_cells} exhausted; suspected non-summable input")
+            f"cell budget {max_cells} exhausted; the walk is finite but the budget too small"
+            f" ({cells} cells made, {cells - 3 - w.nodes_visited} vertices still queued)")
 
 
 # The private passes below compute each length once and return, in

@@ -218,6 +218,9 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "--max-cells", "10", "spectrum",
                            "4,4,4,4", "-L", "20")
     assert code == 3
+    # an exact walk from a positive sink is finite: only the budget is short
+    assert err == ("mql: budget exhausted: cell budget 10 exhausted; the walk is finite but the"
+                   " budget too small (10 cells made, 5 vertices still queued)\n")
 
 
 @pytest.mark.parametrize("args, want", [

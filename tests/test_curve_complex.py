@@ -12,6 +12,7 @@ from markoffquads import (
     DomainError,
     HorocyclicCoords,
     IntegerQuad,
+    InvalidQuadError,
     MarkoffQuad,
     VertexKind,
     classify_vertex,
@@ -67,6 +68,14 @@ def test_classify_vertex_tie_is_sink():
     vc = classify_vertex(MarkoffQuad(1, 5, 24, 30))
     assert vc.kind is VertexKind.SINK
     assert vc.orientations[3] == 0
+
+
+def test_classify_vertex_rejects_a_source():
+    # (2.5, 2.5, 2.5, 2.5) is no quad (relative residual 1.56), but a tol
+    # of 2 lets it through; each flip is -1.875, smaller in modulus, so it
+    # has the four outgoing edges that no valid quad is known to have
+    with pytest.raises(InvalidQuadError, match="four outgoing edges"):
+        classify_vertex(MarkoffQuad(2.5, 2.5, 2.5, 2.5), tol=2)
 
 
 def test_no_source_over_random_quads():

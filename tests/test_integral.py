@@ -162,12 +162,29 @@ def _box_scan(bounds):
     return sorted(found)
 
 
+# a box past SEARCH_BOUNDS in b and d, which the search must scan alike
+_WIDENED = {a: (blo, bhi + 10, 3 * dmax) for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items()}
+
+
 def test_fundamental_search_matches_box_scan(monkeypatch):
     assert [q.values() for q in enumerate_fundamental()] == _box_scan(SEARCH_BOUNDS)
-    widened = {a: (blo, bhi + 10, 3 * dmax)
-               for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items()}
-    monkeypatch.setattr(integral, "SEARCH_BOUNDS", widened)
-    assert [q.values() for q in enumerate_fundamental()] == _box_scan(widened)
+    monkeypatch.setattr(integral, "SEARCH_BOUNDS", _WIDENED)
+    assert [q.values() for q in enumerate_fundamental()] == _box_scan(_WIDENED)
+
+
+@pytest.mark.parametrize("bounds", [SEARCH_BOUNDS, _WIDENED], ids=["table", "widened"])
+def test_fundamental_search_cap_keeps_every_box_quad(bounds):
+    # the search stops each (a, b) row at d = a + b + c_max, c_max the
+    # largest c with ab c^2 <= 4(a+b+c)^2; a box that outgrew the cap
+    # would lose quads here first
+    for a, (blo, bhi, _) in bounds.items():
+        for b in range(max(a, blo), bhi + 1):
+            ab, cmax = a * b, integral._c_max(a, b)
+            assert ab > 4
+            assert ab * cmax ** 2 <= 4 * (a + b + cmax) ** 2
+            assert ab * (cmax + 1) ** 2 > 4 * (a + b + cmax + 1) ** 2
+    for a, b, c, d in _box_scan(bounds):
+        assert d <= a + b + integral._c_max(a, b)
 
 
 def test_search_bounds_rederivation():

@@ -467,23 +467,36 @@ _SYSTOLE_WALKS_6 = (1.9577730707917596 - 0.2660093910560115j,
                     0.5314750169042117 + 1.733882827408138j)
 
 
-@pytest.mark.parametrize("run, max_cells", [
+_NON_SUMMABLE = "suspected non-summable input"
+
+
+def _finite(cells, queued):
+    return (f"the walk is finite but the budget too small"
+            f" ({cells} cells made, {queued} vertices still queued)")
+
+
+@pytest.mark.parametrize("run, max_cells, reason", [
     # 8,1,1,-6-8i is not summable: its one-sided walks never end
-    (lambda m: one_sided_spectrum(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100),
-    (lambda m: count_s(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100),
-    (lambda m: growth_exponent(MarkoffQuad(8, 1, 1, -6 - 8j), 1, 10, 5, max_cells=m), 100),
+    (lambda m: one_sided_spectrum(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100,
+     _NON_SUMMABLE),
+    (lambda m: count_s(MarkoffQuad(8, 1, 1, -6 - 8j), 10, max_cells=m), 100, _NON_SUMMABLE),
+    (lambda m: growth_exponent(MarkoffQuad(8, 1, 1, -6 - 8j), 1, 10, 5, max_cells=m), 100,
+     _NON_SUMMABLE),
     # its two-sided spectrum and systole raise at a degenerate sink face
-    # before any walk, so these run out on summable quads
-    (lambda m: two_sided_spectrum(Q4, 30, max_cells=m), 20),
-    (lambda m: systole(MarkoffQuad.from_values(_SYSTOLE_WALKS_6), max_cells=m, tol=1e-6), 5),
-], ids=["one-sided", "count", "growth", "two-sided", "systole"])
-def test_spectra_raise_on_a_spent_budget(run, max_cells):
+    # before any walk, so these run out on summable quads.  Q4 walks in
+    # floats and the IntegerQuad in ints, each from a positive sink, so
+    # their walks are finite; the complex walk is not known to be
+    (lambda m: two_sided_spectrum(Q4, 30, max_cells=m), 20, _finite(20, 11)),
+    (lambda m: one_sided_spectrum(IntegerQuad(4, 4, 4, 4), 30, max_cells=m), 20, _finite(20, 11)),
+    (lambda m: systole(MarkoffQuad.from_values(_SYSTOLE_WALKS_6), max_cells=m, tol=1e-6), 5,
+     _NON_SUMMABLE),
+], ids=["one-sided", "count", "growth", "two-sided", "exact", "systole"])
+def test_spectra_raise_on_a_spent_budget(run, max_cells, reason):
     # the walk returns what it found; a spectrum, count or systole read
     # from it could miss classes, so each raises instead
-    msg = f"cell budget {max_cells} exhausted; suspected non-summable input"
     with pytest.raises(BudgetExceededError) as err:
         run(max_cells)
-    assert str(err.value) == msg
+    assert str(err.value) == f"cell budget {max_cells} exhausted; {reason}"
 
 
 def test_growth_exponent_validation():

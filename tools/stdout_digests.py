@@ -92,10 +92,12 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     # 4.5294874004991144, is shorter than its smallest cell
     "systole 1.7050967273722715,2.6564401466417205,34.15550190027589,33.86599007816797",
 )] + [call.split() for call in (
-    # calls that set their own budget; each exits 3 and writes its record
+    # calls that set their own budget; each exits 3, and mcshane writes its record
     "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-6 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-12",  # DEFAULT_SCHEDULE ends unconverged
+    "spectrum 4,4,4,4 -L 400 --max-cells 1000",  # an exact walk, finite yet cut
+    "spectrum 8,1,1,-6-8i -L 10 --max-cells 100",  # a complex walk, cut
     # usage errors, each exits 1 from the parse
     "flip 4,4,4,4",  # a missing option
     "coords --to lambda",  # a missing positional, named by its metavar
