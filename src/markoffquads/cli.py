@@ -228,25 +228,24 @@ def _cmd_reduce(args):
 
 
 def _cmd_spectrum(args):
-    from .jsonlines import entry_records
-    from .spectra import CurveKind, one_sided_spectrum, two_sided_spectrum
+    from .jsonlines import spectrum_records
+    from .spectra import CurveKind, _spectrum_rows
     q = _quad_arg(args.quad, args)
-    if args.two_sided:
-        fn, kind = two_sided_spectrum, CurveKind.TWO_SIDED
-    else:
-        fn, kind = one_sided_spectrum, CurveKind.ONE_SIDED
-    entries = fn(q, args.length, max_cells=args.max_cells, tol=args.tol)
-    head = {**_base(args), "kind": kind.value}
-    return entry_records(head, entries, _JSON.encode), 0
+    kind = CurveKind.TWO_SIDED if args.two_sided else CurveKind.ONE_SIDED
+    # the sorted rows go to the writer as they are, each word as its text
+    rows = _spectrum_rows(q, args.length, kind, args.max_cells, args.tol, texts=True)
+    return spectrum_records({**_base(args), "kind": kind.value}, rows, _JSON.encode), 0
 
 
 def _cmd_systole(args):
-    from .jsonlines import entry_records
+    from .jsonlines import spectrum_records
     from .spectra import systole
     q = _quad_arg(args.quad, args)
-    length, witness = systole(q, max_cells=args.max_cells, tol=args.tol)
-    head = {**_base(args), "kind": witness.kind.value}
-    return entry_records(head, [witness], _JSON.encode), 0
+    _, w = systole(q, max_cells=args.max_cells, tol=args.tol)
+    # the witness as the row spectrum_records writes, its word as text
+    word = None if w.word is None else ",".join(map(str, w.word))
+    row = (abs(w.length), word, w.cell_ref, w.trace, w.length)
+    return spectrum_records({**_base(args), "kind": w.kind.value}, [row], _JSON.encode), 0
 
 
 def _cmd_mcshane(args):

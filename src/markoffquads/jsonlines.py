@@ -1,13 +1,15 @@
 """JSON Lines for the `mql` commands that write many records of one
 fixed shape, or one record with many faces: `spectrum` and `systole`
-(spectrum entries), `fundamental` and `enumerate-integral` (integer
+(spectrum rows), `fundamental` and `enumerate-integral` (integer
 quads), and `bq-check` (a summability report).
 
 Each line comes from a template made once per call.  The keys and the
 values that every record of the call shares are encoded once, and each
 row adds only its own numbers, written exactly as the strict JSON
 encoder writes them: the repr of each part of an int, float or complex.
-The templates take the rows the library makes.  The only row that goes
+A flip word comes as the text `spectra` builds with the walk, one text
+per cell from its parent's, and is written between brackets.  The
+templates take the rows the library makes.  The only row that goes
 to the encoder, as its dict, is one holding a number that strict JSON
 cannot hold, infinite or NaN, so that its error is the encoder's.
 
@@ -64,17 +66,6 @@ def _ints(values) -> str:
     return "[" + ",".join(map(str, values)) + "]"
 
 
-# byte k to the digit of slot k, for the slots 1..4 a walk takes
-_SLOT_DIGITS = bytes.maketrans(bytes(range(1, 5)), b"1234")
-
-
-def _word(word: tuple) -> str:
-    """A flip word's JSON array: one table lookup per slot instead of
-    one str per slot.  A walk's words hold only the slots 1..4, and a
-    root cell's word is ()."""
-    return "[" + ",".join(bytes(word).translate(_SLOT_DIGITS).decode()) + "]"
-
-
 def _faces(faces) -> str:
     """The JSON array of [i, j, product] of each Face: a product is an
     int, float or complex, and a complex is x or [x,y], as
@@ -95,19 +86,25 @@ def quad_records(head: dict, quads, encode) -> RecordSet:
     return RecordSet(quads, lambda q: {**head, "result": q}, template.__mod__)
 
 
-def entry_records(head: dict, entries, encode) -> RecordSet:
+def spectrum_records(head: dict, rows, encode) -> RecordSet:
     """`head` plus the trace, length, |length|, cell id (or id pair) and
-    word of each SpectrumEntry; `encode` as for `quad_records`."""
+    word of each spectrum row (|l|, word, ref, trace, l), as
+    `spectra._spectrum_rows` makes them with texts: the word is its text,
+    such as "4,3,1" ("" at a root cell), or None for a two-sided class.
+    A record holds the word as a tuple of ints, so JSON writes an array
+    and CSV joins it with `;`.  `encode` as for `quad_records`."""
     template = _template(encode, head, dict.fromkeys(
         ("abs_length", "cell", "length", "trace", "word"), "%s"))
 
-    def record(entry):
-        _, trace, ell, cell_ref, word = entry
-        return {**head, "trace": trace, "length": ell, "abs_length": abs(ell),
-                "cell": cell_ref, "word": word}
+    def record(row):
+        a, word, ref, trace, ell = row
+        if word is not None:
+            word = tuple(map(int, word.split(","))) if word else ()
+        return {**head, "trace": trace, "length": ell, "abs_length": a,
+                "cell": ref, "word": word}
 
-    def line(entry):
-        _, t, ell, ref, word = entry
+    def line(row):
+        a, word, ref, t, ell = row
         # an int trace from an exact walk, a float from a Fuchsian one, or
         # a complex, written x or [x,y] as cli._complex_json writes it
         tr, ti = t.real, t.imag
@@ -117,20 +114,18 @@ def entry_records(head: dict, entries, encode) -> RecordSet:
             length = repr(lr)
             # |l| = hypot(lr, li) is lr itself when l is a positive real,
             # so one repr writes both
-            a = length if lr > 0.0 else repr(abs(ell))
+            a = length if lr > 0.0 else repr(a)
         else:
-            length, a = f"[{lr!r},{li!r}]", repr(abs(ell))
+            length, a = f"[{lr!r},{li!r}]", repr(a)
         # a repr holds an n only in inf or nan
         if "n" in trace or "n" in length:
             return None
         # a two-sided row has an id pair and no word
         if word is None:
-            ref, word = _ints(ref), "null"
-        else:
-            word = _word(word)
-        return template % (a, ref, length, trace, word)
+            return template % (a, _ints(ref), length, trace, "null")
+        return template % (a, ref, length, trace, "[" + word + "]")
 
-    return RecordSet(entries, record, line)
+    return RecordSet(rows, record, line)
 
 
 def bq_records(head: dict, reports, encode) -> RecordSet:
@@ -152,7 +147,7 @@ def bq_records(head: dict, reports, encode) -> RecordSet:
         all_text = _faces(rep.faces4)
         # one text for both when every small face lies on the cut, as for 0,0,0,0
         bad_text = all_text if rep.violations == rep.faces4 else _faces(rep.violations)
-        if "n" in all_text or "n" in bad_text:  # inf or nan, as in entry_records
+        if "n" in all_text or "n" in bad_text:  # inf or nan, as in spectrum_records
             return None
         return template % (encode(rep.budget_hit), encode(rep.cells_below2),
                            encode(rep.cutoff), all_text, encode(rep.ok), bad_text)

@@ -76,13 +76,55 @@ def _require_complete(w: Walk, max_cells: int) -> None:
 # cell ids and id pairs are unique, so sorting the tuples never compares
 # the complex values behind the key.
 
-def _one_sided_rows(w: Walk, bound, L, with_words=True) -> list[tuple]:
-    """(|l|, word, id, trace, l) for every cell of w with |trace| <= bound
-    and |l| < L; word is None unless with_words."""
-    values = w.values
-    words = w.words() if with_words else [None] * len(values)
+def _word_texts(w: Walk) -> list[str]:
+    """Every cell's flip word as text, in id order: "4,3,1" for the word
+    (4, 3, 1), "" for a root cell.  Each extends its parent's by ",d"; a
+    child of the root is "d" alone.
+
+    Sorting by text gives the order of sorting by word.  Each slot is one
+    digit 1..4, so the texts of two words agree up to the first slot in
+    which the words differ and there hold the digits of the two slots,
+    which compare as the slots do; a word that is a prefix of the other
+    gives a text that is a prefix of the other's, and sorts first, as
+    the shorter tuple does."""
+    parents, slots = w.parents, w.slots
+    digits, tails = "01234", ("", ",1", ",2", ",3", ",4")
+    texts = [""] * 4
+    add = texts.append
+    for k in range(4, len(parents)):
+        p = parents[k]
+        add(texts[p] + tails[slots[k]] if p else digits[slots[k]])
+    return texts
+
+
+def _one_sided_walk(q, L, max_cells, tol) -> tuple[Walk, float]:
+    """A complete walk from q's sink to the trace bound of L, and that
+    bound: the walk holds every one-sided class with |l| < L."""
+    sink = reduce_to_sink(q, tol=tol)[0]
+    bound = _trace_bound(math.sinh, L)
+    for v in sink.values():
+        if v == 0:  # a parabolic class within every bound: raise before the walk
+            one_sided_length(v)
+    w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
+    _require_complete(w, max_cells)
+    return w, bound
+
+
+def _one_sided_lengths(q, L, max_cells, tol) -> list[float]:
+    """|l| of every one-sided class with |l| < L, in id order."""
+    if L <= 0:
+        return []
+    w, bound = _one_sided_walk(q, L, max_cells, tol)
+    # zero trace raises: parabolic class
+    lengths = [abs(one_sided_length(value)) for value in w.values if abs(value) <= bound]
+    return [a for a in lengths if a < L]
+
+
+def _one_sided_rows(w: Walk, bound, L, words) -> list[tuple]:
+    """(|l|, words[id], id, trace, l) for every cell of w with
+    |trace| <= bound and |l| < L."""
     rows = []
-    for cid, value in enumerate(values):
+    for cid, value in enumerate(w.values):
         if abs(value) <= bound:
             ell = one_sided_length(value)  # zero trace raises: parabolic class
             a = abs(ell)
@@ -92,30 +134,42 @@ def _one_sided_rows(w: Walk, bound, L, with_words=True) -> list[tuple]:
 
 
 def _two_sided_rows(faces, L) -> list[tuple]:
-    """(|l|, id pair, trace, l) for every face with |l| < L."""
+    """(|l|, None, id pair, trace, l) for every face with |l| < L: a
+    two-sided class has no word."""
     rows = []
     for pair in sorted(faces):  # id-pair order decides which degenerate face raises
         e = faces[pair] - 2
         ell = two_sided_length(e)
         a = abs(ell)
         if a < L:
-            rows.append((a, pair, e, ell))
+            rows.append((a, None, pair, e, ell))
     return rows
 
 
-def _one_sided_below(q, L, max_cells, tol, with_words=True) -> list[tuple]:
-    """`_one_sided_rows` of a walk from q's sink to the trace bound of L:
-    every one-sided class with |l| < L."""
+def _spectrum_rows(q, L, kind: CurveKind, max_cells, tol, texts=False) -> list[tuple]:
+    """The classes of kind with |l| < L, as `one_sided_spectrum` and
+    `two_sided_spectrum` find them, in rows (|l|, word, ref, trace, l)
+    sorted by |l|, then word, then cell id or id pair.  A two-sided
+    row's word is None; a one-sided word is a tuple of slots, or with
+    texts its `_word_texts` text, which sorts the same."""
     if L <= 0:
         return []
-    sink = reduce_to_sink(q, tol=tol)[0]
-    bound = _trace_bound(math.sinh, L)
-    for v in sink.values():
-        if v == 0:  # a parabolic class within every bound: raise before the walk
-            one_sided_length(v)
-    w = walk(sink, cell_bound=bound, max_cells=max_cells, tol=tol)
-    _require_complete(w, max_cells)
-    return _one_sided_rows(w, bound, L, with_words)
+    if kind is CurveKind.ONE_SIDED:
+        w, bound = _one_sided_walk(q, L, max_cells, tol)
+        rows = _one_sided_rows(w, bound, L, _word_texts(w) if texts else w.words())
+    else:
+        sink = reduce_to_sink(q, tol=tol)[0]
+        product_bound = _trace_bound(math.cosh, L) + 2.0
+        # the sink's six faces, in id-pair order: a degenerate one raises before the walk
+        vals = sink.values()
+        for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
+            if abs(p) <= product_bound:
+                two_sided_length(p - 2)
+        w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
+        _require_complete(w, max_cells)
+        rows = _two_sided_rows(w.faces, L)
+    rows.sort()
+    return rows
 
 
 def one_sided_spectrum(
@@ -128,10 +182,9 @@ def one_sided_spectrum(
     discovery word, then cell id.  The quad is reduced first; since
     |2 sinh(z/2)| <= 2 sinh(|z|/2), enumerating traces up to 2 sinh(L/2)
     is complete."""
-    rows = _one_sided_below(q, L, max_cells, tol)
-    rows.sort()
     kind = CurveKind.ONE_SIDED
-    return [SpectrumEntry(kind, trace, ell, cid, word) for _, word, cid, trace, ell in rows]
+    return [SpectrumEntry(kind, trace, ell, cid, word)
+            for _, word, cid, trace, ell in _spectrum_rows(q, L, kind, max_cells, tol)]
 
 
 def two_sided_spectrum(
@@ -143,21 +196,9 @@ def two_sided_spectrum(
     """All two-sided classes with |length| < L, deduplicated by cell id
     pair and sorted by |length|, then id pair.  |e| = |2 cosh(l/2)| <=
     2 cosh(|l|/2) bounds the face product by 2 cosh(L/2) + 2."""
-    if L <= 0:
-        return []
-    sink = reduce_to_sink(q, tol=tol)[0]
-    product_bound = _trace_bound(math.cosh, L) + 2.0
-    # the sink's six faces, in id-pair order: a degenerate one raises before the walk
-    vals = sink.values()
-    for p in [vals[i] * vals[j] for i in range(4) for j in range(i + 1, 4)]:
-        if abs(p) <= product_bound:
-            two_sided_length(p - 2)
-    w = walk(sink, face_bound=product_bound, max_cells=max_cells, tol=tol)
-    _require_complete(w, max_cells)
-    rows = _two_sided_rows(w.faces, L)
-    rows.sort()
     kind = CurveKind.TWO_SIDED
-    return [SpectrumEntry(kind, trace, ell, pair, None) for _, pair, trace, ell in rows]
+    return [SpectrumEntry(kind, trace, ell, pair, None)
+            for _, _, pair, trace, ell in _spectrum_rows(q, L, kind, max_cells, tol)]
 
 
 def count_s(
@@ -167,7 +208,7 @@ def count_s(
     tol: float = DEFAULT_TOL,
 ) -> int:
     """Number of one-sided classes with |length| < L."""
-    return len(_one_sided_below(q, L, max_cells, tol, with_words=False))
+    return len(_one_sided_lengths(q, L, max_cells, tol))
 
 
 def systole(
@@ -204,14 +245,15 @@ def systole(
     face_bound = max([_trace_bound(math.cosh, best) + 2.0] + [m for a, m in faces if a == best])
     w = walk(sink, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells, tol=tol)
     _require_complete(w, max_cells)
-    one = min(_one_sided_rows(w, cell_bound, math.inf, with_words=False),
+    one = min(_one_sided_rows(w, cell_bound, math.inf, w.words()),
               key=lambda row: (row[0], row[2]), default=None)  # |l|, then id
     two = min(_two_sided_rows(w.faces, math.inf), default=None)
     if one is not None and (two is None or one[0] <= two[0]):
-        _, _, cid, trace, length = one
-        return length, SpectrumEntry(CurveKind.ONE_SIDED, trace, length, cid, w.words()[cid])
-    _, pair, trace, length = two
-    return length, SpectrumEntry(CurveKind.TWO_SIDED, trace, length, pair, None)
+        kind, row = CurveKind.ONE_SIDED, one
+    else:
+        kind, row = CurveKind.TWO_SIDED, two
+    _, word, ref, trace, length = row
+    return length, SpectrumEntry(kind, trace, length, ref, word)
 
 
 class GrowthFit(NamedTuple):
@@ -273,8 +315,7 @@ def growth_exponent(
     ratio = lmax / lmin
     cutoffs = [lmin * ratio ** (k / (shells - 1)) for k in range(shells)]
     # the last cutoff may round above lmax, so walk to the largest sample
-    rows = _one_sided_below(q, max(cutoffs), max_cells, tol, with_words=False)
-    lengths = sorted(row[0] for row in rows)
+    lengths = sorted(_one_sided_lengths(q, max(cutoffs), max_cells, tol))
     samples = [(L, bisect_left(lengths, L)) for L in cutoffs]
     m, c, res = fit_power_law(samples)
     return GrowthFit(samples=tuple(samples), exponent=m,

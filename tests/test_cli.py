@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from markoffquads import cli, integral, jsonlines, spectra
 from markoffquads.cli import _emit, main, parse_quad
-from markoffquads import (BqReport, CurveKind, DomainError, Face, IntegerQuad, MarkoffQuad,
-                          SpectrumEntry, check_bq, complete_quad, flip, reduce_to_sink)
+from markoffquads import (BqReport, DomainError, Face, IntegerQuad, MarkoffQuad, check_bq,
+                          complete_quad, flip, reduce_to_sink)
 
 from helpers import DEEP_VIOLATION
 
@@ -670,6 +670,11 @@ GOLDEN_DIGESTS = [
      "733f04fea2e397bd6798dff87a6d95564aed30373e73db7b8ee2d6cb35ed6c05"),
     (("enumerate-integral", "-B", "1000000000000"), 1411,
      "980b71b8636c63efe67495c8cc8d91431b064b37ddd2b9952dbfa1fbe75c5b4f"),
+    # words joined by ";" in CSV, from a float walk and from a complex one
+    (("--format", "csv", "spectrum", "2.0,5,5,8", "-L", "10"), 10,
+     "3fdb80f9b7decc2377d7b70a5bebbe17682bc9aef0a81ed5cfc721a44eb7e2dc"),
+    (("--format", "csv", "spectrum", QF_L, "-L", "100"), 1602,
+     "0b58bbc0da790ee18d1684003b1033836cb6105716961bdf58b484533a410396"),
 ]
 
 
@@ -979,24 +984,31 @@ def test_main_stdout_equals_json_dumps(monkeypatch, c_encoder):
                          "bq-check"}
 
 
+def _spectrum_row(trace=4 + 0j, length=2.2 + 0.5j, ref=0, word="1,2"):
+    # a row as spectra._spectrum_rows makes it for the CLI: (|l|, word
+    # text, id, trace, l), the word None and the id a pair if two-sided
+    return (abs(length), word, ref, trace, length)
+
+
 def test_record_set_rows_the_template_cannot_write():
-    # a float length, a list word and a trace whose finite parts sum past
-    # the float range are written by the template, byte for byte; a row
-    # holding an infinite or NaN part goes to the encoder, which raises
+    # a float length, a two-sided row among one-sided ones and a trace
+    # whose finite parts sum past the float range are written by the
+    # template, byte for byte; a row holding an infinite or NaN part goes
+    # to the encoder, which raises
     head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
-    ok = SpectrumEntry(CurveKind.ONE_SIDED, 4 + 0j, 2.2 + 0.5j, 0, (1, 2))
-    entries = [ok, ok._replace(length=2.5), ok._replace(word=[1, 2]),
-               ok._replace(trace=complex(1e308, 1e308)), ok]
-    records = jsonlines.entry_records(head, entries, cli._JSON.encode)
-    assert [records.line(row) is None for row in entries] == [False] * 5
+    ok = _spectrum_row()
+    rows = [ok, _spectrum_row(length=2.5), _spectrum_row(ref=(0, 1), word=None),
+            _spectrum_row(trace=complex(1e308, 1e308)), ok]
+    records = jsonlines.spectrum_records(head, rows, cli._JSON.encode)
+    assert [records.line(row) is None for row in rows] == [False] * 5
     out = io.StringIO()
     _emit(records, "jsonl", out)
     assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
     for bad in (complex(4, math.inf), complex(math.nan, 0.0), complex(math.inf, 0.0),
                 math.inf, math.nan):
         for field in ("trace", "length"):
-            records = jsonlines.entry_records(head, [ok._replace(**{field: bad})],
-                                              cli._JSON.encode)
+            records = jsonlines.spectrum_records(head, [_spectrum_row(**{field: bad})],
+                                                 cli._JSON.encode)
             with pytest.raises(DomainError, match="not JSON compliant"):
                 _emit(records, "jsonl", io.StringIO())
 
@@ -1124,7 +1136,7 @@ def test_template_writes_every_row_of_a_real_walk(argv):
     # template writes every row, byte for byte as the encoder would
     out, records = _stdout_and_records(argv)
     assert isinstance(records, jsonlines.RecordSet) and len(records) > 0
-    assert all(type(row.trace) is float for row in records.rows)
+    assert all(type(row[3]) is float for row in records.rows)  # (|l|, word, ref, trace, l)
     assert all(records.line(row) is not None for row in records.rows)
     assert out == "".join(_dumps(rec) + "\n" for rec in records)
 
@@ -1139,7 +1151,7 @@ def test_template_writes_every_row_of_a_complex_walk(argv):
     # are complex: the template writes every row as the encoder would
     out, records = _stdout_and_records(argv)
     assert isinstance(records, jsonlines.RecordSet) and len(records) > 0
-    assert all(type(row.trace) is complex for row in records.rows)
+    assert all(type(row[3]) is complex for row in records.rows)
     assert all(records.line(row) is not None for row in records.rows)
     assert out == "".join(_dumps(rec) + "\n" for rec in records)
 
@@ -1148,8 +1160,8 @@ def test_template_writes_every_row_of_an_exact_walk():
     # an integer quad is walked in ints: the template writes each trace
     # as the encoder writes the int, with no float made of it
     out, records = _stdout_and_records(("spectrum", "4,4,4,4", "-L", "80"))
-    assert all(type(row.trace) is int for row in records.rows)
-    assert max(row.trace for row in records.rows) > 2 ** 53
+    assert all(type(row[3]) is int for row in records.rows)
+    assert max(row[3] for row in records.rows) > 2 ** 53
     assert all(records.line(row) is not None for row in records.rows)
     assert out == "".join(_dumps(rec) + "\n" for rec in records)
 
@@ -1171,11 +1183,15 @@ def test_template_writes_every_row_of_an_exact_walk():
     pytest.param("trace", 10 ** 400, id="trace-int-past-float-range"),
 ])
 def test_entry_record_lines_equal_json_dumps(field, value):
+    # each spectrum row, one field replaced; a row holds its word as text
     head = {"cmd": "spectrum", "quad": "4,4,4,4", "version": "0.1.0", "kind": "one-sided"}
-    entries = [SpectrumEntry(CurveKind.ONE_SIDED, 4 + 0j, 2.2 + 0.5j, 0, (1, 2)),
-               SpectrumEntry(CurveKind.ONE_SIDED, 4 + 1j, 2.5 + 0j, 3, (4, 1))]
-    records = jsonlines.entry_records(head, [e._replace(**{field: value}) for e in entries],
-                                      cli._JSON.encode)
+    if field == "word":
+        value = ",".join(map(str, value))
+    rows = [_spectrum_row(**{"trace": 4 + 0j, "length": 2.2 + 0.5j, "ref": 0, "word": "1,2",
+                             field: value}),
+            _spectrum_row(**{"trace": 4 + 1j, "length": 2.5 + 0j, "ref": 3, "word": "4,1",
+                             field: value})]
+    records = jsonlines.spectrum_records(head, rows, cli._JSON.encode)
     out = io.StringIO()
     _emit(records, "jsonl", out)
     assert out.getvalue() == "".join(_dumps(rec) + "\n" for rec in records)
@@ -1190,7 +1206,8 @@ def _integer_quad_past(digits):
 
 
 _CANNOT_WRITE = "mql: precondition violation: result cannot be written: "
-_INF_TRACE = lambda entry: entry._replace(trace=complex(math.inf, 0.0))
+# a spectrum row (|l|, word, ref, trace, l) with an infinite trace
+_INF_TRACE = lambda row: (*row[:3], complex(math.inf, 0.0), row[4])
 
 
 # the stderr texts were pinned from the writer that encoded every record
@@ -1198,7 +1215,7 @@ _INF_TRACE = lambda entry: entry._replace(trace=complex(math.inf, 0.0))
 # each command imports its function from the home module when it runs,
 # so the home module's attribute is the one to patch
 @pytest.mark.parametrize("argv, home, name, bad", [
-    (("spectrum", "4,4,4,4", "-L", "120"), spectra, "one_sided_spectrum", _INF_TRACE),
+    (("spectrum", "4,4,4,4", "-L", "120"), spectra, "_spectrum_rows", _INF_TRACE),
     (("enumerate-integral", "-B", str(10 ** 12)), integral, "enumerate_integral_below",
      lambda q: _integer_quad_past(4400)),
 ], ids=["inf-trace", "long-int"])
@@ -1218,7 +1235,7 @@ def test_record_set_failure_at_row_600(capsys, monkeypatch, c_encoder, argv, hom
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == "".join(good.splitlines(keepends=True)[:600])
-    if name == "one_sided_spectrum":
+    if name == "_spectrum_rows":
         reason = "Out of range float values are not JSON compliant" + (
             "" if c_encoder else ": inf")
     else:

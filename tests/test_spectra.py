@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markoffquads import (
+    DEFAULT_TOL,
     BranchCutError,
     BudgetExceededError,
     CurveKind,
@@ -32,6 +33,7 @@ from markoffquads import (
     two_sided_spectrum,
     walk,
 )
+from markoffquads.quadalgebra import DEFAULT_MAX_CELLS
 from helpers import (completion_roots, exact_cells_below, perturb_quad,
                      unpruned_count_below_length)
 
@@ -89,6 +91,30 @@ def test_one_sided_spectrum_order_matches_walk(q, L):
     want.sort(key=lambda e: (abs(e.length), e.word, e.cell_ref))
     assert one_sided_spectrum(q, L) == want
     assert count_s(q, L) == len(want)
+
+
+_WORDS = st.lists(st.integers(1, 4), max_size=10).map(tuple)
+
+
+@given(_WORDS, _WORDS)
+def test_word_texts_sort_as_words(u, v):
+    # the CLI sorts its rows by word text: a slot is one digit, so the
+    # texts compare as the words do
+    tu, tv = ",".join(map(str, u)), ",".join(map(str, v))
+    assert (tu < tv, tu == tv) == (u < v, u == v)
+
+
+@pytest.mark.parametrize("q, L", [(IntegerQuad(4, 4, 4, 4), 300), (QF, 12.0), (RIGID, 14.0)])
+def test_rows_sorted_by_text_are_rows_sorted_by_word(q, L):
+    # one to one, on walks with many ties in |l| (24 at a time at 4,4,4,4)
+    one = CurveKind.ONE_SIDED
+    texts = spectra._spectrum_rows(q, L, one, DEFAULT_MAX_CELLS, DEFAULT_TOL, texts=True)
+    words = spectra._spectrum_rows(q, L, one, DEFAULT_MAX_CELLS, DEFAULT_TOL)
+    assert len(texts) == len(words) > 0
+    assert [(a, tuple(map(int, t.split(","))) if t else (), *rest)
+            for a, t, *rest in texts] == words
+    w = _walk(q, cell_bound=2 * math.sinh(L / 2))
+    assert spectra._word_texts(w) == [",".join(map(str, word)) for word in w.words()]
 
 
 @pytest.mark.parametrize("q, L", [(Q4, 9.0), (QF, 9.0), (RIGID, 9.0)])

@@ -97,6 +97,7 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "mcshane 4,4,4,4 --target-tol 1e-6 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-12",  # DEFAULT_SCHEDULE ends unconverged
     "spectrum 4,4,4,4 -L 400 --max-cells 1000",  # an exact walk, finite yet cut
+    "spectrum 4.0,4,4,4 -L 400 --max-cells 1000",  # a float walk, finite yet cut
     "spectrum 8,1,1,-6-8i -L 10 --max-cells 100",  # a complex walk, cut
     # usage errors, each exits 1 from the parse
     "flip 4,4,4,4",  # a missing option
