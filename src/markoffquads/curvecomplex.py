@@ -147,16 +147,26 @@ def walk(
     with no budget_hit is complete: every larger budget gives it too.
 
     Each queued vertex is one flat tuple (its name, arrival slot, four
-    cell ids and four values), and the loop body is written out once per
-    slot: the arrival cell's faces in one branch per arrival slot, then
-    one block per flip.  Each flip block computes its own flip inline,
-    so a vertex makes no call and computes only the three forward flips
-    it can follow, never the one back to its parent.  Each must keep the
-    operation order of `flips` (product of the other three in slot
-    order, minus twice their sum, minus the old entry): float arithmetic
-    is not associative, so any other order changes the low bits of cell
-    values, and with them lengths, sums and, at a bound, which cells are
-    kept.
+    cell ids, four values and their four magnitudes), and the loop body
+    is written out once per slot: the arrival cell's faces in one branch
+    per arrival slot, then one block per flip.  Each flip block computes
+    its own flip inline, so a vertex computes only the three forward
+    flips it can follow, never the one back to its parent.  A flip's one
+    `abs` gives its magnitude, which its child inherits with the parent's
+    other three (the root's four are taken before the loop), and its
+    keep test calls no builtin.  The test reads the cell bound, then the
+    face bound, then the three descending comparisons, and writes the
+    smallest of the three magnitudes as two conditional expressions that
+    make `min`'s comparisons in `min`'s order, so a NaN is taken or
+    passed over as `min` would.  These are side-effect-free comparisons
+    of ints or floats, so the reordered `or` and the written-out minimum
+    keep or prune every flip as `m < m1 or m < m2 or m < m3 or m <=
+    cell_bound or m * min(m1, m2, m3) <= face_bound` does.  Each flip
+    must keep the operation order of `flips` (product of the other three
+    in slot order, minus twice their sum, minus the old entry): float
+    arithmetic is not associative, so any other order changes the low
+    bits of cell values, and with them lengths, sums and, at a bound,
+    which cells are kept.
 
     The arithmetic is chosen before the loop, which runs once.  A
     Fuchsian root (four entries with a positive real part and an
@@ -216,14 +226,15 @@ def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
     # no magnitude is <= -1: an absent cell bound keeps nothing
     cbound = -1.0 if cell_bound is None else cell_bound
     # one flat record per queued vertex: (vertex name, arrival slot 0..3
-    # or -1 at the root, the four cell ids, the four values)
-    queue = deque([(0, -1, 0, 1, 2, 3, *start)])
+    # or -1 at the root, the four cell ids, the four values, their four
+    # magnitudes)
+    queue = deque([(0, -1, 0, 1, 2, 3, *start, *map(abs, start))])
     push, pop = queue.append, queue.popleft
     add_value, add_parent, add_slot = values.append, parents.append, slots.append
     n = 4  # cells so far, and the id of the next
     budget_hit = True  # unless the queue empties
     while queue:
-        name, back, ia, ib, ic, id_, a, b, c, d = pop()
+        name, back, ia, ib, ic, id_, a, b, c, d, ma, mb, mc, md = pop()
         if record_faces:
             # only the faces of the cell created on arrival are new
             # here: the other three pairs met at the parent.  Each
@@ -268,57 +279,66 @@ def _walk(start, cell_bound, face_bound, max_cells) -> Walk:
                 p = c * d
                 if abs(p) <= face_bound:
                     faces[(ic, name)] = p
-        ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
-        # per slot, never prune a strictly descending direction (below
-        # one of the three magnitudes the flip leaves in place);
-        # otherwise extend only while the new value can still matter
+        # per slot, keep a flip within the cell bound, one whose product
+        # with the smallest of the three magnitudes it leaves in place
+        # (min's comparisons, written out) is within the face bound, and
+        # never prune a strictly descending direction (below one of those
+        # three magnitudes)
         if back != 0:
             fa = b * c * d - 2 * (b + c + d) - a
             m = abs(fa)
-            if (m < mb or m < mc or m < md or m <= cbound
-                    or (record_faces and m * min(mb, mc, md) <= face_bound)):
+            if (m <= cbound
+                    or (record_faces and m * (md if md < (lo := mc if mc < mb else mb)
+                                              else lo) <= face_bound)
+                    or m < mb or m < mc or m < md):
                 if n >= max_cells:
                     break
                 add_value(fa)
                 add_parent(name)
                 add_slot(1)
-                push((n, 0, n, ib, ic, id_, fa, b, c, d))
+                push((n, 0, n, ib, ic, id_, fa, b, c, d, m, mb, mc, md))
                 n += 1
         if back != 1:
             fb = a * c * d - 2 * (a + c + d) - b
             m = abs(fb)
-            if (m < ma or m < mc or m < md or m <= cbound
-                    or (record_faces and m * min(ma, mc, md) <= face_bound)):
+            if (m <= cbound
+                    or (record_faces and m * (md if md < (lo := mc if mc < ma else ma)
+                                              else lo) <= face_bound)
+                    or m < ma or m < mc or m < md):
                 if n >= max_cells:
                     break
                 add_value(fb)
                 add_parent(name)
                 add_slot(2)
-                push((n, 1, ia, n, ic, id_, a, fb, c, d))
+                push((n, 1, ia, n, ic, id_, a, fb, c, d, ma, m, mc, md))
                 n += 1
         if back != 2:
             fc = a * b * d - 2 * (a + b + d) - c
             m = abs(fc)
-            if (m < ma or m < mb or m < md or m <= cbound
-                    or (record_faces and m * min(ma, mb, md) <= face_bound)):
+            if (m <= cbound
+                    or (record_faces and m * (md if md < (lo := mb if mb < ma else ma)
+                                              else lo) <= face_bound)
+                    or m < ma or m < mb or m < md):
                 if n >= max_cells:
                     break
                 add_value(fc)
                 add_parent(name)
                 add_slot(3)
-                push((n, 2, ia, ib, n, id_, a, b, fc, d))
+                push((n, 2, ia, ib, n, id_, a, b, fc, d, ma, mb, m, md))
                 n += 1
         if back != 3:
             fd = a * b * c - 2 * (a + b + c) - d
             m = abs(fd)
-            if (m < ma or m < mb or m < mc or m <= cbound
-                    or (record_faces and m * min(ma, mb, mc) <= face_bound)):
+            if (m <= cbound
+                    or (record_faces and m * (mc if mc < (lo := mb if mb < ma else ma)
+                                              else lo) <= face_bound)
+                    or m < ma or m < mb or m < mc):
                 if n >= max_cells:
                     break
                 add_value(fd)
                 add_parent(name)
                 add_slot(4)
-                push((n, 3, ia, ib, ic, n, a, b, c, fd))
+                push((n, 3, ia, ib, ic, n, a, b, c, fd, ma, mb, mc, m))
                 n += 1
     else:
         budget_hit = False

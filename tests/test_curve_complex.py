@@ -18,6 +18,7 @@ from markoffquads import (
     classify_vertex,
     complete_quad,
     curvecomplex,
+    enumerate_fundamental,
     enumerate_integral_below,
     fibonacci_level_counts,
     flip_value,
@@ -527,16 +528,25 @@ def _check_against_reference(vals, cell_bound, face_bound, max_cells):
     """Assert that walk agrees bit for bit with the reference
     (same ids, values by repr, words, faces in discovery order, node
     count and budget flag), truncated walks included; return the
-    reference's result.  A real walk's floats are compared as the
-    complex numbers they stand for: complex(x) is exact, with an
+    reference's result.  vals is an IntegerQuad, whose walk and
+    reference both run in exact ints, compared by value and type, or
+    four values of a MarkoffQuad.  A real walk's floats are compared as
+    the complex numbers they stand for: complex(x) is exact, with an
     imaginary part of +0.0."""
-    q = MarkoffQuad.from_values(vals)
+    exact = isinstance(vals, IntegerQuad)
+    q = vals if exact else MarkoffQuad.from_values(vals)
     ref = _reference_walk(q.values(), cell_bound, face_bound, max_cells)
     cells, faces, visited, budget_hit, _ = ref
     w = walk(q, cell_bound=cell_bound, face_bound=face_bound, max_cells=max_cells)
     words = w.words()
-    assert [(k, repr(complex(v)), words[k]) for k, v in enumerate(w.values)] == cells
-    assert [(pair, repr(complex(p))) for pair, p in w.faces.items()] == faces
+    if exact:
+        # an int's repr is its digits, which no float or complex repr is
+        assert {type(x) for x in [*w.values, *w.faces.values()]} == {int}
+        assert [(k, repr(v), words[k]) for k, v in enumerate(w.values)] == cells
+        assert [(pair, repr(p)) for pair, p in w.faces.items()] == faces
+    else:
+        assert [(k, repr(complex(v)), words[k]) for k, v in enumerate(w.values)] == cells
+        assert [(pair, repr(complex(p))) for pair, p in w.faces.items()] == faces
     assert (w.nodes_visited, w.budget_hit) == (visited, budget_hit)
     return ref
 
@@ -571,6 +581,15 @@ _OVERFLOWS = (1e40, 1e40, 1e40, complete_quad(1e40, 1e40, 1e40)[0].real)
       for cb, fb in ((1e5, None), (None, 1e7), (1e4, 1e6))],
     ((4, 4, 4, 4), math.inf, None, 3_000),
     (_OVERFLOWS, None, math.inf, 300),
+    # cells that overflow to inf, kept by the test inf <= inf
+    (_OVERFLOWS, math.inf, None, 300),
+    (_OVERFLOWS, math.inf, math.inf, 300),
+    # exact int walks, as bq-check 0,0,0,0 makes: every root has more
+    # than 60 cells under these bounds, so the last budget cuts it, and
+    # every flip of the zero quad is 0, so each of its walks is cut
+    *[(q, cb, fb, n) for q in [*enumerate_fundamental(), IntegerQuad(0, 0, 0, 0)]
+      for cb, fb, n in ((1e8, None, 20_000), (None, 1e12, 20_000), (1e7, 1e10, 20_000),
+                        (1e8, 1e12, 60))],
 ])
 def test_explore_matches_reference_bfs(vals, cell_bound, face_bound, max_cells):
     cells = _check_against_reference(vals, cell_bound, face_bound, max_cells)[0]
