@@ -17,21 +17,6 @@ from .errors import BudgetExceededError, DomainError, InvalidQuadError
 from .quadalgebra import DEFAULT_MAX_CELLS, IntegerQuad, reduce_to_sink
 
 
-# Search box from the reduction argument: after sorting, the largest
-# entry is at most the sum of the others, forcing a <= 4 (proved in
-# spectra.systole's docstring) and 5 <= ab <= 36; bounding
-# (a+b+2d)^2 >= ab_min (d - a - b_max) d then caps d per value of a.
-# Per a: (b_min, b_max, d_max).  The search caps d again per (a, b), at
-# a + b + _c_max(a, b): a box quad has c <= d <= a + b + c, so
-# ab c^2 <= abcd = (a+b+c+d)^2 <= 4(a+b+c)^2.
-SEARCH_BOUNDS = {
-    1: (5, 36, 337),
-    2: (3, 18, 101),
-    3: (3, 12, 40),
-    4: (4, 9, 26),
-}
-
-
 def _c_max(a: int, b: int) -> int:
     """The largest integer c with ab c^2 <= 4(a+b+c)^2, for ab > 4.
 
@@ -45,30 +30,31 @@ def _c_max(a: int, b: int) -> int:
 
 
 def _in_search_box(a: int, b: int, c: int, d: int) -> bool:
-    """Whether the ascending entries lie in the SEARCH_BOUNDS box: a is
-    a key, max(a, b_min) <= b <= b_max, b <= d <= d_max and
-    max(b, d - a - b) <= c <= d."""
-    bounds = SEARCH_BOUNDS.get(a)
-    if bounds is None:
-        return False
-    blo, bhi, dmax = bounds
-    return max(a, blo) <= b <= bhi and b <= d <= dmax and max(b, d - a - b) <= c <= d
+    """Whether the ascending entries meet the bounds that
+    enumerate_fundamental proves for a reduced quad: a <= 4, ab > 4,
+    b <= c <= c_max(a, b), c <= d and d <= a + b + c (these imply
+    ab <= 36)."""
+    return a <= 4 and a * b > 4 and b <= c <= min(d, _c_max(a, b)) and d <= a + b + c
 
 
 def enumerate_fundamental() -> list[IntegerQuad]:
     """All reduced positive integer quads, by exhaustive search over the
-    reduction bounds.
+    bounds that reduction proves.
 
-    The search walks every a <= b <= d of the SEARCH_BOUNDS box and
-    solves the relation, a quadratic in c, exactly: an integer square
-    root of its discriminant gives its smaller root, the only candidate,
-    kept when it lies in the box's range max(b, d - a - b) <= c <= d.
+    A reduced quad, sorted a <= b <= c <= d, has d <= a + b + c, the
+    sink condition, and so:
+    - a <= 4, proved in spectra.systole's docstring;
+    - ab > 4: with ab <= 4, (a+b+c+d)^2 > (c+d)^2 >= 4cd >= abcd, so no
+      positive quad has it;
+    - c <= c_max(a, b), the largest integer c with ab c^2 <= 4(a+b+c)^2,
+      since ab c^2 <= abcd = (a+b+c+d)^2 <= 4(a+b+c)^2;
+    - ab <= 36, since ab c^2 <= 4(a+b+c)^2 <= 36 c^2 as a, b <= c.
 
-    Each (a, b) row stops d at a + b + c_max, c_max the largest integer
-    c with ab c^2 <= 4(a+b+c)^2 (no cap when ab <= 4, where every c
-    passes).  The cap loses no box quad: one has c <= d <= a + b + c,
-    so ab c^2 <= abcd = (a+b+c+d)^2 <= 4(a+b+c)^2, hence c <= c_max and
-    d <= a + b + c_max.
+    The search walks every (a, b) these allow, skips a row with
+    c_max < b, and runs d from b to a + b + c_max: 499 triples (a, b, d)
+    in all.  It solves the relation, a quadratic in c, exactly: an
+    integer square root of its discriminant gives its smaller root, the
+    only candidate, kept when it meets the bounds (_in_search_box).
 
     It returns nine quads.  Besides the classical eight it finds
     (2, 4, 6, 12): a valid solution (24^2 = 576 = 2*4*6*12) that is
@@ -78,15 +64,17 @@ def enumerate_fundamental() -> list[IntegerQuad]:
     """
     # For fixed (a, b, d), with s = a+b+d and p = abd, the relation is
     # c^2 - (p - 2s)c + s^2 = 0 with discriminant p(p - 4s), so every
-    # integer c of the box is a root (p - 2s -+ r)/2.  The roots multiply
+    # integer solution c is a root (p - 2s -+ r)/2.  The roots multiply
     # to s^2, so the larger one is at least s > d and only the smaller
-    # can lie in the box; r^2 = p^2 - 4ps forces r = p (mod 2), so its
+    # can meet c <= d; r^2 = p^2 - 4ps forces r = p (mod 2), so its
     # numerator is even and the division exact.
     found = []
-    for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items():
-        for b in range(max(a, blo), bhi + 1):
-            dtop = dmax if a * b <= 4 else min(dmax, a + b + _c_max(a, b))
-            for d in range(b, dtop + 1):
+    for a in range(1, 5):
+        for b in range(max(a, 4 // a + 1), 36 // a + 1):
+            cm = _c_max(a, b)
+            if cm < b:
+                continue
+            for d in range(b, a + b + cm + 1):
                 s = a + b + d
                 p = a * b * d
                 disc = p * (p - 4 * s)
@@ -107,10 +95,10 @@ def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
     taken.  A reduced quad outside the table means the input was not a
     positive integer quad.
 
-    The reduced quad is valid and ascending, and the search keeps every
-    such quad of the SEARCH_BOUNDS box (of the two roots in c only the
-    smaller can lie in it), so membership is the box test alone; the
-    search itself is not run."""
+    The reduced quad is valid, ascending and a sink, and the search
+    keeps every such quad that meets its bounds (of the two roots in c
+    only the smaller can meet them), so membership is the bounds test
+    alone; the search itself is not run."""
     if min(q) <= 0:
         raise DomainError("reduction needs all entries positive")
     sink, word = reduce_to_sink(q)

@@ -280,6 +280,22 @@ def perturb_quad(vals, rng, scale=1e-3):
     return (a, b, c, nd)
 
 
+def random_subtree(rng, size):
+    """Up to `size` flip words from the root that form a connected
+    subtree, the empty word included: each new word extends a random
+    word already present by a random slot that does not backtrack."""
+    words = {()}
+    frontier = [()]
+    while len(words) < size and frontier:
+        w = rng.choice(frontier)
+        i = rng.choice([i for i in range(1, 5) if not (w and w[-1] == i)])
+        new = w + (i,)
+        if new not in words:
+            words.add(new)
+            frontier.append(new)
+    return words
+
+
 def value_bits_or_error(f, *args):
     """f(*args) as the bits of its complex value, or the type and text
     of the exception it raises, so that two routes can be compared

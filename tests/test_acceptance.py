@@ -56,6 +56,7 @@ from helpers import (
     jordan_totient2,
     perturb_quad,
     random_complex_quad,
+    random_subtree,
     unpruned_count_below_length,
     unpruned_walk,
 )
@@ -141,19 +142,6 @@ def test_criterion_3_mcshane():
           "to 1/2 at 1e-3 for every fundamental quad")
 
 
-def _random_subtree(rng, size):
-    words = {()}
-    frontier = [()]
-    while len(words) < size and frontier:
-        w = rng.choice(frontier)
-        i = rng.choice([i for i in range(1, 5) if not (w and w[-1] == i)])
-        new = w + (i,)
-        if new not in words:
-            words.add(new)
-            frontier.append(new)
-    return words
-
-
 def test_criterion_4_psi_sum():
     rng = random.Random(7)
     quads = [sample_fuchsian_quad(rng) for _ in range(5)]
@@ -165,7 +153,7 @@ def test_criterion_4_psi_sum():
         quads.append(q)
     for q in quads:
         for _ in range(50):
-            words = _random_subtree(rng, rng.randint(1, 14))
+            words = random_subtree(rng, rng.randint(1, 14))
             total = finite_tree_psi_sum(q, words)
             assert abs(total - 1) <= 1e-10
     print("[criterion 4] PASS: psi-sum = 1 on 50 random subtrees for each "

@@ -19,7 +19,6 @@ from markoffquads import (
 )
 from markoffquads import integral
 from markoffquads.quadalgebra import DEFAULT_MAX_STEPS
-from markoffquads.integral import SEARCH_BOUNDS
 from helpers import brute_integral_scan, flip_closure_below
 
 # the bounded exhaustive search provably yields these nine; see the
@@ -150,62 +149,23 @@ def test_fundamental_ninth_orbit_is_disjoint():
     assert reduced.values() == (2, 4, 6, 12)
 
 
-def _box_scan(bounds):
-    # the search as a plain four-loop scan of the box, c included
-    found = set()
-    for a, (blo, bhi, dmax) in bounds.items():
-        for b in range(max(a, blo), bhi + 1):
-            for d in range(b, dmax + 1):
-                for c in range(max(b, d - a - b), d + 1):
-                    if (a + b + c + d) ** 2 == a * b * c * d:
-                        found.add((a, b, c, d))
-    return sorted(found)
-
-
-# a box past SEARCH_BOUNDS in b and d, which the search must scan alike
-_WIDENED = {a: (blo, bhi + 10, 3 * dmax) for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items()}
-
-
-def test_fundamental_search_matches_box_scan(monkeypatch):
-    assert [q.values() for q in enumerate_fundamental()] == _box_scan(SEARCH_BOUNDS)
-    monkeypatch.setattr(integral, "SEARCH_BOUNDS", _WIDENED)
-    assert [q.values() for q in enumerate_fundamental()] == _box_scan(_WIDENED)
-
-
-@pytest.mark.parametrize("bounds", [SEARCH_BOUNDS, _WIDENED], ids=["table", "widened"])
-def test_fundamental_search_cap_keeps_every_box_quad(bounds):
-    # the search stops each (a, b) row at d = a + b + c_max, c_max the
-    # largest c with ab c^2 <= 4(a+b+c)^2; a box that outgrew the cap
-    # would lose quads here first
-    for a, (blo, bhi, _) in bounds.items():
-        for b in range(max(a, blo), bhi + 1):
-            ab, cmax = a * b, integral._c_max(a, b)
-            assert ab > 4
-            assert ab * cmax ** 2 <= 4 * (a + b + cmax) ** 2
-            assert ab * (cmax + 1) ** 2 > 4 * (a + b + cmax + 1) ** 2
-    for a, b, c, d in _box_scan(bounds):
-        assert d <= a + b + integral._c_max(a, b)
-
-
-def test_search_bounds_rederivation():
-    # the per-a cap on the top entry comes from (s + 2d)^2 >= q (d - s) d
-    # with s = a + b_max and q = a * b_min; q > 4 makes feasibility an
-    # interval in d, and the table values must cover the derived caps
-    for a, (blo, bhi, dmax) in SEARCH_BOUNDS.items():
-        s = a + bhi
-        qmin = a * blo
-
-        def feasible(d):
-            return (s + 2 * d) ** 2 >= qmin * (d - s) * d
-
-        assert qmin > 4
-        d = 1
-        while feasible(d + 1):
-            d += 1
-        assert d <= dmax  # table is an upper envelope of the derived cap
-        # b ranges come from 5 <= a*b <= 36 and sortedness b >= a
-        assert bhi == 36 // a
-        assert blo == max(a, -(-5 // a))
+def test_fundamental_search_matches_box_scan():
+    # the sinks of a plain scan of a box past every bound of the search
+    # (a <= 7, b <= 59, d <= 399) are the nine roots, and each meets
+    # the bounds that enumerate_fundamental proves
+    scan = brute_integral_scan(399, a_max=7, b_max=59)
+    sinks = sorted(v for v in scan if v[3] <= v[0] + v[1] + v[2])
+    assert [q.values() for q in enumerate_fundamental()] == sinks
+    for a, b, c, d in sinks:
+        ab, cmax = a * b, integral._c_max(a, b)
+        assert a <= 4 and 4 < ab <= 36
+        assert b <= c <= cmax and d <= a + b + c
+        # c_max is the largest c with ab c^2 <= 4(a+b+c)^2
+        assert ab * cmax ** 2 <= 4 * (a + b + cmax) ** 2
+        assert ab * (cmax + 1) ** 2 > 4 * (a + b + cmax + 1) ** 2
+    # no positive quad has ab <= 4
+    small = brute_integral_scan(300, a_max=4, b_max=4)
+    assert small and all(a * b > 4 for a, b, _, _ in small)
 
 
 def test_classify_examples():
@@ -241,9 +201,9 @@ def test_classify_does_not_run_the_search(monkeypatch):
 
 
 def test_classify_rejects_a_root_outside_the_box(monkeypatch):
-    # without a = 4 in the box, (4, 4, 4, 4) is no longer a fundamental quad
-    bounds = {a: v for a, v in SEARCH_BOUNDS.items() if a != 4}
-    monkeypatch.setattr(integral, "SEARCH_BOUNDS", bounds)
+    # with c_max below b at a = 4, (4, 4, 4, 4) no longer meets the bounds
+    c_max = integral._c_max
+    monkeypatch.setattr(integral, "_c_max", lambda a, b: 0 if a == 4 else c_max(a, b))
     assert classify(IntegerQuad(2, 5, 5, 8))[0].values() == (2, 5, 5, 8)
     with pytest.raises(InvalidQuadError, match=r"\(4, 4, 4, 4\) is not a fundamental quad"):
         classify(IntegerQuad(4, 4, 4, 36))

@@ -27,7 +27,14 @@ from markoffquads import (
     two_sided_length,
     walk,
 )
-from helpers import DEEP_VIOLATION, NO_SINK, around, perturb_quad, value_bits_or_error
+from helpers import (
+    DEEP_VIOLATION,
+    NO_SINK,
+    around,
+    perturb_quad,
+    random_subtree,
+    value_bits_or_error,
+)
 from markoffquads.mcshane import BRANCH_TOL, DEFAULT_MAX_CELLS, DEFAULT_TOL
 from markoffquads.quadalgebra import _segment_distance
 
@@ -286,26 +293,12 @@ def test_finite_tree_psi_sum_validation():
         finite_tree_psi_sum(Q4, [(), (1,), (1, 1)])  # backtracking word
 
 
-def _random_subtree(rng, size):
-    words = [()]
-    frontier = [()]
-    while len(words) < size and frontier:
-        w = rng.choice(frontier)
-        options = [i for i in range(1, 5) if not (w and w[-1] == i)]
-        i = rng.choice(options)
-        new = w + (i,)
-        if new not in words:
-            words.append(new)
-            frontier.append(new)
-    return words
-
-
 def test_finite_tree_psi_sum_random_subtrees():
     rng = random.Random(17)
     for _ in range(5):
         q = sample_fuchsian_quad(rng)
         for _ in range(10):
-            words = _random_subtree(rng, rng.randint(1, 12))
+            words = random_subtree(rng, rng.randint(1, 12))
             assert abs(finite_tree_psi_sum(q, words) - 1) <= 1e-10
 
 

@@ -75,6 +75,9 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "enumerate-integral -B 3",  # below the smallest quad
     f"enumerate-integral -B {10 ** 40}",  # 26,081 quads, past the budget
     "fundamental",
+    "reduce 12,6,4,2",  # the ninth root, (2,4,6,12), unsorted: word []
+    "reduce 242,4,6,12",  # one flip above it: word [1]
+    "reduce 0,0,0,0",  # not positive: exit 4
     f"bq-check {_NEAR_CUT_FLIPPED} -k 4",
     f"mcshane {_NEAR_CUT_FLIPPED} --cutoff 4",
     f"mcshane {_NO_SINK} --cutoff 100",
