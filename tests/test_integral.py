@@ -168,6 +168,63 @@ def test_fundamental_search_matches_box_scan():
     assert small and all(a * b > 4 for a, b, _, _ in small)
 
 
+def _search_rows(monkeypatch):
+    # the (a, b) rows that enumerate_fundamental walks: it calls c_max
+    # once at the head of each row, and only for rows it walks
+    rows, c_max = set(), integral._c_max
+
+    def spy(a, b):
+        rows.add((a, b))
+        return c_max(a, b)
+
+    monkeypatch.setattr(integral, "_c_max", spy)
+    enumerate_fundamental()
+    monkeypatch.undo()
+    return rows
+
+
+@pytest.mark.parametrize("box", ["table", "widened"])
+def test_fundamental_search_cap_keeps_every_box_quad(box, monkeypatch):
+    # the search stops each (a, b) row at d = a + b + c_max, c_max the
+    # largest c with ab c^2 <= 4(a+b+c)^2; a sink of the rows past that
+    # cap would be lost here first.  "table" is the rows the search
+    # walks, "widened" a box past them in a and b
+    if box == "table":
+        rows = _search_rows(monkeypatch)
+    else:
+        rows = {(a, b) for a in range(1, 8) for b in range(a, 60) if a * b > 4}
+    for a, b in rows:
+        ab, cmax = a * b, integral._c_max(a, b)
+        assert ab > 4
+        assert ab * cmax ** 2 <= 4 * (a + b + cmax) ** 2
+        assert ab * (cmax + 1) ** 2 > 4 * (a + b + cmax + 1) ** 2
+    a_max = max(a for a, _ in rows)
+    b_max = max(b for _, b in rows)
+    sinks = [v for v in brute_integral_scan(399, a_max=a_max, b_max=b_max)
+             if v[:2] in rows and v[3] <= v[0] + v[1] + v[2]]
+    assert sinks
+    for a, b, c, d in sinks:
+        assert d <= a + b + integral._c_max(a, b)
+
+
+def test_search_bounds_rederivation(monkeypatch):
+    # the search walks every row b >= a with 4 < ab <= 36 for a <= 4,
+    # and no other: b from max(a, ceil(5/a)) to 36 // a
+    derived = {(a, b) for a in range(1, 5) for b in range(a, 37) if 4 < a * b <= 36}
+    assert _search_rows(monkeypatch) == derived
+    # ab <= 36 follows from c_max: with b <= c <= c_max, ab c^2 <=
+    # 4(a+b+c)^2 <= 36 c^2, so a row b >= a with ab > 36 has c_max < b
+    for a in range(1, 37):
+        for b in range(max(a, 36 // a + 1), 200):
+            assert integral._c_max(a, b) < b
+    # ab > 4: (a+b+c+d)^2 > (c+d)^2 >= 4cd >= abcd, so no positive quad
+    # with ab <= 4 exists
+    for a, b in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]:
+        for c in range(b, 60):
+            for d in range(c, 60):
+                assert (a + b + c + d) ** 2 > a * b * c * d
+
+
 def test_classify_examples():
     root, word = classify(IntegerQuad(4, 4, 4, 36))
     assert root.values() == (4, 4, 4, 4) and word == [4]
