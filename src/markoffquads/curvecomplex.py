@@ -132,10 +132,11 @@ def walk(
     The budget: a walk holds at most max(max_cells, 4) cells.  A
     followed flip past that ends the walk, which returns what it found,
     with budget_hit set; it never raises for a spent budget, and each
-    caller decides what one means.  The vertices are the root and the
-    cells 4 .. n-1 of a walk that made n cells, queued and popped in id
-    order, so nodes_visited is n - 3 less the vertices still queued when
-    the loop ends.
+    caller decides what one means.  A NaN max_cells, which no budget
+    test would catch, raises DomainError before the walk.  The vertices
+    are the root and the cells 4 .. n-1 of a walk that made n cells,
+    queued and popped in id order, so nodes_visited is n - 3 less the
+    vertices still queued when the loop ends.
 
     A walk cut by its budget is a prefix of the walk at any larger one:
     the arithmetic is chosen before the loop, and the loop reads
@@ -196,6 +197,8 @@ def walk(
         raise DomainError("need at least one of cell_bound, face_bound")
     if cell_bound != cell_bound or face_bound != face_bound:  # a NaN bound keeps nothing
         raise DomainError("cell_bound and face_bound must not be NaN")
+    if max_cells != max_cells:  # a NaN budget would bound nothing
+        raise DomainError("max_cells must not be NaN")
     start = q.values()
     if (cell_bound != math.inf and face_bound != math.inf
             and all(type(v) is complex and 0.0 < v.real < math.inf and v.imag == 0.0

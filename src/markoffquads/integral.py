@@ -10,7 +10,6 @@ integer quads.
 
 from __future__ import annotations
 
-from collections import deque
 from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, InvalidQuadError
@@ -111,10 +110,11 @@ def classify(q: IntegerQuad) -> tuple[IntegerQuad, list[int]]:
 def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list[IntegerQuad]:
     """Every positive integer quad with max entry <= B, each as an
     IntegerQuad with ascending entries, the list in sorted order; found
-    by breadth-first closure from the fundamental roots along ascending
-    flips only, those whose new entry exceeds the old.  More than
-    max_cells distinct quads raise BudgetExceededError; B below 4, or
-    NaN, raises DomainError.
+    by a walk of the tree that the ascending flips, those whose new
+    entry exceeds the old, make on the quads, from the fundamental
+    roots.  More than max_cells distinct quads raise
+    BudgetExceededError; B below 4, or NaN, and a NaN max_cells raise
+    DomainError.
 
     Why ascending flips suffice: take a positive ascending quad
     (a, b, c, d).  Flipping an entry x other than the last gives
@@ -126,56 +126,64 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
     is reduced, a root.  So every quad but a root has exactly one
     descending flip, to its parent, and the parent's flip back to it
     ascends: the ascending flips from the roots reach every quad, and a
-    descending flip or a self-flip only finds a quad already found.  The
-    walk keeps `seen`, since two equal entries give the same child.  It
-    adds the quads in the order that a closure along all four flips
-    would, so the budget runs out at the same quad; the test before each
-    pop sees it spent at the vertex that added the quad past it.
+    descending flip or a self-flip only finds a quad already found.
 
-    The loop writes the flips out with shared products: with
-    t2 = 2(a+b+c+d), the flip of a, bcd - 2(b+c+d) - a, is
-    b*cd - t2 + a, and likewise for the others.  Int arithmetic is exact
-    and associative, so these are `flips`' values; a float walk would
-    have to keep `flips`' operation order.  The first three flips ascend
-    (above), so only the last is tested against its old entry.
+    Why each quad is made once, with no set of the quads seen: parents
+    are unique, so two vertices never make the same child, and no vertex
+    makes a root.  At one vertex the children of slots i < j are the
+    same quad exactly when x_i = x_j: the three entries left in place
+    then agree, and so does the flip, x' = s^2 / x with s the sum of the
+    other three; with distinct entries the entries left in place differ.
+    The entries are ascending, so equal ones are neighbours, and the
+    walk skips slot 2 when a = b, slot 3 when b = c and slot 4 when
+    c = d (where d' = c' > d): each child comes from the first slot that
+    makes it.  The list `found` is then both the record and the queue:
+    the loop visits each quad once, in discovery order, while the quads
+    it appends extend it.
+
+    The slot order: with t2 = 2(a+b+c+d), the flip of a,
+    bcd - 2(b+c+d) - a, is v1 = b*cd - t2 + a, and likewise v2, v3 and
+    v4 for b, c and d.  Then v1 - v2 = (b - a)(cd - 1),
+    v2 - v3 = (c - b)(ad - 1) and v3 - v4 = (d - c)(ab - 1), all >= 0
+    on a positive ascending quad, so v1 >= v2 >= v3 >= v4.  The loop
+    computes v3 first, v2 only when v3 <= B and v1 only when v2 <= B,
+    and still appends the children in slot order 1 to 4.  Int arithmetic
+    is exact and associative, so these are `flips`' values; a float walk
+    would have to keep `flips`' operation order.  The first three flips
+    ascend (above), so only the last is tested against its old entry.
+
+    The budget: the quads are appended in the order that a closure along
+    all four flips, keeping each new quad once, would add them, so the
+    test before each visit sees the budget spent at the vertex that
+    added the quad past it, and raises the same message at the same
+    quad.
     """
     if not B >= 4:  # NaN too
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
-    seen: set[tuple[int, int, int, int]] = set()
-    queue = deque(tuple(root) for root in enumerate_fundamental() if root.d <= B)
-    seen.update(queue)  # the roots are ascending, and distinct
-    push, pop = queue.append, queue.popleft
-    while queue:
-        if len(seen) > max_cells:
+    if max_cells != max_cells:  # a NaN budget would bound nothing
+        raise DomainError("max_cells must not be NaN")
+    found = [tuple(root) for root in enumerate_fundamental() if root.d <= B]
+    push = found.append
+    for a, b, c, d in found:
+        if len(found) > max_cells:
             raise BudgetExceededError(
                 f"cell budget {max_cells} exhausted before every integer quad below B was found"
             )
-        a, b, c, d = pop()
         ab = a * b
         cd = c * d
         t2 = 2 * (a + b + c + d)
-        v = b * cd - t2 + a
-        if v <= B:
-            child = (b, c, d, v)
-            if child not in seen:
-                seen.add(child)
-                push(child)
-        v = a * cd - t2 + b
-        if v <= B:
-            child = (a, c, d, v)
-            if child not in seen:
-                seen.add(child)
-                push(child)
-        v = ab * d - t2 + c
-        if v <= B:
-            child = (a, b, d, v)
-            if child not in seen:
-                seen.add(child)
-                push(child)
-        v = ab * c - t2 + d
-        if d < v <= B:
-            child = (a, b, c, v)
-            if child not in seen:
-                seen.add(child)
-                push(child)
-    return [IntegerQuad(*v) for v in sorted(seen)]
+        v3 = ab * d - t2 + c
+        if v3 <= B:
+            v2 = a * cd - t2 + b
+            if v2 <= B:
+                v1 = b * cd - t2 + a
+                if v1 <= B:
+                    push((b, c, d, v1))
+                if a != b:
+                    push((a, c, d, v2))
+            if b != c:
+                push((a, b, d, v3))
+        v4 = ab * c - t2 + d
+        if d < v4 <= B and c != d:
+            push((a, b, c, v4))
+    return [IntegerQuad(*v) for v in sorted(found)]

@@ -393,6 +393,9 @@ _NAN_TOL = "tol must not be NaN"
     (lambda: walk(MarkoffQuad(1, 2, 3, 4), cell_bound=50, tol=math.nan), _NAN_TOL),
     (lambda: verify_quad(Q4, math.nan), "tol must be positive"),
     (lambda: enumerate_integral_below(math.nan), "need B >= 4"),
+    (lambda: enumerate_integral_below(10 ** 6, max_cells=math.nan), "max_cells must not be NaN"),
+    (lambda: walk(IntegerQuad(4, 4, 4, 4), cell_bound=1e6, max_cells=math.nan),
+     "max_cells must not be NaN"),
     (lambda: fibonacci_level_counts(math.nan), "max_value must be >= 1"),
     (lambda: mcshane_verify(Q4, math.nan), "target_tol must be positive"),
     (lambda: psi(MarkoffQuad(1, 2, 3, 4), 1, math.nan), _NAN_TOL),
@@ -409,7 +412,8 @@ _NAN_TOL = "tol must not be NaN"
     (lambda: psi(MarkoffQuad(0, 0, 0, 0), 1, math.nan),
      "psi undefined: zero entry sum or zero slot product"),
 ], ids=["require_valid", "integer-require_valid", "walk-tol", "verify_quad",
-        "enumerate_integral_below", "fibonacci_level_counts", "mcshane_verify",
+        "enumerate_integral_below", "enumerate_integral_below-max_cells", "walk-max_cells",
+        "fibonacci_level_counts", "mcshane_verify",
         "psi", "hurwitz_to_quad", "quad_to_lambda", "horocyclic_to_quad",
         "in_fundamental_domain", "spiral_sequence", "klein_sequence",
         "horocyclic_to_quad-nonpositive", "psi-zero-sum"])

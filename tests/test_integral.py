@@ -331,6 +331,38 @@ def test_enumerate_integral_raises_where_the_all_flip_closure_does():
     assert str(ours.value) == str(oracle.value)
 
 
+def test_flips_fall_in_slot_order_and_only_tied_slots_share_a_child():
+    # what the tree walk rests on: at an ascending quad v1 >= v2 >= v3 >= v4,
+    # so v3 past B rules out slots 1 and 2, and two slots make one child
+    # exactly when their entries tie, so a vertex skips the later one
+    for q in enumerate_integral_below(10 ** 40):
+        new = flips(*q)
+        assert new[0] >= new[1] >= new[2] >= new[3]
+        children = [tuple(sorted(q[:k] + (v,) + q[k + 1:])) for k, v in enumerate(new)]
+        for k in range(3):
+            assert (children[k] == children[k + 1]) == (q[k] == q[k + 1])
+
+
+def _quads_or_message(enumerate_below, *args):
+    try:
+        return [tuple(q) for q in enumerate_below(*args)]
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("B", [36, 10 ** 4, 10 ** 12], ids=["36", "1e4", "1e12"])
+def test_tree_walk_matches_the_all_flip_closure_at_every_budget(B):
+    # tie-heavy bounds (12, 103 and 1,411 quads): the walk keeps no set of
+    # the quads seen, yet lists each once and runs out of budget where the
+    # all-flip closure does, with its message
+    n_all = len(flip_closure_below(FUNDAMENTAL, B, 200_000))
+    for n in [*range(81), n_all - 1, n_all]:
+        ours = _quads_or_message(enumerate_integral_below, B, n)
+        assert ours == _quads_or_message(flip_closure_below, FUNDAMENTAL, B, n)
+        if isinstance(ours, list):
+            assert len(set(ours)) == len(ours)
+
+
 def test_enumerate_integral_matches_brute_scan():
     for B in (40, 120, 500):
         ours = {q.values() for q in enumerate_integral_below(B)}

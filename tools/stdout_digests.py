@@ -102,6 +102,8 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "spectrum 4,4,4,4 -L 400 --max-cells 1000",  # an exact walk, finite yet cut
     "spectrum 4.0,4,4,4 -L 400 --max-cells 1000",  # a float walk, finite yet cut
     "spectrum 8,1,1,-6-8i -L 10 --max-cells 100",  # a complex walk, cut
+    f"enumerate-integral -B {10 ** 30} --max-cells 12929",  # one quad short of 12,930
+    f"enumerate-integral -B {10 ** 30} --max-cells 12930",  # just enough: exits 0
     # usage errors, each exits 1 from the parse
     "flip 4,4,4,4",  # a missing option
     "coords --to lambda",  # a missing positional, named by its metavar
