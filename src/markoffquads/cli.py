@@ -2,9 +2,10 @@
 
 One JSON record per result line (JSON Lines) by default, CSV optional.
 Every record carries the subcommand, the input quad text and the tool
-version; JSON output is strict (no NaN or Infinity).  Exit codes:
-0 success, 1 usage or parse error, 2 verification failure, 3 budget
-exhausted (`klein -n`, `growth --shells` and the quads
+version; JSON output is strict (no NaN or Infinity).  Each subcommand
+takes --format, --out and the settings its --help lists, and no other.
+Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
+3 budget exhausted (`klein -n`, `growth --shells` and the quads
 `enumerate-integral` finds count against --max-cells too) or an
 `mcshane --target-tol` whose cutoff schedule ended unconverged (its
 record is written, with `passed` false), 4 precondition violation
@@ -350,22 +351,50 @@ def _add_quad(p):
     p.add_argument("quad", help="quad as 'a,b,c,d'; entries real, x+yi, or integers")
 
 
-def _add_common(p, defaults: bool):
-    # attached to the main parser with real defaults and to every
-    # subparser with SUPPRESS, so the flags parse on either side of the
-    # subcommand and the later position wins
-    env_cells = os.environ.get(ENV_MAX_CELLS)
-    kw = lambda v: {"default": v} if defaults else {"default": argparse.SUPPRESS}
-    p.add_argument("--tol", type=_positive_float, **kw(DEFAULT_TOL))
-    p.add_argument("--format", choices=("jsonl", "csv"), **kw("jsonl"))
-    p.add_argument("--out", help="write records to FILE instead of stdout",
-                   **kw(None))
-    # a string default (the env value) goes through the type check too
-    p.add_argument("--max-cells", type=_positive_int,
-                   help=f"cell budget for enumerations (env {ENV_MAX_CELLS})",
-                   **kw(env_cells or DEFAULT_MAX_CELLS))
-    p.add_argument("--exact", action="store_true",
-                   help="reject non-integer and negative entries", **kw(False))
+def _max_cells_default() -> int:
+    text = os.environ.get(ENV_MAX_CELLS)
+    try:
+        return _positive_int(text) if text else DEFAULT_MAX_CELLS
+    except argparse.ArgumentTypeError as e:
+        raise _UsageError(f"argument --max-cells: {e}") from None
+
+
+# every setting: flag -> (default, argparse keywords); _COMMANDS names
+# those each command reads
+_SETTINGS = {
+    "--tol": (DEFAULT_TOL, {"type": _positive_float}),
+    "--format": ("jsonl", {"choices": ("jsonl", "csv")}),
+    "--out": (None, {"help": "write records to FILE instead of stdout"}),
+    "--max-cells": (_max_cells_default, {"type": _positive_int, "help":
+                    f"cell budget for enumerations (env {ENV_MAX_CELLS})"}),
+    "--exact": (False, {"action": "store_true",
+                        "help": "reject non-integer and negative entries"}),
+}
+
+
+def _add_settings(p, reads):
+    # on the main parser and on every subparser, with no default, so that a
+    # flag parses on either side of the subcommand, the later one wins and
+    # the namespace holds what argv gave; one not read parses but is unlisted
+    for flag, (_, kw) in _SETTINGS.items():
+        action = p.add_argument(flag, default=argparse.SUPPRESS, **kw)
+        if flag not in reads:
+            action.help = argparse.SUPPRESS
+
+
+def _apply_settings(args) -> None:
+    """Reject a setting argv gave that args.cmd does not read, and give
+    each one that it reads and argv left out its default."""
+    cmd, reads = args.cmd, _COMMANDS[args.cmd][3]
+    if getattr(args, "source", None):  # `coords --from` parses no quad
+        cmd, reads = "coords --from", _OUTPUT + ("--tol",)
+    for flag, (default, _) in _SETTINGS.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in reads:
+            if dest in args:
+                raise _UsageError(f"argument {flag}: not read by {cmd}")
+        elif dest not in args:
+            setattr(args, dest, default() if callable(default) else default)
 
 
 def _flip_args(p):
@@ -427,23 +456,31 @@ def _klein_args(p):
     p.add_argument("-n", "--count", type=int, required=True)
 
 
-# name -> (help, run, a function that adds the command's own arguments),
-# in the order `mql --help` lists them
+# the settings a command reads: those of its output, of a quad, of a walk
+_OUTPUT = ("--format", "--out")
+_QUAD = (*_OUTPUT, "--tol", "--exact")
+_WALK = (*_QUAD, "--max-cells")
+
+# name -> (help, run, a function that adds the command's own arguments,
+# the settings run reads), in the order `mql --help` lists them
 _COMMANDS = {
-    "verify": ("quad relation residual; exit 2 if above tol", _cmd_verify, _add_quad),
-    "flip": ("flip one entry", _cmd_flip, _flip_args),
-    "reduce": ("descend to the sink (or fundamental root)", _cmd_reduce, _add_quad),
-    "spectrum": ("simple length spectrum below a cutoff", _cmd_spectrum, _spectrum_args),
-    "systole": ("shortest curve class and its witness", _cmd_systole, _add_quad),
-    "mcshane": ("identity partial sum or verification", _cmd_mcshane, _mcshane_args),
-    "bq-check": ("summability check up to a product cutoff", _cmd_bq_check, _bq_check_args),
-    "fundamental": ("all reduced positive integer quads", _cmd_fundamental, _no_args),
+    "verify": ("quad relation residual; exit 2 if above tol", _cmd_verify, _add_quad, _QUAD),
+    "flip": ("flip one entry", _cmd_flip, _flip_args, _QUAD),
+    "reduce": ("descend to the sink (or fundamental root)", _cmd_reduce, _add_quad, _QUAD),
+    "spectrum": ("simple length spectrum below a cutoff", _cmd_spectrum, _spectrum_args, _WALK),
+    "systole": ("shortest curve class and its witness", _cmd_systole, _add_quad, _WALK),
+    "mcshane": ("identity partial sum or verification", _cmd_mcshane, _mcshane_args, _WALK),
+    "bq-check": ("summability check up to a product cutoff", _cmd_bq_check, _bq_check_args, _WALK),
+    "fundamental": ("all reduced positive integer quads", _cmd_fundamental, _no_args, _OUTPUT),
     "enumerate-integral": ("all positive integer quads with max entry <= B",
-                           _cmd_enumerate_integral, _enumerate_integral_args),
-    "growth": ("counting-function exponent fit", _cmd_growth, _growth_args),
-    "coords": ("convert between quad and coordinate charts", _cmd_coords, _coords_args),
-    "mcg": ("apply a mapping class word (right-to-left)", _cmd_mcg, _mcg_args),
-    "klein": ("Klein bottle trace recursion", _cmd_klein, _klein_args),
+                           _cmd_enumerate_integral, _enumerate_integral_args,
+                           (*_OUTPUT, "--max-cells")),
+    "growth": ("counting-function exponent fit", _cmd_growth, _growth_args, _WALK),
+    # `coords --from` parses no quad and reads no --exact
+    "coords": ("convert between quad and coordinate charts", _cmd_coords, _coords_args, _QUAD),
+    "mcg": ("apply a mapping class word (right-to-left)", _cmd_mcg, _mcg_args, _QUAD),
+    "klein": ("Klein bottle trace recursion", _cmd_klein, _klein_args,
+              (*_OUTPUT, "--tol", "--max-cells")),
 }
 
 
@@ -455,14 +492,14 @@ def _build_parser(only: str | None = None) -> _Parser:
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     p = _Parser(prog="mql", description=__doc__, formatter_class=formatter)
-    _add_common(p, defaults=True)
+    _add_settings(p, _SETTINGS)
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, run, add_args) in _COMMANDS.items():
+    for name, (help_text, run, add_args, reads) in _COMMANDS.items():
         if only in (None, name):
             sp = sub.add_parser(name, help=help_text, formatter_class=formatter)
             add_args(sp)
             sp.set_defaults(run=run)
-            _add_common(sp, defaults=False)
+            _add_settings(sp, reads)
     p._one_command = only is not None
     return p
 
@@ -479,6 +516,7 @@ def main(argv=None) -> int:
             args = _build_parser(name).parse_args(argv)
         except _NeedFullParser:
             args = _build_parser().parse_args(argv)
+        _apply_settings(args)
         if args.out:
             try:
                 # no O_TRUNC: a command that fails leaves an existing file as it was

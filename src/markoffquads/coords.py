@@ -11,10 +11,13 @@ of permutations (b,a,d,c), (c,d,a,b), (d,c,b,a).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .quadalgebra import DEFAULT_TOL, IntegerQuad, MarkoffQuad, _as_complex, _tol, _value_type, flip
+
+if TYPE_CHECKING:  # annotations only: `mql` start-up does not load random
+    import random
 
 _WALL_MARGIN = 1e-6
 

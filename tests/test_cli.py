@@ -244,6 +244,12 @@ def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("MQL_MAX_CELLS", "10")
     code, _, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "20")
     assert code == 3
+    # only a command that takes --max-cells, and is given none, reads it
+    monkeypatch.setenv("MQL_MAX_CELLS", "x")
+    assert run_cli(capsys, "systole", "4,4,4,4") == (
+        1, "", "mql: error: argument --max-cells: expected a positive integer, got 'x'\n")
+    assert run_cli(capsys, "systole", "4,4,4,4", "--max-cells", "50")[0] == 0
+    assert run_cli(capsys, "verify", "4,4,4,4")[0] == 0
 
 
 def test_bq_check_record(capsys):
@@ -535,6 +541,80 @@ def test_common_flags_after_subcommand(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "4,4,4,4", "-L", "20",
                          "--max-cells", "10")
     assert code == 3
+
+
+# a quick call of each command, and the settings it does not read (the
+# label `coords --from` is the call's, not a command name)
+_QUICK = {
+    "verify": (["verify", "4,4,4,4"], {"--max-cells"}),
+    "flip": (["flip", "4,4,4,4", "-i", "1"], {"--max-cells"}),
+    "reduce": (["reduce", "4,4,4,36"], {"--max-cells"}),
+    "spectrum": (["spectrum", "4,4,4,4", "-L", "3"], set()),
+    "systole": (["systole", "4,4,4,4"], set()),
+    "mcshane": (["mcshane", "4,4,4,4", "--cutoff", "16"], set()),
+    "bq-check": (["bq-check", "4,4,4,4", "-k", "16"], set()),
+    "fundamental": (["fundamental"], {"--tol", "--max-cells", "--exact"}),
+    "enumerate-integral": (["enumerate-integral", "-B", "100"], {"--tol", "--exact"}),
+    "growth": (["growth", "4,4,4,4", "--lmin", "1", "--lmax", "5", "--shells", "4"], set()),
+    "coords": (["coords", "4,4,4,4", "--to", "lambda"], {"--max-cells"}),
+    "coords --from": (["coords", "0.25,0.25,0.25,0.25", "--from", "horocyclic"],
+                      {"--max-cells", "--exact"}),
+    "mcg": (["mcg", "4,4,4,4", "-w", "f1"], {"--max-cells"}),
+    "klein": (["klein", "-A", "3", "--seed", "1,2", "-n", "5"], {"--exact"}),
+}
+_SETTING_ARGS = {"--tol": ["--tol", "1e-3"], "--max-cells": ["--max-cells", "2000"],
+                 "--exact": ["--exact"]}
+
+
+def test_quick_calls_cover_every_command():
+    assert {label.split()[0] for label in _QUICK} == set(cli._COMMANDS)
+    # the 11 unread (command, setting) pairs, and `coords --from`'s two
+    assert sum(len(unread) for _, unread in _QUICK.values()) == 13
+
+
+@pytest.mark.parametrize("label", _QUICK)
+@pytest.mark.parametrize("flag", _SETTING_ARGS)
+def test_a_command_takes_only_the_settings_it_reads(capsys, tmp_path, label, flag):
+    argv, unread = _QUICK[label]
+    setting = _SETTING_ARGS[flag]
+    before, after = [*setting, *argv], [*argv, *setting]
+    if flag in unread:
+        for call in (before, after):
+            out_file = tmp_path / "out.jsonl"
+            assert run_cli(capsys, *call) == (
+                1, "", f"mql: error: argument {flag}: not read by {label}\n")
+            # rejected before --out is opened, so before any work
+            assert run_cli(capsys, "--out", str(out_file), *call)[0] == 1
+            assert not out_file.exists()
+    else:
+        code, out, err = run_cli(capsys, *before)
+        assert (code, err) == (0, "") and lines(out)
+        assert run_cli(capsys, *after) == (0, out, "")
+    if label in cli._COMMANDS:  # a command's help lists just what it reads
+        assert (flag in _run_main([label, "--help"])[1]) == (flag not in unread)
+
+
+class _WatchedSettings(argparse.Namespace):
+    """A namespace that fails on reading a setting it does not hold, and
+    records each one that is read."""
+
+    def __getattribute__(self, name):
+        if name in ("tol", "max_cells", "exact"):
+            assert name in vars(self), f"reads --{name.replace('_', '-')}"
+            vars(self)["read"].add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("label", _QUICK)
+def test_each_command_reads_exactly_its_settings(label):
+    argv, _ = _QUICK[label]
+    args = cli._build_parser().parse_args(argv)
+    cli._apply_settings(args)  # sets just the settings the command reads
+    watched = _WatchedSettings(**vars(args), read=set())
+    records, code = args.run(watched)
+    list(records)
+    held = {"tol", "max_cells", "exact"} & set(vars(args))
+    assert (code, vars(watched)["read"]) == (0, held)
 
 
 # a quasi-Fuchsian quad: (3+0.1i, 4-0.2i, 5) completed with the larger root
@@ -1399,14 +1479,19 @@ def _assert_finite_csv(text):
 
 
 _GLOBAL = st.sampled_from([(), ("--format", "csv"), ("--out", MISSING_OUT)])
+# settings that some commands do not read, drawn before and after the command
+_SETTING = st.sampled_from([(), ("--tol", "1e-3"), ("--exact",), ("--max-cells", "2000")])
+# the budget of every draw, given to the commands that read one
+_BUDGET = {"MQL_MAX_CELLS": "2000"}
 
 
-@given(_GLOBAL, _ARGV)
+@given(_GLOBAL, _SETTING, _ARGV, _SETTING)
 @settings(max_examples=400, derandomize=True, deadline=None)
-def test_any_argv_exits_cleanly_with_strict_json(flags, argv):
+def test_any_argv_exits_cleanly_with_strict_json(flags, before, argv, after):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--max-cells", "2000", *flags, *argv])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, _BUDGET):
+        code = main([*flags, *before, *argv, *after])
     assert code in range(5)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     if "--out" in flags:  # the output file cannot be opened: a usage error
@@ -1442,10 +1527,11 @@ def _assert_parsers_agree(argv):
     return got
 
 
-@given(_GLOBAL, _ARGV)
+@given(_GLOBAL, _SETTING, _ARGV, _SETTING)
 @settings(max_examples=400, derandomize=True, deadline=None)
-def test_one_command_parser_agrees_with_full_parser(flags, argv):
-    _assert_parsers_agree(["--max-cells", "2000", *flags, *argv])
+def test_one_command_parser_agrees_with_full_parser(flags, before, argv, after):
+    with mock.patch.dict(os.environ, _BUDGET):
+        _assert_parsers_agree([*flags, *before, *argv, *after])
 
 
 @pytest.mark.parametrize("argv", [
@@ -1499,12 +1585,12 @@ def test_help_width_is_the_terminal_width(monkeypatch, columns):
     for argv in [["--help"], *([name, "--help"] for name in cli._COMMANDS)]:
         # the help of a parser built with argparse's default formatter
         p = argparse.ArgumentParser(prog="mql", description=cli.__doc__)
-        cli._add_common(p, defaults=True)
+        cli._add_settings(p, cli._SETTINGS)
         sub = p.add_subparsers(dest="cmd", required=True)
-        for name, (help_text, _, add_args) in cli._COMMANDS.items():
+        for name, (help_text, _, add_args, reads) in cli._COMMANDS.items():
             sp = sub.add_parser(name, help=help_text)
             add_args(sp)
-            cli._add_common(sp, defaults=False)
+            cli._add_settings(sp, reads)
         want = (p if argv == ["--help"] else sub.choices[argv[0]]).format_help()
         asked.clear()
         assert _run_main(argv) == (("exit", 0), want, ""), argv
@@ -1514,5 +1600,5 @@ def test_help_width_is_the_terminal_width(monkeypatch, columns):
 def test_top_level_help_lists_every_command():
     (kind, code), out, _ = _run_main(["--help"])
     assert (kind, code) == ("exit", 0) and len(cli._COMMANDS) == 13
-    for name, (help_text, _, _) in cli._COMMANDS.items():
+    for name, (help_text, *_) in cli._COMMANDS.items():
         assert re.search(rf"^ +{re.escape(name)} +{re.escape(help_text)}$", out, re.M), name

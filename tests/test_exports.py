@@ -1,8 +1,11 @@
 """The package exports, each loaded from its home module on first use."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -70,6 +73,29 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(markoffquads, "_no_such_private")
     with pytest.raises(ImportError):
         from markoffquads import no_such_name  # noqa: F401
+
+
+def _annotation_namespace(module):
+    # the module's globals and what it imports under `if TYPE_CHECKING:`
+    ns = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), ns)
+    return ns
+
+
+def test_every_annotation_names_what_its_module_imports():
+    # string annotations (`from __future__ import annotations`) resolve
+    # for a type checker only if each name they use is imported
+    for name in markoffquads.__all__:
+        value = getattr(markoffquads, name)
+        if name in markoffquads._HOMES or not callable(value):
+            continue
+        ns = _annotation_namespace(sys.modules[f"markoffquads.{markoffquads._EXPORTS[name]}"])
+        methods = [m for m in vars(value).values() if inspect.isfunction(m)] \
+            if inspect.isclass(value) else []
+        for obj in (value, *methods):
+            typing.get_type_hints(obj, globalns=ns)
 
 
 # names the benchmark harness reaches by module attribute: flip_value

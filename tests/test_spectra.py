@@ -222,6 +222,18 @@ def test_count_s_examples():
     assert count_s(Q4, 1.0) == 0
 
 
+@pytest.mark.parametrize("L", [0, -1])
+@pytest.mark.parametrize("vals", [(4, 4, 4, 4), (0, 0, 0, 0)])
+def test_one_sided_spectra_below_a_non_positive_cutoff_are_empty(vals, L):
+    # no class has |l| < L <= 0; the zero quad, whose one-sided spectrum
+    # raises at L = 1 (parabolic class), shows that this is decided first
+    q = IntegerQuad(*vals)
+    assert (count_s(q, L), one_sided_spectrum(q, L)) == (0, [])
+    if vals == (0, 0, 0, 0):
+        with pytest.raises(DegenerateClassError, match="zero trace"):
+            count_s(q, 1)
+
+
 def test_count_monotonicity():
     counts = [count_s(Q4, L) for L in (2, 3, 5, 7.2, 10, 12.5, 14)]
     assert counts == sorted(counts)

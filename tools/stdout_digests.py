@@ -64,27 +64,20 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "spectrum 0,0,0,0 -L 3",
     "spectrum 0,0,0,0 -L 3 --two-sided",
     "mcshane 0,0,0,0 --cutoff 10",
-    "verify 1e200,1e200,1e200,1e200",
     "spectrum 4,4,4,4 -L 1500",
     "systole 484,68644,1195914724,39732704840132164",
-    "coords 1,2,x,4 --from horocyclic",
     "growth 4,4,4,4 --lmin 1e-300 --lmax 1e300 --shells 5",  # lmax / lmin overflows
     f"bq-check {_NEAR_CUT} -k 10",
     f"mcshane {_NEAR_CUT} --cutoff 100",
     "enumerate-integral -B 4",  # (4,4,4,4) alone
     "enumerate-integral -B 3",  # below the smallest quad
     f"enumerate-integral -B {10 ** 40}",  # 26,081 quads, past the budget
-    "fundamental",
-    "reduce 12,6,4,2",  # the ninth root, (2,4,6,12), unsorted: word []
-    "reduce 242,4,6,12",  # one flip above it: word [1]
-    "reduce 0,0,0,0",  # not positive: exit 4
     f"bq-check {_NEAR_CUT_FLIPPED} -k 4",
     f"mcshane {_NEAR_CUT_FLIPPED} --cutoff 4",
     f"mcshane {_NO_SINK} --cutoff 100",
     "spectrum 4,4,4,4 -L 20",  # an exact walk: int traces
     "spectrum 4,4,4,4 -L 20 --two-sided",
     "systole 4,4,4,36",
-    "coords 1e-300,1e-300,1e-300,1 --from horocyclic",  # a product of three underflows
     f"mcshane {_DEEP_VIOLATION} --cutoff 1e6",
     f"mcshane {_DEEP_VIOLATION} --target-tol 1e-3",
     f"bq-check {_DEEP_VIOLATION} -k 4",
@@ -95,6 +88,14 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     # 4.5294874004991144, is shorter than its smallest cell
     "systole 1.7050967273722715,2.6564401466417205,34.15550190027589,33.86599007816797",
 )] + [call.split() for call in (
+    # calls whose commands read no budget
+    "verify 1e200,1e200,1e200,1e200",
+    "coords 1,2,x,4 --from horocyclic",
+    "fundamental",
+    "reduce 12,6,4,2",  # the ninth root, (2,4,6,12), unsorted: word []
+    "reduce 242,4,6,12",  # one flip above it: word [1]
+    "reduce 0,0,0,0",  # not positive: exit 4
+    "coords 1e-300,1e-300,1e-300,1 --from horocyclic",  # a product of three underflows
     # calls that set their own budget; each exits 3, and mcshane writes its record
     "mcshane 4,4,4,4 --cutoff 1e40 --max-cells 100",
     "mcshane 4,4,4,4 --target-tol 1e-6 --max-cells 100",
@@ -111,6 +112,15 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "nosuchcommand",  # the full parser's error
     "mcshane 4,4,4,4",  # neither of an exclusive pair that is required
     "mcshane 4,4,4,4 --cutoff 10 --target-tol 1e-3",  # both of that pair
+    # a setting its command does not read, on either side of the command
+    "verify 4,4,4,4 --max-cells 5",
+    "--max-cells 5 verify 4,4,4,4",
+    "fundamental --tol 5",
+    "--tol 5 fundamental",
+    "enumerate-integral -B 10 --exact",
+    "--exact enumerate-integral -B 10",
+    "coords 0.25,0.25,0.25,0.25 --from horocyclic --exact",
+    "--exact coords 0.25,0.25,0.25,0.25 --from horocyclic",
 )]
 
 
