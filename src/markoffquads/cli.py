@@ -183,11 +183,11 @@ def _emit(records, fmt: str, out) -> None:
         elif records:
             import csv  # only --format csv needs it; keeps it out of start-up
             records = list(records)  # a record set builds its dicts on every pass
-            keys = sorted({k for rec in records for k in rec})
+            keys = sorted(records[0])  # one call's records share their keys
             w = csv.writer(out, lineterminator="\n")
             w.writerow(keys)
             for rec in records:
-                w.writerow([_display(rec.get(k, "")) for k in keys])
+                w.writerow([_display(rec[k]) for k in keys])
     except ValueError as e:
         # a non-finite float or an int past the str digit limit; lines written stay whole
         raise DomainError(f"result cannot be written: {e}") from None

@@ -424,13 +424,10 @@ def spiral_sequence(a, b, c0, c1, n0: int, n1: int,
     fwd = [c0, c1]
     while len(fwd) < n1 + 1:
         fwd.append((ab - 2) * fwd[-1] - fwd[-2] - 2 * (a + b))
-    bwd = []
     lo = [c1, c0]
-    while len(bwd) < -n0:
-        nxt = (ab - 2) * lo[-1] - lo[-2] - 2 * (a + b)
-        bwd.append(nxt)
-        lo.append(nxt)
-    terms = tuple(reversed(bwd)) + tuple(fwd[: n1 + 1])
+    while len(lo) < 2 - n0:
+        lo.append((ab - 2) * lo[-1] - lo[-2] - 2 * (a + b))
+    terms = (*reversed(lo[2:]), *fwd)
     scale = 1.0 + abs(ab)
     closed = None
     if abs(ab) > tol * scale and abs(ab - 4) > tol * scale:

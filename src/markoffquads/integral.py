@@ -127,6 +127,10 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
     descending flip, to its parent, and the parent's flip back to it
     ascends: the ascending flips from the roots reach every quad, and a
     descending flip or a self-flip only finds a quad already found.
+    Slots 1 to 3 always ascend, so the one descending flip of a quad but
+    a root is in slot 4, and only a root can ascend there: the list
+    starts with the roots and their ascending slot-4 children, and the
+    loop flips slots 1 to 3 alone.
 
     Why each quad is made once, with no set of the quads seen: parents
     are unique, so two vertices never make the same child, and no vertex
@@ -135,44 +139,42 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
     then agree, and so does the flip, x' = s^2 / x with s the sum of the
     other three; with distinct entries the entries left in place differ.
     The entries are ascending, so equal ones are neighbours, and the
-    walk skips slot 2 when a = b, slot 3 when b = c and slot 4 when
-    c = d (where d' = c' > d): each child comes from the first slot that
-    makes it.  The list `found` is then both the record and the queue:
-    the loop visits each quad once, in discovery order, while the quads
-    it appends extend it.
+    walk skips slot 2 when a = b, slot 3 when b = c and a root's slot 4
+    when c = d: each child comes from the first slot that makes it.  The
+    list `found` is then both the record and the queue: the loop visits
+    each quad once, in discovery order, while the quads it appends
+    extend it.
 
     The slot order: with t2 = 2(a+b+c+d), the flip of a,
-    bcd - 2(b+c+d) - a, is v1 = b*cd - t2 + a, and likewise v2, v3 and
-    v4 for b, c and d.  Then v1 - v2 = (b - a)(cd - 1),
-    v2 - v3 = (c - b)(ad - 1) and v3 - v4 = (d - c)(ab - 1), all >= 0
-    on a positive ascending quad, so v1 >= v2 >= v3 >= v4.  The loop
-    computes v3 first, v2 only when v3 <= B and v1 only when v2 <= B,
-    and still appends the children in slot order 1 to 4.  Int arithmetic
-    is exact and associative, so these are `flips`' values; a float walk
-    would have to keep `flips`' operation order.  The first three flips
-    ascend (above), so only the last is tested against its old entry.
+    bcd - 2(b+c+d) - a, is v1 = b*cd - t2 + a, and likewise v2 and v3
+    for b and c.  Then v1 - v2 = (b - a)(cd - 1) and
+    v2 - v3 = (c - b)(ad - 1), both >= 0 on a positive ascending quad,
+    so v1 >= v2 >= v3.  The loop computes v3 first, v2 only when v3 <= B
+    and v1 only when v2 <= B, and still appends the children in slot
+    order 1 to 3.  Int arithmetic is exact and associative, so these are
+    `flips`' values; a float walk would have to keep `flips`' operation
+    order.
 
-    The budget: the quads are appended in the order that a closure along
-    all four flips, keeping each new quad once, would add them, so the
-    test before each visit sees the budget spent at the vertex that
-    added the quad past it, and raises the same message at the same
-    quad.
+    The budget: every quad is appended before it is visited, and the
+    test runs before every visit, so the function raises exactly when
+    more than max_cells quads lie at or below B.
     """
     if not B >= 4:  # NaN too
         raise DomainError("need B >= 4 (the smallest quad is (4,4,4,4))")
     if max_cells != max_cells:  # a NaN budget would bound nothing
         raise DomainError("max_cells must not be NaN")
-    found = [tuple(root) for root in enumerate_fundamental() if root.d <= B]
+    roots = [tuple(root) for root in enumerate_fundamental() if root.d <= B]
+    found = roots + [(a, b, c, v4) for a, b, c, d in roots
+                     if c != d and d < (v4 := a * b * c - 2 * (a + b + c) - d) <= B]
     push = found.append
     for a, b, c, d in found:
         if len(found) > max_cells:
             raise BudgetExceededError(
                 f"cell budget {max_cells} exhausted before every integer quad below B was found"
             )
-        ab = a * b
         cd = c * d
         t2 = 2 * (a + b + c + d)
-        v3 = ab * d - t2 + c
+        v3 = a * b * d - t2 + c
         if v3 <= B:
             v2 = a * cd - t2 + b
             if v2 <= B:
@@ -183,7 +185,4 @@ def enumerate_integral_below(B: int, max_cells: int = DEFAULT_MAX_CELLS) -> list
                     push((a, c, d, v2))
             if b != c:
                 push((a, b, d, v3))
-        v4 = ab * c - t2 + d
-        if d < v4 <= B and c != d:
-            push((a, b, c, v4))
     return [IntegerQuad(*v) for v in sorted(found)]

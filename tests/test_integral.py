@@ -299,7 +299,8 @@ def test_integer_quad_count_grows_by_between_4_and_8_when_b_is_squared():
 def test_ascending_flips_pass_the_largest_entry():
     # the lemma behind enumerate_integral_below: a flip that ascends
     # exceeds the largest entry, the three smaller entries' flips always
-    # ascend, and every quad but a root has one descending flip
+    # ascend, and every quad but a root has one descending flip, in slot 4,
+    # so only a root can ascend in slot 4
     roots = {q.values() for q in enumerate_fundamental()}
     quads = enumerate_integral_below(10 ** 40)
     assert len(quads) == 26_081
@@ -310,6 +311,7 @@ def test_ascending_flips_pass_the_largest_entry():
                 assert v > q.d
         assert all(v > old for old, v in zip(q[:3], new[:3]))
         assert sum(v < old for old, v in zip(q, new)) == (q.values() not in roots)
+        assert (new[3] < q.d) == (q.values() not in roots)
 
 
 @pytest.mark.parametrize("B", [10 ** 12, 10 ** 30, 10 ** 60], ids=["1e12", "1e30", "1e60"])

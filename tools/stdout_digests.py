@@ -105,6 +105,9 @@ EDGE_CALLS = [f"{call} --max-cells 20000".split() for call in (
     "spectrum 8,1,1,-6-8i -L 10 --max-cells 100",  # a complex walk, cut
     f"enumerate-integral -B {10 ** 30} --max-cells 12929",  # one quad short of 12,930
     f"enumerate-integral -B {10 ** 30} --max-cells 12930",  # just enough: exits 0
+    # twelve quads lie at or below 36, (2,5,5,18), a root's slot-4 child, among them
+    "enumerate-integral -B 36 --max-cells 11",
+    "enumerate-integral -B 36 --max-cells 12",  # just enough: exits 0
     # usage errors, each exits 1 from the parse
     "flip 4,4,4,4",  # a missing option
     "coords --to lambda",  # a missing positional, named by its metavar
